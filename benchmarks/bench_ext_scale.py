@@ -55,6 +55,9 @@ def time_fluid(num_clients: int) -> float:
 
 def run():
     des = [(n, time_des(n)) for n in DES_CLIENTS]
+    # The first fluid engine of a process imports numpy (~0.14 s, see
+    # docs/SCALE.md); keep that once-per-process cost out of the curve.
+    time_fluid(FLUID_CLIENTS[0])
     fluid = [(n, time_fluid(n)) for n in FLUID_CLIENTS]
     equivalence = run_equivalence(11)
     return des, fluid, equivalence

@@ -29,18 +29,22 @@ symbols are the paper's; see ``docs/SCALE.md`` for the derivation):
 No RNG anywhere: the engine is deterministic given (flows, config,
 estimator seedings, plan), which is what lets the determinism guard pin
 fluid digests next to the DES families.
+
+Flow state is struct-of-arrays and a period is a fixed number of numpy
+calls plus the water-fill rounds (:mod:`repro.fluid.kernels`), whatever
+the flow count; the per-flow loop this replaced lives on as the oracle
+in ``tests/fluid/reference_engine.py`` and must agree to the last bit.
+All quantities are int64 tokens.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Optional
 
 from repro.common.errors import ConfigError
 from repro.core.capacity import AdaptiveCapacityEstimator
 from repro.core.config import HaechiConfig
 from repro.fluid.flows import FlowClass, sync_flows
-from repro.globalqos.waterfill import bounded_apportion
 from repro.tenancy.hierarchy import TenantHierarchy
 
 
@@ -75,27 +79,55 @@ class FluidEngine:
         self.ledger = ledger
         self.server_host = server_host
 
+        # numpy arrives with the first engine, not with ``import
+        # repro.fluid``: the DES path imports this module too (see
+        # ``kernels``).
+        from repro.fluid import kernels
+
+        self._np = np = kernels.np
+        self._apportion = kernels.bounded_apportion
+        self._names = names
+        # Flow state as columns.  Client counts, demands and burst caps
+        # never change after construction; reservations and limits only
+        # through ``apply_hierarchy``, which rebuilds their columns.
+        self.total_clients = sum(f.clients for f in flows)
+        self._weights = np.array([float(f.clients) for f in flows])
+        self._demand = np.array([f.demand for f in flows], dtype=np.int64)
+        self._burst = np.array([f.burst for f in flows], dtype=np.int64)
+        self._bucket = self._burst.copy()
+        self._load_envelopes()
+
         self.period_id = 0
         self.now = 0.0
         self.period_records: List[dict] = []
         self.flow_completions: Dict[str, List[int]] = {
-            f.name: [] for f in self.flows
-        }
-        self.burst_buckets: Dict[str, int] = {
-            f.name: f.burst for f in self.flows
+            name: [] for name in names
         }
         self.conversions = 0
         self.faa_batches = 0
         self.resize_log: List[dict] = []
         self.snapshots: List[dict] = []
 
-    @property
-    def total_reserved(self) -> int:
-        return sum(f.reservation for f in self.flows)
+    def _load_envelopes(self) -> None:
+        """(Re)build the columns ``sync_flows`` can change.  New arrays
+        every time, never in-place: ledger blocks of earlier periods
+        hold the old reservation column."""
+        np = self._np
+        self._reservation = np.array(
+            [f.reservation for f in self.flows], dtype=np.int64
+        )
+        self._has_limit = np.array(
+            [f.limit is not None for f in self.flows], dtype=bool
+        )
+        self._limit = np.array(
+            [f.limit or 0 for f in self.flows], dtype=np.int64
+        )
+        self.total_reserved = int(self._reservation.sum())
 
     @property
-    def total_clients(self) -> int:
-        return sum(f.clients for f in self.flows)
+    def burst_buckets(self) -> Dict[str, int]:
+        """Tokens left in each flow's burst bucket."""
+        return dict(zip(self._names, self._bucket.tolist()))
 
     # ------------------------------------------------------------------
     def run(self, periods: int) -> None:
@@ -106,41 +138,45 @@ class FluidEngine:
             self._step()
 
     def _step(self) -> None:
+        np = self._np
         config = self.config
+        plan = self.plan
         self.period_id += 1
         w0 = self.now
         w1 = w0 + config.period
         omega = self.estimator.current
 
         cap_factor = 1.0
-        if self.plan is not None:
-            cap_factor = self.plan.fluid_capacity_factor(
-                self.server_host, w0, w1
-            )
+        if plan is not None:
+            cap_factor = plan.fluid_capacity_factor(self.server_host, w0, w1)
         effective = int(round(omega * cap_factor))
         physical = int(round(self.physical * cap_factor))
 
         # Reserve phase: guaranteed tokens against faulted demand.
-        demands: Dict[str, int] = {}
-        used_res: Dict[str, int] = {}
-        for flow in self.flows:
-            avail = 1.0
-            if self.plan is not None:
-                avail = 1.0 - self.plan.fluid_outage_fraction(
-                    flow.host, self.server_host, w0, w1
+        # Connectivity is a per-flow Python call, so it is asked for
+        # only when the plan has a window that can cut a flow off.
+        demand = self._demand
+        if plan is not None and (plan.partitions or plan.crashes):
+            avail = np.array([
+                1.0 - plan.fluid_outage_fraction(
+                    name, self.server_host, w0, w1
                 )
-            demand = int(round(flow.demand * avail))
-            demands[flow.name] = demand
-            used_res[flow.name] = min(demand, flow.reservation)
-        res_spent = sum(used_res.values())
+                for name in self._names
+            ])
+            # rint rounds half to even, like the builtin round().
+            demand = np.rint(demand * avail).astype(np.int64)
+        reservation = self._reservation
+        used_res = np.minimum(demand, reservation)
+        res_spent = int(used_res.sum())
 
         # Mint/convert: the pool the claim phase draws on.
+        unreserved = max(0, effective - self.total_reserved)
         if config.token_conversion:
             pool = max(0, effective - res_spent)
-            if pool > max(0, effective - self.total_reserved):
+            if pool > unreserved:
                 self.conversions += 1
         else:
-            pool = max(0, effective - self.total_reserved)
+            pool = unreserved
         if self.ledger is not None:
             self.ledger.mint(
                 self.period_id, pool, self.total_reserved, w0,
@@ -148,54 +184,46 @@ class FluidEngine:
             )
 
         # Claim phase: equal-per-client water-fill of the pool.
-        wants: List[int] = []
-        for flow in self.flows:
-            want = max(0, demands[flow.name] - used_res[flow.name])
-            if flow.limit is not None:
-                ceiling = flow.limit + self.burst_buckets[flow.name]
-                want = min(want, max(0, ceiling - used_res[flow.name]))
-            wants.append(want)
-        spendable = min(pool, sum(wants), max(0, physical - res_spent))
+        wants = demand - used_res
+        ceiling = self._limit + self._bucket
+        wants = np.where(
+            self._has_limit,
+            np.minimum(wants, np.maximum(0, ceiling - used_res)),
+            wants,
+        )
+        spendable = min(
+            pool, int(wants.sum()), max(0, physical - res_spent)
+        )
         if spendable > 0:
-            grants = bounded_apportion(
-                spendable,
-                [float(f.clients) for f in self.flows],
-                wants,
-            )
+            grants = self._apportion(spendable, self._weights, wants)
         else:
-            grants = [0] * len(self.flows)
+            grants = np.zeros(len(self._names), dtype=np.int64)
 
         # Spend/expire and exact per-flow accounting.
-        total_completed = 0
-        per_flow: Dict[str, int] = {}
-        for i, (flow, grant) in enumerate(zip(self.flows, grants)):
-            completed = used_res[flow.name] + grant
-            per_flow[flow.name] = completed
-            self.flow_completions[flow.name].append(completed)
-            total_completed += completed
-            self.faa_batches += math.ceil(grant / config.batch_size)
-            if flow.limit is not None:
-                over = max(0, completed - flow.limit)
-                slack = max(0, flow.limit - completed)
-                bucket = self.burst_buckets[flow.name]
-                self.burst_buckets[flow.name] = min(
-                    flow.burst, bucket - over + slack
-                )
-            if self.ledger is not None:
-                account = self.ledger.open(
-                    flow.name, self.period_id, flow.reservation, w0
-                )
-                if grant or wants[i]:
-                    self.ledger.pool_claim(
-                        account, requested=wants[i],
-                        granted=grant, prior_pool=pool, time=w1,
-                    )
-                self.ledger.close(
-                    account, spent=completed, yielded=0,
-                    residual=flow.reservation - used_res[flow.name],
-                    reason="fluid-period", time=w1,
-                )
+        completed = used_res + grants
+        total_completed = int(completed.sum())
+        # Same float division as math.ceil(grant / batch_size).
+        self.faa_batches += int(np.ceil(grants / config.batch_size).sum())
+        # bucket - overshoot + slack, which is bucket + limit - used.
+        self._bucket = np.where(
+            self._has_limit,
+            np.minimum(self._burst, self._bucket + self._limit - completed),
+            self._bucket,
+        )
+        if self.ledger is not None:
+            self.ledger.close_block(
+                self._names, self.period_id,
+                granted_reservation=reservation,
+                requested=wants, granted_pool=grants, spent=completed,
+                residual=reservation - used_res,
+                prior_pool=pool, opened_at=w0, closed_at=w1,
+                reason="fluid-period",
+            )
 
+        # numpy scalars stop here: reports are JSON.
+        per_flow = completed.tolist()
+        for counts, done in zip(self.flow_completions.values(), per_flow):
+            counts.append(done)
         self.period_records.append({
             "period": self.period_id,
             "estimate": omega,
@@ -203,7 +231,7 @@ class FluidEngine:
             "effective": effective,
             "pool": pool,
             "completed": total_completed,
-            "per_flow": per_flow,
+            "per_flow": dict(zip(self._names, per_flow)),
         })
         self.estimator.update(total_completed)
         self.now = w1
@@ -217,6 +245,7 @@ class FluidEngine:
         the state for the ``hierarchy-conservation`` oracle."""
         hierarchy.epoch = self.period_id
         changes = sync_flows(self.flows, hierarchy)
+        self._load_envelopes()
         for change in changes:
             self.resize_log.append(dict(change, period=self.period_id))
         self.snapshots.append(hierarchy.snapshot())

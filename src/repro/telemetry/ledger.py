@@ -22,12 +22,20 @@ post-rebind), and each must balance independently.
 
 Instrumentation cost: the engine touches the ledger only at period
 boundaries and FAA completions — never per I/O — so the data hot path
-is unaffected.
+is unaffected.  The fluid engine, which closes every flow's account at
+the same instant, records a whole period as one :class:`AccountBlock`
+of columns; ``events`` and ``closed_accounts`` render a block's records
+only when read, and the audits run on the columns.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+import bisect
+from collections.abc import Sequence
+from typing import Any, Dict, Iterator, List, Optional
+
+_FLOW_KEYS = ("granted_reservation", "granted_pool", "spent", "yielded",
+              "expired")
 
 
 class LedgerAccount:
@@ -46,13 +54,219 @@ class LedgerAccount:
         self.closed = False
 
 
+class AccountBlock:
+    """One period's accounts for many clients, stored as columns.
+
+    What the accounts share (period, open/close times, reason, the pool
+    before the claims) is stored once; what differs is one integer
+    column per quantity, each as long as ``clients``.  Columns are
+    numpy arrays, used only through their methods and operators — this
+    module does not import numpy.  No account in a block yields.
+
+    The records rendered from a block are the ones ``open`` /
+    ``pool_claim`` / ``close`` would have logged for each client in
+    turn: ``grant``, ``claim`` (only for a client that asked for or got
+    pool tokens), ``spend``, ``expire``.
+    """
+
+    __slots__ = ("clients", "period", "granted_reservation", "requested",
+                 "granted_pool", "spent", "residual", "prior_pool",
+                 "opened_at", "closed_at", "reason")
+
+    def __init__(self, clients, period: int, granted_reservation, requested,
+                 granted_pool, spent, residual, prior_pool: int,
+                 opened_at: float, closed_at: float, reason: str):
+        self.clients = clients
+        self.period = period
+        self.granted_reservation = granted_reservation
+        self.requested = requested
+        self.granted_pool = granted_pool
+        self.spent = spent
+        self.residual = residual
+        self.prior_pool = prior_pool
+        self.opened_at = opened_at
+        self.closed_at = closed_at
+        self.reason = reason
+
+    def balances(self):
+        """Per-account ``granted - spent - expired``; all zero when the
+        block conserves tokens."""
+        return (self.granted_reservation + self.granted_pool
+                - self.spent - self.residual)
+
+    def totals(self) -> Dict[str, int]:
+        return {
+            "granted_reservation": int(self.granted_reservation.sum()),
+            "granted_pool": int(self.granted_pool.sum()),
+            "spent": int(self.spent.sum()),
+            "yielded": 0,
+            "expired": int(self.residual.sum()),
+        }
+
+    def _claimed(self):
+        return (self.granted_pool != 0) | (self.requested != 0)
+
+    def _row(self, row: int) -> "AccountBlock":
+        """The one-account block of ``row``."""
+        at = slice(row, row + 1)
+        return AccountBlock(
+            self.clients[at], self.period, self.granted_reservation[at],
+            self.requested[at], self.granted_pool[at], self.spent[at],
+            self.residual[at], self.prior_pool, self.opened_at,
+            self.closed_at, self.reason,
+        )
+
+    # -- as closed-account records -------------------------------------
+    def account_count(self) -> int:
+        return len(self.clients)
+
+    def accounts(self) -> Iterator[Dict[str, Any]]:
+        rows = zip(
+            self.clients, self.granted_reservation.tolist(),
+            self.granted_pool.tolist(), self.spent.tolist(),
+            self.residual.tolist(),
+        )
+        for client, granted, pool, spent, residual in rows:
+            yield {
+                "client": client,
+                "period": self.period,
+                "granted_reservation": granted,
+                "granted_pool": pool,
+                "spent": spent,
+                "yielded": 0,
+                "expired": residual,
+                "balance": granted + pool - spent - residual,
+                "reason": self.reason,
+                "opened_at": self.opened_at,
+                "closed_at": self.closed_at,
+            }
+
+    def account(self, row: int) -> Dict[str, Any]:
+        return next(self._row(row).accounts())
+
+    # -- as audit events -----------------------------------------------
+    def event_count(self) -> int:
+        return 3 * len(self.clients) + int(self._claimed().sum())
+
+    def events(self) -> Iterator[Dict[str, Any]]:
+        rows = zip(
+            self.clients, self.granted_reservation.tolist(),
+            self.requested.tolist(), self.granted_pool.tolist(),
+            self.spent.tolist(), self.residual.tolist(),
+        )
+        period = self.period
+        for client, granted, requested, pool, spent, residual in rows:
+            yield {
+                "event": "grant", "time": self.opened_at, "period": period,
+                "client": client, "tokens": granted,
+            }
+            if pool or requested:
+                yield {
+                    "event": "claim", "time": self.closed_at,
+                    "period": period, "client": client,
+                    "requested": requested, "granted": pool,
+                    "prior_pool": self.prior_pool,
+                }
+            yield {
+                "event": "spend", "time": self.closed_at, "period": period,
+                "client": client, "tokens": spent,
+            }
+            yield {
+                "event": "expire", "time": self.closed_at, "period": period,
+                "client": client, "yielded": 0, "residual": residual,
+                "reason": self.reason,
+            }
+
+    def event(self, index: int) -> Dict[str, Any]:
+        # Each account logs three events, four with a claim.
+        ends = (self._claimed() + 3).cumsum()
+        row = int(ends.searchsorted(index, side="right"))
+        first = int(ends[row - 1]) if row else 0
+        return list(self._row(row).events())[index - first]
+
+
+class _Spliced(Sequence):
+    """Read-only view of a record list with blocks spliced in.
+
+    ``entries`` holds records (dicts) and :class:`AccountBlock` objects
+    in log order, ``block_at`` the positions of the blocks.  The view
+    is the sequence a per-account log would have been: each block
+    stands for the records it renders (subclasses say which).  Take a
+    fresh view after the ledger has grown.
+    """
+
+    def __init__(self, entries: list, block_at: List[int]):
+        self._entries = entries
+        self._block_at = block_at
+        # first[j]: view index of block j's first record.  extra[j]:
+        # how far view indices run ahead of entry positions once block
+        # j has been passed.
+        self._first: List[int] = []
+        self._extra: List[int] = []
+        extra = 0
+        for at in block_at:
+            self._first.append(at + extra)
+            extra += self._count(entries[at]) - 1
+            self._extra.append(extra)
+
+    def __len__(self) -> int:
+        return len(self._entries) + (self._extra[-1] if self._extra else 0)
+
+    def __iter__(self):
+        for entry in self._entries:
+            if type(entry) is AccountBlock:
+                yield from self._iter(entry)
+            else:
+                yield entry
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        if index < 0:
+            index += len(self)
+        if not 0 <= index < len(self):
+            raise IndexError("ledger index out of range")
+        j = bisect.bisect_right(self._first, index) - 1
+        at = index - self._extra[j] if j >= 0 else index
+        if j < 0 or at > self._block_at[j]:
+            return self._entries[at]
+        return self._at(self._entries[self._block_at[j]],
+                        index - self._first[j])
+
+
+class _Events(_Spliced):
+    _count = staticmethod(AccountBlock.event_count)
+    _iter = staticmethod(AccountBlock.events)
+    _at = staticmethod(AccountBlock.event)
+
+
+class _Accounts(_Spliced):
+    _count = staticmethod(AccountBlock.account_count)
+    _iter = staticmethod(AccountBlock.accounts)
+    _at = staticmethod(AccountBlock.account)
+
+
 class TokenLedger:
     """Collects audit events and closed-account balances."""
 
     def __init__(self) -> None:
-        self.events: List[Dict[str, Any]] = []
-        self.closed_accounts: List[Dict[str, Any]] = []
+        # Records in log order; a fluid period's accounts sit in both
+        # lists as one AccountBlock (positions in the ``*_blocks``).
+        self._events: list = []
+        self._closed: list = []
+        self._event_blocks: List[int] = []
+        self._closed_blocks: List[int] = []
         self.open_account_count = 0
+
+    @property
+    def events(self) -> Sequence:
+        """The audit stream, one dict per event, in log order."""
+        return _Events(self._events, self._event_blocks)
+
+    @property
+    def closed_accounts(self) -> Sequence:
+        """One balance record per closed account, in closing order."""
+        return _Accounts(self._closed, self._closed_blocks)
 
     # ------------------------------------------------------------------
     # Monitor-side events
@@ -60,7 +274,7 @@ class TokenLedger:
     def mint(self, period: int, pool_tokens: int, total_reserved: int,
              time: float, source: Optional[str] = None) -> None:
         """The monitor initialized a period's global pool word."""
-        self.events.append({
+        self._events.append({
             "event": "mint", "time": time, "period": period,
             "pool": pool_tokens, "reserved": total_reserved,
             "source": source,
@@ -70,7 +284,7 @@ class TokenLedger:
                 residual_sum: int, time: float,
                 source: Optional[str] = None) -> None:
         """The monitor converted unused reservations into pool tokens."""
-        self.events.append({
+        self._events.append({
             "event": "convert", "time": time, "period": period,
             "pool_before": pool_before, "pool_after": pool_after,
             "residual_sum": residual_sum, "source": source,
@@ -88,7 +302,7 @@ class TokenLedger:
         free runs never emit this event, so their ledger streams are
         byte-identical to the pre-coordinator ones.
         """
-        self.events.append({
+        self._events.append({
             "event": "rebalance", "time": time, "epoch": epoch,
             "client": client, "aggregate": aggregate,
             "old": list(old_splits), "new": list(new_splits),
@@ -111,7 +325,7 @@ class TokenLedger:
         or vanish between revisions).  Policy-free runs never emit
         this event, so their ledger streams stay byte-identical.
         """
-        self.events.append({
+        self._events.append({
             "event": "policy_apply", "time": time, "epoch": epoch,
             "client": client, "version": version, "term": term,
             "old": list(old_splits), "new": list(new_splits),
@@ -121,7 +335,7 @@ class TokenLedger:
     def quarantine(self, epoch: int, node: int, score: float, time: float,
                    source: Optional[str] = None) -> None:
         """The coordinator deranked a fail-slow node in water-filling."""
-        self.events.append({
+        self._events.append({
             "event": "quarantine", "time": time, "epoch": epoch,
             "node": node, "score": score, "source": source,
         })
@@ -129,7 +343,7 @@ class TokenLedger:
     def unquarantine(self, epoch: int, node: int, score: float, time: float,
                      source: Optional[str] = None) -> None:
         """The coordinator re-admitted a previously quarantined node."""
-        self.events.append({
+        self._events.append({
             "event": "unquarantine", "time": time, "epoch": epoch,
             "node": node, "score": score, "source": source,
         })
@@ -142,7 +356,7 @@ class TokenLedger:
         """A reservation grant landed at a client: open its account."""
         account = LedgerAccount(client, period, granted, time)
         self.open_account_count += 1
-        self.events.append({
+        self._events.append({
             "event": "grant", "time": time, "period": period,
             "client": client, "tokens": granted,
         })
@@ -152,7 +366,7 @@ class TokenLedger:
                    prior_pool: int, time: float) -> None:
         """A batched FAA granted ``granted`` of ``requested`` tokens."""
         account.granted_pool += granted
-        self.events.append({
+        self._events.append({
             "event": "claim", "time": time, "period": account.period,
             "client": account.client, "requested": requested,
             "granted": granted, "prior_pool": prior_pool,
@@ -172,16 +386,16 @@ class TokenLedger:
         self.open_account_count -= 1
         balance = (account.granted_reservation + account.granted_pool
                    - spent - yielded - residual)
-        self.events.append({
+        self._events.append({
             "event": "spend", "time": time, "period": account.period,
             "client": account.client, "tokens": spent,
         })
-        self.events.append({
+        self._events.append({
             "event": "expire", "time": time, "period": account.period,
             "client": account.client, "yielded": yielded,
             "residual": residual, "reason": reason,
         })
-        self.closed_accounts.append({
+        self._closed.append({
             "client": account.client,
             "period": account.period,
             "granted_reservation": account.granted_reservation,
@@ -195,12 +409,39 @@ class TokenLedger:
             "closed_at": time,
         })
 
+    def close_block(self, clients, period: int, *, granted_reservation,
+                    requested, granted_pool, spent, residual,
+                    prior_pool: int, opened_at: float, closed_at: float,
+                    reason: str) -> None:
+        """Open, claim for and close one account per client at once.
+
+        Equivalent to ``open`` / ``pool_claim`` / ``close`` for each
+        client in turn with these columns' values (see
+        :class:`AccountBlock`), at the cost of one append.  The columns
+        are kept, not copied: the caller must not modify them after.
+        """
+        block = AccountBlock(
+            clients, period, granted_reservation, requested, granted_pool,
+            spent, residual, prior_pool, opened_at, closed_at, reason,
+        )
+        self._event_blocks.append(len(self._events))
+        self._events.append(block)
+        self._closed_blocks.append(len(self._closed))
+        self._closed.append(block)
+
     # ------------------------------------------------------------------
     def check_conservation(self) -> List[str]:
         """Human-readable violations; empty means every account balanced."""
         violations = []
-        for rec in self.closed_accounts:
-            if rec["balance"] != 0:
+        for entry in self._closed:
+            if type(entry) is AccountBlock:
+                # Audit the columns; render only what does not balance.
+                unbalanced = map(
+                    entry.account, entry.balances().nonzero()[0].tolist()
+                )
+            else:
+                unbalanced = (entry,) if entry["balance"] else ()
+            for rec in unbalanced:
                 violations.append(
                     f"client {rec['client']} period {rec['period']} "
                     f"({rec['reason']}): granted "
@@ -302,12 +543,12 @@ class TokenLedger:
 
     def totals(self) -> Dict[str, int]:
         """Aggregate token flow over all closed accounts."""
-        keys = ("granted_reservation", "granted_pool", "spent", "yielded",
-                "expired")
-        out = {k: 0 for k in keys}
-        for rec in self.closed_accounts:
-            for k in keys:
-                out[k] += rec[k]
+        out = {k: 0 for k in _FLOW_KEYS}
+        for entry in self._closed:
+            if type(entry) is AccountBlock:
+                entry = entry.totals()
+            for k in _FLOW_KEYS:
+                out[k] += entry[k]
         out["accounts"] = len(self.closed_accounts)
         return out
 
@@ -320,15 +561,13 @@ class TokenLedger:
         group's flows are sums of exactly-balanced accounts, so the
         tenancy facade's per-tenant ledger view needs no re-audit.
         """
-        keys = ("granted_reservation", "granted_pool", "spent", "yielded",
-                "expired")
         out: Dict[str, Dict[str, int]] = {}
         for rec in self.closed_accounts:
             group = group_of(rec["client"])
             if group is None:
                 continue
-            entry = out.setdefault(group, {k: 0 for k in keys})
-            for k in keys:
+            entry = out.setdefault(group, {k: 0 for k in _FLOW_KEYS})
+            for k in _FLOW_KEYS:
                 entry[k] += rec[k]
             entry["accounts"] = entry.get("accounts", 0) + 1
         return out
