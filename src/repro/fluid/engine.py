@@ -31,10 +31,13 @@ estimator seedings, plan), which is what lets the determinism guard pin
 fluid digests next to the DES families.
 
 Flow state is struct-of-arrays and a period is a fixed number of numpy
-calls plus the water-fill rounds (:mod:`repro.fluid.kernels`), whatever
-the flow count; the per-flow loop this replaced lives on as the oracle
-in ``tests/fluid/reference_engine.py`` and must agree to the last bit.
-All quantities are int64 tokens.
+calls, whatever the flow count, plus one water-fill; the per-flow loop
+this replaced lives on as the oracle in
+``tests/fluid/reference_engine.py`` and must agree to the last bit.
+All quantities are int64 tokens.  The water-fill is still the list
+``bounded_apportion`` (wants out as a list, grants back in as a column):
+its array form is ready in :mod:`repro.fluid.kernels` and moving the
+claim phase onto it is the next step (``docs/SCALE.md``).
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from repro.common.errors import ConfigError
 from repro.core.capacity import AdaptiveCapacityEstimator
 from repro.core.config import HaechiConfig
 from repro.fluid.flows import FlowClass, sync_flows
+from repro.globalqos.waterfill import bounded_apportion
 from repro.tenancy.hierarchy import TenantHierarchy
 
 
@@ -85,13 +89,12 @@ class FluidEngine:
         from repro.fluid import kernels
 
         self._np = np = kernels.np
-        self._apportion = kernels.bounded_apportion
         self._names = names
         # Flow state as columns.  Client counts, demands and burst caps
         # never change after construction; reservations and limits only
         # through ``apply_hierarchy``, which rebuilds their columns.
         self.total_clients = sum(f.clients for f in flows)
-        self._weights = np.array([float(f.clients) for f in flows])
+        self._weights = [float(f.clients) for f in flows]
         self._demand = np.array([f.demand for f in flows], dtype=np.int64)
         self._burst = np.array([f.burst for f in flows], dtype=np.int64)
         self._bucket = self._burst.copy()
@@ -195,7 +198,10 @@ class FluidEngine:
             pool, int(wants.sum()), max(0, physical - res_spent)
         )
         if spendable > 0:
-            grants = self._apportion(spendable, self._weights, wants)
+            grants = np.array(
+                bounded_apportion(spendable, self._weights, wants.tolist()),
+                dtype=np.int64,
+            )
         else:
             grants = np.zeros(len(self._names), dtype=np.int64)
 
