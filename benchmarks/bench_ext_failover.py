@@ -13,33 +13,35 @@ released with a clean ledger audit, no lost acked PUT, conservation,
 reservations met.
 """
 
-from repro.globalqos.chaos import DEFAULT_SEEDS, run_partition_chaos
+from repro.cluster import chaos
+from repro.globalqos.chaos import PARTITION
 
-PERIODS = 36
+PERIODS = PARTITION.periods
+SEEDS = PARTITION.seeds
 
 
 def run():
-    return [run_partition_chaos(seed, periods=PERIODS)
-            for seed in DEFAULT_SEEDS]
+    return [chaos.run(PARTITION, seed)[0] for seed in SEEDS]
 
 
 def test_ext_failover_partition_chaos(benchmark, report):
     reports = benchmark.pedantic(run, rounds=1, iterations=1)
 
     report.line("Partition + failover chaos on the HA coordinator build "
-                f"({PERIODS} periods, seeds {list(DEFAULT_SEEDS)})")
+                f"({PERIODS} periods, seeds {list(SEEDS)})")
     rows = []
     for rep in reports:
+        c = rep.counters
         rows.append([
             str(rep.seed),
             "PASS" if rep.ok else "FAIL",
-            str(rep.takeover_epoch),
-            str(rep.stepdowns),
-            str(rep.fenced_updates),
-            str(rep.stale_rejected),
-            f"{rep.quarantines}/{rep.unquarantines}",
-            str(rep.tokens_shifted),
-            str(rep.puts_acked),
+            str(c["takeover_epoch"]),
+            str(c["stepdowns"]),
+            str(c["fenced_updates"]),
+            str(c["stale_rejected"]),
+            f"{c['quarantines']}/{c['unquarantines']}",
+            str(c["tokens_shifted"]),
+            str(c["puts_acked"]),
         ])
     report.table(
         ["seed", "verdict", "takeover epoch", "stepdowns", "fenced",
@@ -52,16 +54,17 @@ def test_ext_failover_partition_chaos(benchmark, report):
                 "cycle, conservation, durability)")
 
     for rep in reports:
+        c = rep.counters
         assert rep.ok, f"seed {rep.seed}: {rep.violations}"
         # Exactly one takeover, no flap-back by the deposed leader.
-        assert rep.takeovers == 1
-        assert rep.stepdowns >= 1
+        assert c["takeovers"] == 1
+        assert c["stepdowns"] >= 1
         # The fencing path was actually exercised: the deposed leader's
         # laggy updates bounced off every client.
-        assert rep.fenced_updates >= 1
-        assert rep.stale_rejected == 0
+        assert c["fenced_updates"] >= 1
+        assert c["stale_rejected"] == 0
         # The gray node went through the full quarantine cycle.
-        assert rep.quarantines >= 1
-        assert rep.unquarantines == rep.quarantines
+        assert c["quarantines"] >= 1
+        assert c["unquarantines"] == c["quarantines"]
         # Durability: the drivers kept writing through all of it.
-        assert rep.puts_acked > 0
+        assert c["puts_acked"] > 0

@@ -6,9 +6,10 @@ Subcommands::
     python -m repro run       [--mode haechi|basic|bare] [--distribution ...]
                               [--reserved-fraction 0.9] [--pattern ...]
     python -m repro faults    [--kind control-loss|client-crash ...]
-    python -m repro chaos     [--seeds 11 23 ...]
-    python -m repro globalqos [--seeds 11 23 ...] [--chaos]
-                              [--partition-chaos] [--report out.json]
+    python -m repro chaos     [recovery|coord-crash|partition|policy-flip]
+                              [--seeds 11 23 ...] [--periods N]
+                              [--report out.json]
+    python -m repro globalqos [--seeds 11 23 ...] [--report out.json]
     python -m repro telemetry [--sample N] [--trace out.json]
                               [--chaos-seed N] [--overhead-check]
     python -m repro figures
@@ -19,7 +20,7 @@ Subcommands::
                               [--replay repro.json]
     python -m repro scale     [--clients N] [--tenants N] [--periods N]
                               [--seed N] [--validate] [--report out.json]
-    python -m repro policy    {list,show,validate,diff,apply} ...
+    python -m repro policy    {list,show,validate,diff} ...
 
 ``run`` prints the per-client reservation-vs-served table for the
 chosen configuration, the bread-and-butter view of the paper's
@@ -114,42 +115,39 @@ def _build_parser() -> argparse.ArgumentParser:
 
     chaos = sub.add_parser(
         "chaos",
-        help="seeded chaos runs over the replicated cluster "
-             "(crash/failover invariant checks)",
+        help="seeded chaos runs with invariant verdicts: the replicated "
+             "cluster's crash/failover (recovery), the global "
+             "coordinator's crash (coord-crash) and partition/failover/"
+             "fail-slow (partition), or a policy hot-swap mid-failover "
+             "(policy-flip)",
     )
+    chaos.add_argument("scenario", nargs="?", default="recovery",
+                       help="which declared scenario to run "
+                            "(default: recovery)")
     chaos.add_argument("--seeds", type=int, nargs="+", default=None,
-                       help="seeds to run (default: the documented set)")
-    chaos.add_argument("--clients", type=int, default=4)
-    chaos.add_argument("--periods", type=int, default=10)
+                       help="seeds to run (default: the scenario's "
+                            "documented set)")
+    chaos.add_argument("--periods", type=int, default=None,
+                       help="run length in QoS periods (default: the "
+                            "scenario's)")
+    chaos.add_argument("--report", metavar="PATH", default=None,
+                       help="write the per-seed verdicts, counters and "
+                            "ledger totals as JSON")
 
     globalqos = sub.add_parser(
         "globalqos",
         help="multi-node global coordinator: static-vs-coordinated skew "
-             "comparison, coordinator-crash chaos (--chaos), or "
-             "partition/failover chaos (--partition-chaos)",
+             "comparison",
     )
-    globalqos.add_argument("--seeds", type=int, nargs="+", default=None,
-                           help="seeds to run (default: the documented set)")
-    globalqos.add_argument("--chaos", action="store_true",
-                           help="run the coordinator-crash chaos invariants "
-                                "instead of the skew comparison")
-    globalqos.add_argument("--partition-chaos", action="store_true",
-                           help="run the asymmetric-partition / failover / "
-                                "fail-slow chaos invariants (HA build with "
-                                "warm standby and quarantine armed)")
-    globalqos.add_argument("--periods", type=int, default=None,
-                           help="chaos run length in QoS periods (default "
-                                "18, or 36 with --partition-chaos)")
-    globalqos.add_argument("--takeover-after", type=int, default=2,
-                           help="silent epochs before the standby takes "
-                                "over (--partition-chaos only)")
+    globalqos.add_argument("--seeds", type=int, nargs="+",
+                           default=[11, 23, 37], help="seeds to run")
     globalqos.add_argument("--rebalance-periods", type=int, default=2,
                            help="QoS periods per rebalance epoch")
     globalqos.add_argument("--fallback-after", type=int, default=2,
                            help="silent epochs before clients restore the "
                                 "static even split")
     globalqos.add_argument("--report", metavar="PATH", default=None,
-                           help="write the per-seed verdicts and ledger "
+                           help="write the per-seed comparison and ledger "
                                 "conservation audit as JSON")
 
     telemetry = sub.add_parser(
@@ -176,8 +174,8 @@ def _build_parser() -> argparse.ArgumentParser:
     telemetry.add_argument("--ledger", metavar="PATH", default=None,
                            help="write the token-ledger audit stream as JSONL")
     telemetry.add_argument("--chaos-seed", type=int, default=None,
-                           help="trace one seeded chaos run instead of a "
-                                "QoS scenario")
+                           help="trace one seeded recovery chaos run "
+                                "instead of a QoS scenario")
     telemetry.add_argument("--overhead-check", action="store_true",
                            help="measure wall-clock overhead at "
                                 "off/sampled rates and enforce the "
@@ -275,26 +273,21 @@ def _build_parser() -> argparse.ArgumentParser:
     fabric = sub.add_parser(
         "fabric",
         help="congestion-controlled fabric smoke: incast with DCQCN "
-             "on/off plus the fabric determinism digests (docs/FABRIC.md)",
+             "on/off (docs/FABRIC.md)",
     )
     fabric.add_argument("--seed", type=int, default=11,
                         help="scenario seed (ECN marks and verb mixes "
                              "derive private streams from it)")
     fabric.add_argument("--ops", type=int, default=1200,
                         help="ops per incast sender")
-    fabric.add_argument("--digests", action=argparse.BooleanOptionalAction,
-                        default=True,
-                        help="also recompute the fabric digest family "
-                             "and compare against the committed "
-                             "reference")
     fabric.add_argument("--report", metavar="PATH", default=None,
                         help="write the smoke report JSON here")
 
     policy = sub.add_parser(
         "policy",
         help="declarative QoS policy control plane: inspect, validate, "
-             "diff, and hot-swap committed policy documents "
-             "(docs/POLICY.md)",
+             "and diff committed policy documents (docs/POLICY.md; the "
+             "hot-swap scenario is `chaos policy-flip`)",
     )
     policy_sub = policy.add_subparsers(dest="policy_command", required=True)
     policy_show = policy_sub.add_parser(
@@ -319,22 +312,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     policy_diff.add_argument("old", help="builtin name or JSON path")
     policy_diff.add_argument("new", help="builtin name or JSON path")
-    policy_apply = policy_sub.add_parser(
-        "apply",
-        help="run the policy-flip failover chaos scenario(s): the "
-             "committed revision-2 flip hot-swapped at the takeover "
-             "epoch, with conservation and fencing audits")
-    policy_apply.add_argument("--seeds", type=int, nargs="+", default=None,
-                              help="seeds to run (default: the "
-                                   "documented set)")
-    policy_apply.add_argument("--periods", type=int, default=36)
-    policy_apply.add_argument("--report", metavar="PATH", default=None,
-                              help="write the per-seed conservation "
-                                   "report JSON here")
-    policy_apply.add_argument(
-        "--digests", action=argparse.BooleanOptionalAction, default=False,
-        help="also recompute the policy digest family and compare "
-             "against the committed reference")
     return parser
 
 
@@ -468,182 +445,102 @@ def _cmd_faults(args) -> int:
     return 0
 
 
-def _cmd_chaos(args) -> int:
-    from repro.common.errors import ConfigError
-    from repro.recovery import DEFAULT_SEEDS, run_chaos
+def _write_report(path: str, payload: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    print(f"report written to {path}")
 
-    seeds = args.seeds if args.seeds else list(DEFAULT_SEEDS)
-    rows = []
-    failed = 0
+
+def _cmd_chaos(args) -> int:
+    from repro.cluster import chaos
+    from repro.common.errors import ConfigError
+
+    registry = chaos.scenarios()
+    scenario = registry.get(args.scenario)
+    if scenario is None:
+        print(f"unknown chaos scenario {args.scenario!r} "
+              f"(known: {', '.join(registry)})", file=sys.stderr)
+        return 2
+    seeds = args.seeds or scenario.seeds
+    periods = args.periods if args.periods is not None else scenario.periods
+    reports = []
     for seed in seeds:
         try:
-            report = run_chaos(seed, num_clients=args.clients,
-                               periods=args.periods)
+            report, _cluster = chaos.run(scenario, seed, periods=periods)
         except ConfigError as err:
             print(err, file=sys.stderr)
             return 2
-        worst = (max(report.failover_durations)
-                 if report.failover_durations else 0.0)
-        rows.append([
-            str(seed),
-            "PASS" if report.ok else "FAIL",
-            str(report.failovers),
-            f"{worst * 1e3:.2f}",
-            str(report.puts_acked),
-            str(report.put_retries),
-            str(report.duplicate_suppressed),
-        ])
-        if not report.ok:
-            failed += 1
-            for violation in report.violations:
-                print(f"seed {seed}: {violation}", file=sys.stderr)
-    for line in format_table(
-        ["seed", "verdict", "failovers", "worst failover (ms)",
-         "puts acked", "put retries", "replays suppressed"],
-        rows,
-    ):
+        reports.append(report)
+        for violation in report.violations:
+            print(f"seed {seed}: {violation}", file=sys.stderr)
+    failed = sum(not report.ok for report in reports)
+    header = ["seed", "verdict"] + [
+        name.replace("_", " ") for name in scenario.columns
+    ]
+    rows = [
+        [str(r.seed), "PASS" if r.ok else "FAIL"]
+        + [str(r.counters[name]) for name in scenario.columns]
+        for r in reports
+    ]
+    for line in format_table(header, rows):
         print(line)
     print(f"{len(seeds) - failed}/{len(seeds)} seeds passed "
-          f"({args.clients} clients, {args.periods} periods)")
+          f"({periods} periods, {scenario.summary})")
+    if args.report:
+        _write_report(args.report, {
+            "scenario": scenario.name,
+            "seeds": {str(r.seed): r.as_dict() for r in reports},
+            "failed": failed,
+        })
     return 1 if failed else 0
 
 
 def _cmd_globalqos(args) -> int:
-    import dataclasses
-    import json
+    from repro.globalqos import run_skewed_comparison
 
-    from repro.common.errors import ConfigError
-    from repro.globalqos import (
-        DEFAULT_SEEDS,
-        run_coord_chaos,
-        run_partition_chaos,
-        run_skewed_comparison,
-    )
-
-    if args.chaos and args.partition_chaos:
-        print("--chaos and --partition-chaos are mutually exclusive",
-              file=sys.stderr)
-        return 2
-    seeds = args.seeds if args.seeds else list(DEFAULT_SEEDS)
-    mode = ("partition-chaos" if args.partition_chaos
-            else "chaos" if args.chaos else "comparison")
-    payload: dict = {"mode": mode, "seeds": {}}
+    payload: dict = {"mode": "comparison", "seeds": {}}
     failed = 0
     rows = []
-    if args.partition_chaos:
-        periods = args.periods if args.periods is not None else 36
-        for seed in seeds:
-            try:
-                report = run_partition_chaos(
-                    seed, periods=periods,
-                    rebalance_periods=args.rebalance_periods,
-                    fallback_after=args.fallback_after,
-                    takeover_after=args.takeover_after,
-                )
-            except ConfigError as err:
-                print(err, file=sys.stderr)
-                return 2
-            rows.append([
-                str(seed),
-                "PASS" if report.ok else "FAIL",
-                str(report.takeover_epoch),
-                str(report.fenced_updates),
-                str(report.stale_rejected),
-                f"{report.quarantines}/{report.unquarantines}",
-                str(report.fallbacks),
-                str(report.puts_acked),
-            ])
-            payload["seeds"][str(seed)] = dataclasses.asdict(report)
-            if not report.ok:
-                failed += 1
-                for violation in report.violations:
-                    print(f"seed {seed}: {violation}", file=sys.stderr)
-        for line in format_table(
-            ["seed", "verdict", "takeover epoch", "fenced", "stale",
-             "quar/unquar", "fallbacks", "puts acked"],
-            rows,
-        ):
-            print(line)
-        print(f"{len(seeds) - failed}/{len(seeds)} seeds passed "
-              f"({periods} periods, asymmetric partition + failover + "
-              "fail-slow)")
-    elif args.chaos:
-        periods = args.periods if args.periods is not None else 18
-        for seed in seeds:
-            try:
-                report = run_coord_chaos(
-                    seed, periods=periods,
-                    rebalance_periods=args.rebalance_periods,
-                    fallback_after=args.fallback_after,
-                )
-            except ConfigError as err:
-                print(err, file=sys.stderr)
-                return 2
-            rows.append([
-                str(seed),
-                "PASS" if report.ok else "FAIL",
-                str(report.fallbacks),
-                str(report.rebalances),
-                str(report.tokens_shifted),
-                str(report.epochs_skipped),
-                str(report.puts_acked),
-                str(report.rebinds),
-            ])
-            payload["seeds"][str(seed)] = dataclasses.asdict(report)
-            if not report.ok:
-                failed += 1
-                for violation in report.violations:
-                    print(f"seed {seed}: {violation}", file=sys.stderr)
-        for line in format_table(
-            ["seed", "verdict", "fallbacks", "rebalances", "tokens shifted",
-             "epochs skipped", "puts acked", "rebinds"],
-            rows,
-        ):
-            print(line)
-        print(f"{len(seeds) - failed}/{len(seeds)} seeds passed "
-              f"({periods} periods, coordinator crash + drop storm)")
-    else:
-        for seed in seeds:
-            comparison = run_skewed_comparison(
-                seed,
-                rebalance_periods=args.rebalance_periods,
-                fallback_after=args.fallback_after,
-            )
-            comparison.pop("_cluster")
-            static = comparison["static"]
-            coordinated = comparison["coordinated"]
-            conserved = not (coordinated["ledger_violations"]
-                             or coordinated["split_violations"])
-            ok = (comparison["worst_gain"] > 0 and conserved)
-            rows.append([
-                str(seed),
-                f"{static['worst_entitled_attainment']:.3f}",
-                f"{coordinated['worst_entitled_attainment']:.3f}",
-                f"{comparison['worst_gain']:+.3f}",
-                str(coordinated["rebalances"]),
-                str(coordinated["tokens_shifted"]),
-                "PASS" if conserved else "FAIL",
-            ])
-            payload["seeds"][str(seed)] = comparison
-            if not ok:
-                failed += 1
-                for violation in (coordinated["ledger_violations"]
-                                  + coordinated["split_violations"]):
-                    print(f"seed {seed}: {violation}", file=sys.stderr)
-        for line in format_table(
-            ["seed", "static worst", "coordinated worst", "gain",
-             "rebalances", "tokens shifted", "conservation"],
-            rows,
-        ):
-            print(line)
-        print(f"{len(seeds) - failed}/{len(seeds)} seeds improved the worst "
-              "entitled client's attainment with clean conservation audits")
+    for seed in args.seeds:
+        comparison = run_skewed_comparison(
+            seed,
+            rebalance_periods=args.rebalance_periods,
+            fallback_after=args.fallback_after,
+        )
+        comparison.pop("_cluster")
+        static = comparison["static"]
+        coordinated = comparison["coordinated"]
+        conserved = not (coordinated["ledger_violations"]
+                         or coordinated["split_violations"])
+        ok = (comparison["worst_gain"] > 0 and conserved)
+        rows.append([
+            str(seed),
+            f"{static['worst_entitled_attainment']:.3f}",
+            f"{coordinated['worst_entitled_attainment']:.3f}",
+            f"{comparison['worst_gain']:+.3f}",
+            str(coordinated["rebalances"]),
+            str(coordinated["tokens_shifted"]),
+            "PASS" if conserved else "FAIL",
+        ])
+        payload["seeds"][str(seed)] = comparison
+        if not ok:
+            failed += 1
+            for violation in (coordinated["ledger_violations"]
+                              + coordinated["split_violations"]):
+                print(f"seed {seed}: {violation}", file=sys.stderr)
+    for line in format_table(
+        ["seed", "static worst", "coordinated worst", "gain",
+         "rebalances", "tokens shifted", "conservation"],
+        rows,
+    ):
+        print(line)
+    print(f"{len(args.seeds) - failed}/{len(args.seeds)} seeds improved "
+          "the worst entitled client's attainment with clean "
+          "conservation audits")
     payload["failed"] = failed
     if args.report:
-        with open(args.report, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"report written to {args.report}")
+        _write_report(args.report, payload)
     return 1 if failed else 0
 
 
@@ -666,17 +563,24 @@ def _cmd_telemetry(args) -> int:
         return _telemetry_overhead_check(args)
 
     if args.chaos_seed is not None:
-        from repro.recovery import run_chaos
+        from repro.cluster import chaos
+        from repro.recovery.chaos import NUM_CLIENTS, RECOVERY
 
-        report = run_chaos(
-            args.chaos_seed, num_clients=args.clients, periods=args.periods,
+        if args.clients != NUM_CLIENTS:
+            print(f"--chaos-seed traces the fixed {NUM_CLIENTS}-client "
+                  "recovery scenario; --clients does not apply",
+                  file=sys.stderr)
+            return 2
+        report, _cluster = chaos.run(
+            RECOVERY, args.chaos_seed, periods=args.periods,
             telemetry=TelemetryConfig(sample_every=args.sample),
             trace_path=args.trace,
         )
         totals = report.ledger_totals
         print(f"chaos seed {args.chaos_seed}: "
               f"{'PASS' if report.ok else 'FAIL'}  "
-              f"failovers={report.failovers}  rejoins={report.rejoins}")
+              f"failovers={report.counters['failovers']}  "
+              f"rejoins={report.counters['rejoins']}")
         print(f"token ledger: granted="
               f"{totals.get('granted_reservation', 0)}"
               f"+{totals.get('granted_pool', 0)} pool  "
@@ -1035,8 +939,6 @@ def _cmd_figures(_args) -> int:
 
 
 def _cmd_fabric(args) -> int:
-    import json as _json
-
     from repro.cluster.fabric_scenarios import run_incast
     from repro.common.errors import ConfigError
 
@@ -1075,43 +977,13 @@ def _cmd_fabric(args) -> int:
         print("FAIL: CC-disabled run generated CNPs", file=sys.stderr)
         ok = False
 
-    digest_report = None
-    if args.digests:
-        import pathlib
-
-        from repro.cluster.determinism import FABRIC_SEEDS, fabric_digest
-
-        reference_path = pathlib.Path(
-            "benchmarks/results/determinism_hashes.json"
-        )
-        reference = _json.loads(reference_path.read_text())["fabric"]
-        digest_report = {}
-        for seed in FABRIC_SEEDS:
-            digest = fabric_digest(seed)
-            expected = reference[str(seed)]
-            matched = digest["combined"] == expected["combined"]
-            digest_report[str(seed)] = {
-                "combined": digest["combined"], "matched": matched,
-            }
-            status = "ok" if matched else "MISMATCH"
-            print(f"fabric digest seed {seed}: {status} "
-                  f"({digest['combined'][:16]}...)")
-            ok = ok and matched
-
     if args.report:
-        payload = {"seed": args.seed, "ops": args.ops, "ok": ok,
-                   "incast": runs, "digests": digest_report}
-        with open(args.report, "w") as fh:
-            _json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"report written to {args.report}")
+        _write_report(args.report, {"seed": args.seed, "ops": args.ops,
+                                    "ok": ok, "incast": runs})
     return 0 if ok else 1
 
 
 def _cmd_policy(args) -> int:
-    import dataclasses
-    import json as _json
-
     from repro.common.errors import ConfigError
     from repro.policy import (
         SUPPORTED_SCHEMA_VERSIONS,
@@ -1197,74 +1069,7 @@ def _cmd_policy(args) -> int:
         print(err, file=sys.stderr)
         return 2
 
-    # apply: the policy-flip failover chaos scenario(s).
-    from repro.policy.chaos import DEFAULT_SEEDS, run_policy_chaos
-
-    seeds = args.seeds if args.seeds else list(DEFAULT_SEEDS)
-    payload: dict = {"mode": "policy-flip-chaos", "seeds": {}}
-    rows = []
-    failed = 0
-    try:
-        for seed in seeds:
-            report = run_policy_chaos(seed, periods=args.periods)
-            rows.append([
-                str(seed),
-                "PASS" if report.ok else "FAIL",
-                str(report.flip_epoch),
-                str(report.takeover_epoch),
-                str(report.policy_applies),
-                str(report.policy_fenced),
-                str(report.policy_stale_rejected),
-                str(report.puts_acked),
-            ])
-            payload["seeds"][str(seed)] = dataclasses.asdict(report)
-            if not report.ok:
-                failed += 1
-                for violation in report.violations:
-                    print(f"seed {seed}: {violation}", file=sys.stderr)
-    except ConfigError as err:
-        print(err, file=sys.stderr)
-        return 2
-    for line in format_table(
-        ["seed", "verdict", "flip epoch", "takeover epoch", "applies",
-         "fenced", "stale", "puts acked"], rows,
-    ):
-        print(line)
-    print(f"{len(seeds) - failed}/{len(seeds)} seeds hot-swapped the "
-          f"policy mid-failover with clean conservation audits "
-          f"({args.periods} periods)")
-
-    ok = failed == 0
-    digest_report = None
-    if args.digests:
-        import pathlib
-
-        from repro.cluster.determinism import POLICY_SEEDS, policy_digest
-
-        reference_path = pathlib.Path(
-            "benchmarks/results/determinism_hashes.json"
-        )
-        reference = _json.loads(reference_path.read_text())["policy"]
-        digest_report = {}
-        for seed in POLICY_SEEDS:
-            digest = policy_digest(seed)
-            expected = reference[str(seed)]
-            matched = digest["combined"] == expected["combined"]
-            digest_report[str(seed)] = {
-                "combined": digest["combined"], "matched": matched,
-            }
-            status = "ok" if matched else "MISMATCH"
-            print(f"policy digest seed {seed}: {status} "
-                  f"({digest['combined'][:16]}...)")
-            ok = ok and matched
-    payload["failed"] = failed
-    payload["digests"] = digest_report
-    if args.report:
-        with open(args.report, "w") as fh:
-            _json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"report written to {args.report}")
-    return 0 if ok else 1
+    raise AssertionError(f"unhandled policy command {args.policy_command!r}")
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -16,20 +16,28 @@ seed-specific fault plan (control loss, delay spikes, a brownout), so
 drops, retries, engine backoff, capacity dilation, and conversion all
 feed the hash — not just the steady-state fast path.
 
-``python -m repro.cluster.determinism`` regenerates the committed
-reference file (``benchmarks/results/determinism_hashes.json``); the
-pinned test (``tests/integration/test_determinism.py``) recomputes and
-compares.  Regenerate *only* when a change intentionally alters
-simulated behaviour, and say so in the commit.
+Every digest family is one row of :data:`FAMILIES` — its seeds and a
+function from seed to the text streams to hash — folded by one
+:func:`_fold`.  ``python -m repro.cluster.determinism --check
+[family ...]`` recomputes families and compares them with the committed
+reference (``benchmarks/results/determinism_hashes.json``), as does the
+pinned test (``tests/integration/test_determinism.py``); ``--write
+PATH`` regenerates the file.  Regenerate *only* when a change
+intentionally alters simulated behaviour, and say so in the commit.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
-from typing import Dict, Optional
+import pathlib
+import sys
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
+from repro.cluster import chaos
 from repro.cluster.experiment import run_experiment
+from repro.cluster.runner import canonical_json
 from repro.cluster.scale import SimScale
 from repro.cluster.scenarios import (
     faulty_qos_cluster,
@@ -58,6 +66,13 @@ SEED_FAULTS = {
 #: guard hashes the same arithmetic regime the speedup is measured in.
 DIGEST_SCALE = SimScale(factor=500, interval_divisor=100)
 
+#: The committed reference, resolved from this file so ``--check``
+#: works from any working directory.
+REFERENCE_PATH = (
+    pathlib.Path(__file__).resolve().parents[3]
+    / "benchmarks" / "results" / "determinism_hashes.json"
+)
+
 _NUM_CLIENTS = 5
 _TOTAL_OPS = 0.7 * 1_570_000  # 70% of C_L reserved, zipf-shaped
 _POOL_OPS = 120_000.0
@@ -69,22 +84,35 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _canonical_json(obj) -> str:
-    # Canonical form: sorted keys, no whitespace.  Floats serialize via
-    # repr (shortest round-trip since CPython 3.1), so equal bit
-    # patterns give equal text on every supported interpreter.
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+def _fold(kind: str, parts: Mapping[str, str],
+          recorded: Optional[Mapping[str, object]] = None,
+          ) -> Dict[str, object]:
+    """One digest entry: a SHA-256 per named text stream, any
+    ``recorded`` plain values, and ``combined`` — the one number to
+    compare — over the stream hashes in order."""
+    hashes = {name: _sha256(text) for name, text in parts.items()}
+    return {
+        "kind": kind,
+        **hashes,
+        **(recorded or {}),
+        "combined": _sha256(canonical_json(list(hashes.values()))),
+    }
 
 
-def determinism_digest(seed: int,
-                       scale: Optional[SimScale] = None) -> Dict[str, str]:
-    """Run the canonical scenario for ``seed`` and digest its outputs.
+def _hub_parts(hub, results) -> Dict[str, str]:
+    """The three streams most families hash: per-period metrics JSONL,
+    ledger audit JSONL, and a result payload."""
+    return {
+        "metrics": metrics_jsonl(hub.period_rows),
+        "ledger": ledger_jsonl(hub.ledger),
+        "results": canonical_json(results),
+    }
 
-    Returns ``{"kind", "metrics", "ledger", "results", "combined"}``
-    where the last four are SHA-256 hex digests.  ``combined`` is the
-    one number to compare: it covers the metrics stream, the ledger
-    stream, the result payload, and the ledger conservation check.
-    """
+
+def _seeds(seed: int):
+    """The canonical faulty-QoS scenario: covers the metrics stream,
+    the ledger stream, the result payload, and the ledger conservation
+    check."""
     kind, fault_kwargs = SEED_FAULTS[seed]
     reservations = reservation_set("zipf", _TOTAL_OPS, _NUM_CLIENTS)
     demands = paper_demands(reservations, _POOL_OPS)
@@ -94,7 +122,7 @@ def determinism_digest(seed: int,
         kind=kind,
         fault_seed=seed,
         fault_kwargs=fault_kwargs,
-        scale=scale or DIGEST_SCALE,
+        scale=DIGEST_SCALE,
         master_seed=seed,
     )
     hub = attach_telemetry(
@@ -105,298 +133,180 @@ def determinism_digest(seed: int,
     )
     for ctx in cluster.clients:
         ctx.engine.ledger_flush()
-
-    metrics_text = metrics_jsonl(hub.period_rows)
-    ledger_text = ledger_jsonl(hub.ledger)
-    results_text = _canonical_json({
+    return kind, _hub_parts(hub, {
         "client_period_counts": result.client_period_counts,
         "client_latency": result.client_latency,
         "period_totals": result.period_totals,
         "estimator_history": result.estimator_history,
         "conservation": hub.ledger.check_conservation(),
     })
-    metrics_hash = _sha256(metrics_text)
-    ledger_hash = _sha256(ledger_text)
-    results_hash = _sha256(results_text)
-    return {
-        "kind": kind,
-        "metrics": metrics_hash,
-        "ledger": ledger_hash,
-        "results": results_hash,
-        "combined": _sha256(_canonical_json(
-            [metrics_hash, ledger_hash, results_hash]
-        )),
-    }
 
 
-def digest_all(seeds=CANONICAL_SEEDS) -> Dict[str, Dict[str, str]]:
-    """``{str(seed): digest}`` for every canonical seed (JSON-keyable)."""
-    return {str(seed): determinism_digest(seed) for seed in seeds}
+def _chaos_report(scenario: str, seed: int):
+    return chaos.run(chaos.scenarios()[scenario], seed)
 
 
-#: Seeds for the multi-node global-coordinator digest.  Two, not five:
-#: each digest runs the skewed scenario twice (static + coordinated)
-#: plus a coordinator-crash chaos run, so two seeds already cover the
-#: rebalance, fallback, and recovery paths at acceptable suite cost.
-GLOBALQOS_SEEDS = (11, 23)
-
-
-def globalqos_digest(seed: int,
-                     scale: Optional[SimScale] = None) -> Dict[str, str]:
-    """Digest the global-coordinator scenario family for ``seed``.
-
-    Covers the full tentpole surface: the static-vs-coordinated skew
+def _globalqos(seed: int):
+    """The full coordinator surface: the static-vs-coordinated skew
     comparison (metrics stream, ledger stream with its ``rebalance``
     events, attainment payload) and a coordinator-crash chaos run
-    (fallback, recovery, conservation verdicts).  Same shape as
-    :func:`determinism_digest` so the pinned test compares both
-    families uniformly.
-    """
-    import dataclasses
-
-    from repro.globalqos.chaos import run_coord_chaos
+    (fallback, recovery, conservation verdicts)."""
     from repro.globalqos.scenario import run_skewed
 
-    static = run_skewed(seed, False, scale=scale)
-    coordinated = run_skewed(seed, True, scale=scale)
+    static = run_skewed(seed, False)
+    coordinated = run_skewed(seed, True)
     static.pop("_cluster")
-    coord_cluster = coordinated.pop("_cluster")
-    hub = coord_cluster.sim.telemetry
-
-    chaos = run_coord_chaos(seed, scale=scale)
-
-    metrics_text = metrics_jsonl(hub.period_rows)
-    ledger_text = ledger_jsonl(hub.ledger)
-    results_text = _canonical_json({
+    hub = coordinated.pop("_cluster").sim.telemetry
+    report, _cluster = _chaos_report("coord-crash", seed)
+    return "globalqos-skew", _hub_parts(hub, {
         "static": static,
         "coordinated": coordinated,
-        "chaos": dataclasses.asdict(chaos),
+        "chaos": report.as_dict(),
     })
-    metrics_hash = _sha256(metrics_text)
-    ledger_hash = _sha256(ledger_text)
-    results_hash = _sha256(results_text)
-    return {
-        "kind": "globalqos-skew",
-        "metrics": metrics_hash,
-        "ledger": ledger_hash,
-        "results": results_hash,
-        "combined": _sha256(_canonical_json(
-            [metrics_hash, ledger_hash, results_hash]
-        )),
-    }
 
 
-def globalqos_digest_all(seeds=GLOBALQOS_SEEDS) -> Dict[str, Dict[str, str]]:
-    """``{str(seed): digest}`` for every global-coordinator seed."""
-    return {str(seed): globalqos_digest(seed) for seed in seeds}
+def _chaos_family(scenario: str, kind: str):
+    """One chaos run: the HA cluster's metrics stream (leader, standby,
+    quarantine and policy gauges), its ledger stream (``quarantine`` /
+    ``unquarantine`` / ``policy_apply`` events included), and the chaos
+    report payload."""
+    def run(seed: int):
+        report, cluster = _chaos_report(scenario, seed)
+        return kind, _hub_parts(
+            cluster.sim.telemetry, {"chaos": report.as_dict()}
+        )
+    return run
 
 
-#: Seeds for the partition/failover chaos digest.  Two, matching the
-#: globalqos family: each run covers the asymmetric partition, the
-#: standby takeover, the fencing path, and the fail-slow quarantine
-#: cycle, so two seeds pin every failover code path without doubling
-#: suite cost.
-PARTITION_SEEDS = (11, 23)
-
-
-def partition_digest(seed: int,
-                     scale: Optional[SimScale] = None) -> Dict[str, str]:
-    """Digest the partition/failover chaos family for ``seed``.
-
-    One :func:`~repro.globalqos.chaos.run_partition_chaos` run, hashed
-    the same way as the other families: the HA cluster's metrics
-    stream (leader + standby + quarantine gauges), its ledger stream
-    (``quarantine`` / ``unquarantine`` events included), and the chaos
-    report payload.
-    """
-    import dataclasses
-
-    from repro.globalqos.chaos import _run_partition_chaos
-
-    report, cluster = _run_partition_chaos(
-        seed, periods=36, rebalance_periods=2, fallback_after=2,
-        takeover_after=2, puts_per_period=6, scale=scale,
-    )
-    hub = cluster.sim.telemetry
-
-    metrics_text = metrics_jsonl(hub.period_rows)
-    ledger_text = ledger_jsonl(hub.ledger)
-    results_text = _canonical_json({
-        "chaos": dataclasses.asdict(report),
-    })
-    metrics_hash = _sha256(metrics_text)
-    ledger_hash = _sha256(ledger_text)
-    results_hash = _sha256(results_text)
-    return {
-        "kind": "partition-failover",
-        "metrics": metrics_hash,
-        "ledger": ledger_hash,
-        "results": results_hash,
-        "combined": _sha256(_canonical_json(
-            [metrics_hash, ledger_hash, results_hash]
-        )),
-    }
-
-
-def partition_digest_all(seeds=PARTITION_SEEDS) -> Dict[str, Dict[str, str]]:
-    """``{str(seed): digest}`` for every partition-chaos seed."""
-    return {str(seed): partition_digest(seed) for seed in seeds}
-
-
-#: Seeds for the policy-flip/failover chaos digest family.  Two,
-#: matching the partition family it rides on: each run covers the
-#: mid-failover hot-swap, the three-way policy fencing, and the
-#: ledger's policy_apply audit.
-POLICY_SEEDS = (11, 23)
-
-
-def policy_digest(seed: int,
-                  scale: Optional[SimScale] = None) -> Dict[str, str]:
-    """Digest the policy-flip chaos family for ``seed``.
-
-    One :func:`~repro.policy.chaos.run_policy_chaos` run, hashed the
-    same way as the partition family: the HA cluster's metrics stream
-    (policy counters included), its ledger stream (``policy_apply``
-    events included), and the chaos report payload.
-    """
-    import dataclasses
-
-    from repro.policy.chaos import _run_policy_chaos
-
-    report, cluster = _run_policy_chaos(
-        seed, periods=36, rebalance_periods=2, fallback_after=2,
-        takeover_after=2, puts_per_period=6, scale=scale,
-    )
-    hub = cluster.sim.telemetry
-
-    metrics_text = metrics_jsonl(hub.period_rows)
-    ledger_text = ledger_jsonl(hub.ledger)
-    results_text = _canonical_json({
-        "chaos": dataclasses.asdict(report),
-    })
-    metrics_hash = _sha256(metrics_text)
-    ledger_hash = _sha256(ledger_text)
-    results_hash = _sha256(results_text)
-    return {
-        "kind": "policy-flip",
-        "metrics": metrics_hash,
-        "ledger": ledger_hash,
-        "results": results_hash,
-        "combined": _sha256(_canonical_json(
-            [metrics_hash, ledger_hash, results_hash]
-        )),
-    }
-
-
-def policy_digest_all(seeds=POLICY_SEEDS) -> Dict[str, Dict[str, str]]:
-    """``{str(seed): digest}`` for every policy-chaos seed."""
-    return {str(seed): policy_digest(seed) for seed in seeds}
-
-
-#: Seeds for the hierarchical-tenancy / fluid-scale digest family.
-SCALE_SEEDS = (11, 23)
-
-
-def scale_digest(seed: int) -> Dict[str, object]:
-    """Digest the fluid-scale family for ``seed``.
-
-    Two parts: a 10^4-client fluid run (the ``fluid-scale`` cell's full
-    report — completions, rollups, resize ops, ledger verdicts) and the
-    fluid-vs-exact-DES equivalence report on the down-scaled config
-    (:func:`~repro.fluid.validate.run_equivalence`).  Alongside the
-    digests the entry records the documented attainment tolerance tier
-    and the equivalence verdict, so the pinned reference file carries
-    the validation contract, not just opaque hashes.
-    """
+def _scale(seed: int):
+    """A 10^4-client fluid run (the ``fluid-scale`` cell's full report
+    — completions, rollups, resize ops, ledger verdicts) and the
+    fluid-vs-exact-DES equivalence report on the down-scaled config.
+    The entry also records the documented attainment tolerance tier
+    and the equivalence verdict, so the reference file carries the
+    validation contract, not just opaque hashes."""
     from repro.fluid.scenario import run_fluid_scale
     from repro.fluid.validate import TOLERANCE_TIER, run_equivalence
 
     scale_report = run_fluid_scale(num_clients=10_000, seed=seed)
     equivalence = run_equivalence(seed)
-
-    scale_hash = _sha256(_canonical_json(scale_report))
-    equivalence_hash = _sha256(_canonical_json(equivalence))
-    return {
-        "kind": "fluid-scale",
-        "fluid": scale_hash,
-        "equivalence": equivalence_hash,
+    return "fluid-scale", {
+        "fluid": canonical_json(scale_report),
+        "equivalence": canonical_json(equivalence),
+    }, {
         "tolerance_tier": TOLERANCE_TIER,
         "max_error": round(equivalence["max_error"], 6),
         "equivalence_ok": equivalence["ok"],
-        "combined": _sha256(_canonical_json(
-            [scale_hash, equivalence_hash]
-        )),
     }
 
 
-def scale_digest_all(seeds=SCALE_SEEDS) -> Dict[str, Dict[str, object]]:
-    """``{str(seed): digest}`` for every fluid-scale seed."""
-    return {str(seed): scale_digest(seed) for seed in seeds}
-
-
-#: Seeds for the congestion-controlled-fabric digest family.
-FABRIC_SEEDS = (11, 23)
-
-
-def fabric_digest(seed: int) -> Dict[str, str]:
-    """Digest the fabric scenario family for ``seed``.
-
-    One :func:`~repro.cluster.fabric_scenarios.run_fabric_family` run:
-    incast with CC on and off, the WRITE-heavy / CAS-heavy / mixed-size
-    verb mixes, and the token-vs-congestion throttling pair.  The
-    payload folds in every congestion counter (ECN marks, CNPs, PFC
+def _fabric(seed: int):
+    """Incast with CC on and off, the WRITE-heavy / CAS-heavy /
+    mixed-size verb mixes, and the token-vs-congestion throttling pair.
+    The payload folds in every congestion counter (ECN marks, CNPs, PFC
     pauses, DCQCN rates, SQ stalls, chain statistics), so a single
     reordered event or perturbed float anywhere in the modeled datapath
-    moves the hash.
-    """
+    moves the hash."""
     from repro.cluster.fabric_scenarios import run_fabric_family
 
-    family = run_fabric_family(seed)
-    results_hash = _sha256(_canonical_json(family))
+    return "fabric-cc", {"results": canonical_json(run_fabric_family(seed))}
+
+
+@dataclasses.dataclass(frozen=True)
+class Family:
+    """One digest family: its seeds and ``seed -> _fold arguments``."""
+
+    seeds: Tuple[int, ...]
+    run: Callable[[int], tuple]
+
+
+# Two seeds, not five, for every family but the first: a globalqos
+# digest runs the skewed scenario twice plus a coordinator-crash chaos
+# run, and each partition / policy run covers the asymmetric partition,
+# the standby takeover, the fencing path, the fail-slow quarantine
+# cycle (and the mid-failover hot-swap with its ledger audit) — two
+# seeds pin every code path without doubling suite cost.
+FAMILIES: Dict[str, Family] = {
+    "seeds": Family(CANONICAL_SEEDS, _seeds),
+    "globalqos": Family((11, 23), _globalqos),
+    "partition": Family(
+        (11, 23), _chaos_family("partition", "partition-failover")),
+    "policy": Family((11, 23), _chaos_family("policy-flip", "policy-flip")),
+    "scale": Family((11, 23), _scale),
+    "fabric": Family((11, 23), _fabric),
+}
+
+
+def digest(family: str, seed: int) -> Dict[str, object]:
+    """Run ``family``'s scenario for ``seed`` and digest its outputs."""
+    return _fold(*FAMILIES[family].run(seed))
+
+
+def digest_all() -> Dict[str, Dict[str, Dict[str, object]]]:
+    """``{family: {str(seed): digest}}`` (JSON-keyable)."""
     return {
-        "kind": "fabric-cc",
-        "results": results_hash,
-        "combined": _sha256(_canonical_json([results_hash])),
+        name: {str(seed): digest(name, seed) for seed in family.seeds}
+        for name, family in FAMILIES.items()
     }
-
-
-def fabric_digest_all(seeds=FABRIC_SEEDS) -> Dict[str, Dict[str, str]]:
-    """``{str(seed): digest}`` for every fabric seed."""
-    return {str(seed): fabric_digest(seed) for seed in seeds}
 
 
 def main(argv=None) -> int:
     import argparse
 
     parser = argparse.ArgumentParser(
-        description="Recompute the determinism digests and optionally "
-        "rewrite the committed reference file."
+        description="Recompute the determinism digests; print them, "
+        "rewrite the reference file, or check them against it."
     )
     parser.add_argument(
         "--write", metavar="PATH", default=None,
-        help="write the digests to PATH (the committed reference is "
-        "benchmarks/results/determinism_hashes.json)",
+        help="write every family's digests to PATH",
+    )
+    parser.add_argument(
+        "--check", metavar="FAMILY", nargs="*", default=None,
+        help="compare the named families (default: all) with the "
+        "reference; exit 1 on any mismatch",
+    )
+    parser.add_argument(
+        "--reference", metavar="PATH", default=str(REFERENCE_PATH),
+        help="reference file for --check (default: the committed one)",
     )
     args = parser.parse_args(argv)
-    digests = digest_all()
-    globalqos = globalqos_digest_all()
-    partition = partition_digest_all()
-    policy = policy_digest_all()
-    scale = scale_digest_all()
-    fabric = fabric_digest_all()
-    text = json.dumps(
-        {"seeds": digests, "globalqos": globalqos,
-         "partition": partition, "policy": policy, "scale": scale,
-         "fabric": fabric},
-        indent=2, sort_keys=True,
-    ) + "\n"
-    if args.write:
-        with open(args.write, "w") as fh:
-            fh.write(text)
-        print(f"wrote {args.write}")
-    else:
-        print(text, end="")
-    return 0
+    if args.check is None:
+        text = json.dumps(digest_all(), indent=2, sort_keys=True) + "\n"
+        if args.write:
+            with open(args.write, "w") as fh:
+                fh.write(text)
+            print(f"wrote {args.write}")
+        else:
+            print(text, end="")
+        return 0
+
+    # Everything that can be wrong with the request is reported before
+    # the first (multi-second) run.
+    unknown = [name for name in args.check if name not in FAMILIES]
+    if unknown:
+        print(f"unknown digest family {', '.join(unknown)} "
+              f"(known: {', '.join(FAMILIES)})", file=sys.stderr)
+        return 2
+    try:
+        with open(args.reference) as fh:
+            reference = json.load(fh)
+        if not isinstance(reference, dict):
+            raise ValueError("top level is not an object")
+    except (OSError, ValueError) as err:  # JSONDecodeError is a ValueError
+        print(f"cannot read reference {args.reference}: {err}",
+              file=sys.stderr)
+        return 2
+    mismatched = 0
+    for name in args.check or FAMILIES:
+        for seed in FAMILIES[name].seeds:
+            got = digest(name, seed)
+            matched = got == reference.get(name, {}).get(str(seed))
+            mismatched += not matched
+            print(f"{name} digest seed {seed}: "
+                  f"{'ok' if matched else 'MISMATCH'} "
+                  f"({got['combined'][:16]}...)")
+    return 1 if mismatched else 0
 
 
 if __name__ == "__main__":

@@ -31,15 +31,10 @@ from repro.globalqos.waterfill import (
     waterfill_splits,
 )
 
-# The scenario/chaos layers import repro.cluster.multinode, which itself
+# The scenario layer imports repro.cluster.multinode, which itself
 # imports this package (for even_split) — resolve lazily to avoid the
 # cycle.
 _LAZY = {
-    "DEFAULT_SEEDS": "repro.globalqos.chaos",
-    "CoordChaosReport": "repro.globalqos.chaos",
-    "PartitionChaosReport": "repro.globalqos.chaos",
-    "run_coord_chaos": "repro.globalqos.chaos",
-    "run_partition_chaos": "repro.globalqos.chaos",
     "build_skewed_cluster": "repro.globalqos.scenario",
     "run_skewed": "repro.globalqos.scenario",
     "run_skewed_comparison": "repro.globalqos.scenario",
@@ -58,18 +53,13 @@ def __getattr__(name):
 
 __all__ = [
     "COORD_HOST_NAME",
-    "CoordChaosReport",
-    "DEFAULT_SEEDS",
     "GlobalCoordinator",
-    "PartitionChaosReport",
     "STANDBY_HOST_NAME",
     "attach_coordinator",
     "attach_standby",
     "build_skewed_cluster",
     "even_split",
     "largest_remainder",
-    "run_coord_chaos",
-    "run_partition_chaos",
     "run_skewed",
     "run_skewed_comparison",
     "waterfill_splits",

@@ -30,13 +30,17 @@ Same seed, same schedule, same verdict: failures are replayable.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.common.errors import ConfigError
 from repro.common.rng import make_rng
-from repro.cluster.scale import SimScale
+from repro.cluster.chaos import (
+    SETTLE_PERIODS,
+    ChaosRun,
+    ChaosScenario,
+    ClusterKind,
+)
 from repro.faults.plan import (
     CrashWindow,
     DelayRule,
@@ -49,46 +53,18 @@ from repro.faults.plan import (
 from repro.globalqos.agents import COMPUTE_MARGIN
 from repro.globalqos.coordinator import COORD_HOST_NAME, STANDBY_HOST_NAME
 from repro.globalqos.scenario import build_skewed_cluster
-from repro.globalqos.waterfill import even_split
-from repro.hunt.oracles import (
-    check_ledger_conservation,
-    check_no_lost_acked_put,
-    check_no_stale_split,
-    check_quarantine_audit,
-    check_reservations_met,
-    check_split_conservation,
-)
 
-# CI's globalqos-smoke job runs the first seed; the full suite and
-# `python -m repro globalqos --chaos` run all of them.
-DEFAULT_SEEDS = (11, 23, 37)
+# The coordinator cadence every chaos scenario runs at: QoS periods per
+# rebalance epoch, silent epochs before clients restore the even split,
+# silent epochs before the standby takes over.
+REBALANCE_PERIODS = 2
+FALLBACK_AFTER = 2
+TAKEOVER_AFTER = 2
 
-SETTLE_PERIODS = 3
+PUTS_PER_PERIOD = 6
 
 
-@dataclasses.dataclass
-class CoordChaosReport:
-    """One coordinator-chaos run's verdict and headline counters."""
-
-    seed: int
-    periods: int
-    violations: List[str]
-    fallbacks: int
-    rebalances: int
-    tokens_shifted: int
-    updates_received: int
-    epochs_skipped: int
-    puts_acked: int
-    rebinds: int
-    ledger_totals: dict = dataclasses.field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def coord_chaos_plan(seed: int, config, periods: int,
-                     rebalance_periods: int) -> FaultPlan:
+def coord_chaos_plan(seed: int, cluster, periods: int) -> FaultPlan:
     """A deterministic schedule built around one coordinator outage.
 
     The crash window opens after the first rebalance has landed and
@@ -97,7 +73,7 @@ def coord_chaos_plan(seed: int, config, periods: int,
     recovery is observable.  A short control-op drop storm lands
     somewhere in the faulted region for extra report loss.
     """
-    min_periods = 7 * rebalance_periods + SETTLE_PERIODS
+    min_periods = 7 * REBALANCE_PERIODS + SETTLE_PERIODS
     if periods < min_periods:
         raise ConfigError(
             f"coordinator chaos needs >= {min_periods} periods "
@@ -105,8 +81,9 @@ def coord_chaos_plan(seed: int, config, periods: int,
             f"{SETTLE_PERIODS}-period settle tail must all fit"
         )
     rng = make_rng(seed, "coord-chaos-plan")
+    config = cluster.config
     T = config.period
-    epoch = rebalance_periods * T
+    epoch = REBALANCE_PERIODS * T
     # Down for 3 epochs starting somewhere in the second one: the
     # first shift is in force, then >= fallback_after epochs of
     # silence force the even-split fallback.
@@ -131,12 +108,11 @@ def coord_chaos_plan(seed: int, config, periods: int,
 class _PutDriver:
     """A paced versioned-PUT stream through one striped client.
 
-    Tracks every acknowledged (node, key, version) so invariant 3 can
-    demand durability; versions make server-side replays idempotent.
+    Tracks every acknowledged (node, key, version) so the durability
+    oracle can demand it; versions make server-side replays idempotent.
     """
 
-    def __init__(self, cluster, striped, puts_per_period: int,
-                 stop_time: float, seed: int):
+    def __init__(self, cluster, striped, stop_time: float, seed: int):
         self.striped = striped
         self.acked: Dict[Tuple[int, int], int] = {}
         self.puts_acked = 0
@@ -147,7 +123,7 @@ class _PutDriver:
             node.data_node.store.layout.num_slots for node in cluster.nodes
         )
         rng = make_rng(seed, "coord-chaos-puts", striped.index)
-        gap = cluster.config.period / puts_per_period
+        gap = cluster.config.period / PUTS_PER_PERIOD
         payload = b"coordchaos"
 
         def driver():
@@ -174,140 +150,157 @@ class _PutDriver:
         sim.process(driver())
 
 
-def run_coord_chaos(
-    seed: int,
-    periods: int = 18,
-    rebalance_periods: int = 2,
-    fallback_after: int = 2,
-    puts_per_period: int = 6,
-    scale: Optional[SimScale] = None,
-) -> CoordChaosReport:
-    """One seeded coordinator-chaos run; returns the invariant verdict."""
-    cluster = build_skewed_cluster(
-        seed, coordinated=True, scale=scale,
-        rebalance_periods=rebalance_periods,
-        fallback_after=fallback_after,
-    )
-    config = cluster.config
-    T = config.period
-    plan = coord_chaos_plan(seed, config, periods, rebalance_periods)
-    cluster.inject_faults(plan, seed=seed)
-
-    drivers = [
-        _PutDriver(cluster, striped, puts_per_period,
-                   stop_time=(periods - 1) * T, seed=seed)
+# ---------------------------------------------------------------------------
+# Oracle evidence for the multi-node cluster (shared by every scenario
+# that runs on a :class:`~repro.cluster.multinode.MultiNodeCluster`,
+# the policy-flip one included)
+# ---------------------------------------------------------------------------
+def _drive(cluster, seed: int, stop_time: float):
+    return [
+        _PutDriver(cluster, striped, stop_time, seed)
         for striped in cluster.clients
     ]
 
-    cluster.start()
-    cluster.sim.run(until=periods * T + T * 1e-6)
-    for striped in cluster.clients:
-        for engine in striped.engines:
-            engine.ledger_flush()
 
-    return _check_invariants(cluster, plan, drivers, seed, periods)
+def _engines(cluster):
+    return [
+        engine for striped in cluster.clients for engine in striped.engines
+    ]
 
 
-def _check_invariants(cluster, plan: FaultPlan, drivers,
-                      seed: int, periods: int) -> CoordChaosReport:
-    violations: List[str] = []
-    coordinator = cluster.coordinator
-    agents = cluster.client_agents
-    T = cluster.config.period
-    crash = plan.crashes[0]
+def _acked_put_rows(run: ChaosRun):
+    # Durable on the owning node's store, mid-stream rebinds
+    # notwithstanding.
+    cluster = run.cluster
+    rows = []
+    for striped, driver in zip(cluster.clients, run.drivers):
+        for (node, node_key), version in driver.acked.items():
+            store = cluster.nodes[node].data_node.store
+            client_id = striped.kv_clients[node].name
+            rows.append((
+                striped.name,
+                f"{striped.name} node {node} key={node_key}",
+                version,
+                store.applied_versions.get((client_id, node_key), 0),
+            ))
+    return (rows,)
 
-    # 1. Fallback engaged during the outage.  Only clients whose split
-    # had been shifted off even have anything to restore — the skewed
-    # scenario guarantees at least the entitled clients were.
-    fallbacks = sum(agent.fallbacks for agent in agents)
-    if fallbacks < 1:
-        violations.append(
-            "no client fell back to the static split despite "
-            f"coordinator down {crash.start / T:.1f}..{crash.end / T:.1f} "
-            "periods"
-        )
 
+def _reservation_rows(run: ChaosRun):
+    # The final, fault-free period against the aggregate reservation.
+    metrics = run.cluster.metrics.clients
+    return ([
+        (striped.name,
+         (metrics[striped.name].period_counts[-1]
+          if metrics[striped.name].period_counts else None),
+         striped.aggregate_reservation)
+        for striped in run.cluster.clients
+    ],)
+
+
+def _ledger(run: ChaosRun):
+    return (run.ledger,)
+
+
+MULTINODE = ClusterKind(
+    name="multinode",
+    drive=_drive,
+    engines=_engines,
+    evidence={
+        "no-lost-acked-put": _acked_put_rows,
+        "reservations-met": _reservation_rows,
+        "no-stale-split": lambda run: ([
+            (agent.striped.name, agent.update_keys_applied)
+            for agent in run.cluster.client_agents
+        ],),
+        "no-stale-policy": lambda run: ([
+            (agent.striped.name, agent.policy_keys_applied)
+            for agent in run.cluster.client_agents
+        ],),
+        "ledger-conservation": _ledger,
+        "split-conservation": _ledger,
+        "quarantine-audit": _ledger,
+        "policy-audit": _ledger,
+    },
+)
+
+
+# ---------------------------------------------------------------------------
+# Coordinator-crash chaos (degradation invariants, module docstring)
+# ---------------------------------------------------------------------------
+def _coord_checks(run: ChaosRun):
+    coordinator = run.cluster.coordinator
+    crash = run.plan.crashes[0]
     # 2. Recovery re-engaged after the window closed: heartbeats
     # resumed (every agent heard a post-crash epoch) and the
     # coordinator kept computing.
     recovery_epoch = int(crash.end / coordinator.epoch_len) + 1
-    for agent in agents:
+    for agent in run.cluster.client_agents:
         if agent.last_update_epoch < recovery_epoch:
-            violations.append(
+            yield (
                 f"{agent.striped.name}: no coordinator heartbeat after "
                 f"restart (last epoch {agent.last_update_epoch}, "
                 f"expected >= {recovery_epoch})"
             )
+        # Sanity: a fallback had a shifted split to restore.
+        if agent.fallbacks and agent.splits_applied < 1:
+            yield (
+                f"{agent.striped.name}: fallback fired but no split "
+                "was ever applied"
+            )
     if coordinator.rebalances_computed < 2:
-        violations.append(
+        yield (
             "coordinator never re-shifted after restart "
             f"(rebalances={coordinator.rebalances_computed})"
         )
 
-    # 3. No lost acknowledged PUT (shared oracle; see repro.hunt.oracles).
-    put_entries = []
-    for striped, driver in zip(cluster.clients, drivers):
-        for (node, node_key), version in driver.acked.items():
-            store = cluster.nodes[node].data_node.store
-            client_id = striped.kv_clients[node].name
-            durable = store.applied_versions.get((client_id, node_key), 0)
-            put_entries.append((
-                striped.name,
-                f"{striped.name} node {node} key={node_key}",
-                version, durable,
-            ))
-    violations.extend(str(v) for v in check_no_lost_acked_put(put_entries))
 
-    # 4 + 5. Token and split conservation.
-    ledger = getattr(cluster.sim.telemetry, "ledger", None)
-    ledger_totals: dict = {}
-    if ledger is not None:
-        violations.extend(
-            str(v) for v in check_ledger_conservation(ledger)
-        )
-        violations.extend(
-            str(v) for v in check_split_conservation(ledger)
-        )
-        ledger_totals = ledger.totals()
-
-    # 6. Reservations met in the final, fault-free period.
-    violations.extend(str(v) for v in check_reservations_met([
-        (striped.name,
-         (cluster.metrics.clients[striped.name].period_counts[-1]
-          if cluster.metrics.clients[striped.name].period_counts else None),
-         striped.aggregate_reservation)
-        for striped in cluster.clients
-    ]))
-
-    # Sanity: the fallback target was the even split (not garbage).
-    for agent in agents:
-        if agent.fallbacks:
-            even = even_split(
-                agent.striped.aggregate_reservation, agent.num_nodes
-            )
-            shifted = agent.splits_applied
-            if shifted < 1:
-                violations.append(
-                    f"{agent.striped.name}: fallback fired but no split "
-                    f"was ever applied (even target {even})"
-                )
-
-    return CoordChaosReport(
-        seed=seed,
-        periods=periods,
-        violations=violations,
-        fallbacks=fallbacks,
-        rebalances=coordinator.rebalances_computed,
-        tokens_shifted=coordinator.tokens_shifted,
-        updates_received=sum(a.updates_received for a in agents),
-        epochs_skipped=coordinator.epochs_skipped_no_quorum,
-        puts_acked=sum(d.puts_acked for d in drivers),
-        rebinds=sum(
-            engine.re_registrations
-            for striped in cluster.clients for engine in striped.engines
+def _coord_counters(run: ChaosRun) -> dict:
+    coordinator = run.cluster.coordinator
+    agents = run.cluster.client_agents
+    return {
+        "fallbacks": sum(agent.fallbacks for agent in agents),
+        "rebalances": coordinator.rebalances_computed,
+        "tokens_shifted": coordinator.tokens_shifted,
+        "updates_received": sum(a.updates_received for a in agents),
+        "epochs_skipped": coordinator.epochs_skipped_no_quorum,
+        "puts_acked": sum(d.puts_acked for d in run.drivers),
+        "rebinds": sum(
+            engine.re_registrations for engine in _engines(run.cluster)
         ),
-        ledger_totals=ledger_totals,
-    )
+    }
+
+
+COORD_CRASH = ChaosScenario(
+    name="coord-crash",
+    summary="coordinator crash + control drop storm",
+    # CI's chaos-smoke job runs the first seed; the full suite and
+    # `python -m repro chaos coord-crash` run all of them.
+    seeds=(11, 23, 37),
+    periods=18,
+    kind=MULTINODE,
+    build=lambda seed: build_skewed_cluster(
+        seed, coordinated=True,
+        rebalance_periods=REBALANCE_PERIODS, fallback_after=FALLBACK_AFTER,
+    ),
+    plan=coord_chaos_plan,
+    # Invariants 3-6.
+    oracles=(
+        "no-lost-acked-put",
+        "ledger-conservation",
+        "split-conservation",
+        "reservations-met",
+    ),
+    checks=_coord_checks,
+    counters=_coord_counters,
+    # Invariant 1 (fallback engaged: only clients whose split had been
+    # shifted off even have anything to restore — the skewed scenario
+    # guarantees at least the entitled clients were), plus the ladder's
+    # other rungs: quorum-less epochs skipped, engines rebound.
+    exercised=("fallbacks", "epochs_skipped", "puts_acked", "rebinds"),
+    columns=("fallbacks", "rebalances", "tokens_shifted", "epochs_skipped",
+             "puts_acked", "rebinds"),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -363,41 +356,11 @@ FAILSLOW_EPOCHS = 2.0
 RECOVER_EPOCHS = 4
 
 
-@dataclasses.dataclass
-class PartitionChaosReport:
-    """One partition/failover-chaos run's verdict and counters."""
-
-    seed: int
-    periods: int
-    violations: List[str]
-    takeovers: int
-    takeover_epoch: int
-    stepdowns: int
-    fenced_updates: int
-    stale_rejected: int
-    quarantines: int
-    unquarantines: int
-    fallbacks: int
-    rebalances: int
-    tokens_shifted: int
-    updates_received: int
-    puts_acked: int
-    partitions_cut: int
-    slowdowns_applied: int
-    ledger_totals: dict = dataclasses.field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def partition_chaos_plan(seed: int, config, periods: int,
-                         rebalance_periods: int,
-                         takeover_after: int) -> FaultPlan:
+def partition_chaos_plan(seed: int, cluster, periods: int) -> FaultPlan:
     """A deterministic partition + fail-slow schedule.
 
     Timeline (in epochs): the leader->standby link is cut somewhere in
-    the third epoch and stays cut for ``takeover_after + 2`` epochs —
+    the third epoch and stays cut for ``TAKEOVER_AFTER + 2`` epochs —
     long enough that the lease lapses and the takeover, step-down and
     fencing all happen *inside* the window (the asymmetric case).  A
     full-rate control-lag rule on the deposed leader's sends spans the
@@ -407,12 +370,12 @@ def partition_chaos_plan(seed: int, config, periods: int,
     the backlog drain, the ``RECOVER_EPOCHS`` re-admission streak and
     the settle periods.
     """
-    # Worst-case epochs: 2.5 (latest cut start) + takeover_after + 2
+    # Worst-case epochs: 2.5 (latest cut start) + TAKEOVER_AFTER + 2
     # (partition) + 1.5 (latest fail-slow gap) + FAILSLOW_EPOCHS + 1
     # (detection lag) + RECOVER_EPOCHS + 1 (margin).
-    worst_epochs = (8.0 + takeover_after + FAILSLOW_EPOCHS
+    worst_epochs = (8.0 + TAKEOVER_AFTER + FAILSLOW_EPOCHS
                     + RECOVER_EPOCHS)
-    min_periods = (int(math.ceil(worst_epochs * rebalance_periods))
+    min_periods = (int(math.ceil(worst_epochs * REBALANCE_PERIODS))
                    + SETTLE_PERIODS)
     if periods < min_periods:
         raise ConfigError(
@@ -422,11 +385,12 @@ def partition_chaos_plan(seed: int, config, periods: int,
             "must all fit"
         )
     rng = make_rng(seed, "partition-chaos-plan")
+    config = cluster.config
     T = config.period
-    epoch = rebalance_periods * T
+    epoch = REBALANCE_PERIODS * T
 
     part_start = epoch * (2.0 + 0.5 * rng.random())
-    part_end = part_start + (takeover_after + 2.0) * epoch
+    part_end = part_start + (TAKEOVER_AFTER + 2.0) * epoch
     partitions = (PartitionRule(
         src=COORD_HOST_NAME, dst=STANDBY_HOST_NAME,
         start=part_start, end=part_end,
@@ -455,192 +419,131 @@ def partition_chaos_plan(seed: int, config, periods: int,
     )
 
 
-def run_partition_chaos(
-    seed: int,
-    periods: int = 36,
-    rebalance_periods: int = 2,
-    fallback_after: int = 2,
-    takeover_after: int = 2,
-    puts_per_period: int = 6,
-    scale: Optional[SimScale] = None,
-) -> PartitionChaosReport:
-    """One seeded partition/failover-chaos run; returns the verdict."""
-    report, _cluster = _run_partition_chaos(
-        seed, periods=periods, rebalance_periods=rebalance_periods,
-        fallback_after=fallback_after, takeover_after=takeover_after,
-        puts_per_period=puts_per_period, scale=scale,
-    )
-    return report
-
-
-def _run_partition_chaos(seed, periods, rebalance_periods, fallback_after,
-                         takeover_after, puts_per_period, scale):
-    """The harness body; also hands back the cluster (digest guard)."""
-    cluster = build_skewed_cluster(
-        seed, coordinated=True, scale=scale,
-        rebalance_periods=rebalance_periods,
-        fallback_after=fallback_after,
-        standby=True, takeover_after=takeover_after,
+def build_ha_cluster(seed: int):
+    """The HA build: leader + warm standby, quarantine armed."""
+    return build_skewed_cluster(
+        seed, coordinated=True,
+        rebalance_periods=REBALANCE_PERIODS, fallback_after=FALLBACK_AFTER,
+        standby=True, takeover_after=TAKEOVER_AFTER,
         quarantine=True, quarantine_recover_after=RECOVER_EPOCHS,
     )
-    config = cluster.config
-    T = config.period
-    plan = partition_chaos_plan(
-        seed, config, periods, rebalance_periods, takeover_after
-    )
-    cluster.inject_faults(plan, seed=seed)
-
-    drivers = [
-        _PutDriver(cluster, striped, puts_per_period,
-                   stop_time=(periods - 1) * T, seed=seed)
-        for striped in cluster.clients
-    ]
-
-    cluster.start()
-    cluster.sim.run(until=periods * T + T * 1e-6)
-    for striped in cluster.clients:
-        for engine in striped.engines:
-            engine.ledger_flush()
-
-    report = _check_partition_invariants(
-        cluster, plan, drivers, seed, periods, takeover_after
-    )
-    return report, cluster
 
 
-def _check_partition_invariants(cluster, plan: FaultPlan, drivers,
-                                seed: int, periods: int,
-                                takeover_after: int) -> PartitionChaosReport:
-    violations: List[str] = []
-    leader = cluster.coordinator
-    standby = cluster.standby
-    agents = cluster.client_agents
+def takeover_bound(cluster, plan: FaultPlan) -> int:
+    """The epoch by which the standby must have promoted itself.
+
+    The last heartbeat through the cut link belongs to the last epoch
+    whose compute tick preceded the cut; the lease then lapses
+    ``TAKEOVER_AFTER + 1`` watch ticks later.  Deterministic given the
+    plan.
+    """
     T = cluster.config.period
-    epoch_len = leader.epoch_len
     cut = plan.partitions[0]
-
-    # 1. Bounded takeover, exactly once, and the old leader stood down.
-    # The last heartbeat through the link belongs to the last epoch
-    # whose compute tick preceded the cut; the lease then lapses
-    # takeover_after + 1 watch ticks later.
     last_hb_epoch = int(
-        (cut.start + COMPUTE_MARGIN * T) / epoch_len
+        (cut.start + COMPUTE_MARGIN * T) / (REBALANCE_PERIODS * T)
     )
-    takeover_bound = last_hb_epoch + takeover_after + 1
+    return last_hb_epoch + TAKEOVER_AFTER + 1
+
+
+def takeover_checks(run: ChaosRun):
+    """Bounded takeover, exactly once (shared with the policy flip)."""
+    standby = run.cluster.standby
+    T = run.cluster.config.period
+    cut = run.plan.partitions[0]
+    bound = takeover_bound(run.cluster, run.plan)
     if standby.takeovers != 1:
-        violations.append(
+        yield (
             f"expected exactly one takeover, got {standby.takeovers} "
             f"(partition {cut.start / T:.1f}..{cut.end / T:.1f} periods)"
         )
-    elif standby.takeover_epoch > takeover_bound:
-        violations.append(
+    elif standby.takeover_epoch > bound:
+        yield (
             f"takeover unbounded: standby promoted at epoch "
-            f"{standby.takeover_epoch}, bound {takeover_bound} "
-            f"(last heartbeat epoch {last_hb_epoch} + "
-            f"takeover_after {takeover_after} + 1)"
+            f"{standby.takeover_epoch}, bound {bound} (last heartbeat "
+            f"epoch + takeover_after {TAKEOVER_AFTER} + 1)"
         )
+
+
+def _partition_checks(run: ChaosRun):
+    leader = run.cluster.coordinator
+    standby = run.cluster.standby
+    # 1. Bounded takeover, exactly once, and the old leader stood down.
+    yield from takeover_checks(run)
     if leader.stepdowns < 1:
-        violations.append(
+        yield (
             "deposed leader never stepped down despite the standby's "
             f"term {standby.term} heartbeats on the live reverse link"
         )
     if leader.takeovers:
-        violations.append(
+        yield (
             f"deposed leader reclaimed leadership {leader.takeovers}x "
             "(flapping) — the standby's lease should have held"
         )
-
-    # 2. Epoch fencing: no stale/deposed update applied, and the race
-    # the lag rule engineers was actually observed (>= 1 fenced).
-    violations.extend(str(v) for v in check_no_stale_split([
-        (agent.striped.name, agent.update_keys_applied)
-        for agent in agents
-    ]))
-    fenced = sum(agent.updates_fenced for agent in agents)
-    if fenced < 1:
-        violations.append(
-            "no client ever fenced a deposed-leader update — the "
-            "term check never fired despite the engineered lag race"
-        )
-
     # 3. Fail-slow quarantine on the acting (post-takeover) leader:
-    # entered during the slowdown, audited, and re-admitted after it.
-    slow = plan.slowdowns[0]
-    if standby.quarantines < 1:
-        violations.append(
-            f"gray node never quarantined: {slow.host} ran "
-            f"{slow.factor}x slow over "
-            f"{slow.start / T:.1f}..{slow.end / T:.1f} periods"
-        )
+    # entered during the slowdown (``exercised``), audited, and
+    # re-admitted after it.
     if standby.unquarantines < standby.quarantines:
-        violations.append(
+        yield (
             f"quarantined node never re-admitted (quarantines="
             f"{standby.quarantines}, unquarantines="
             f"{standby.unquarantines})"
         )
     if standby.quarantined:
-        violations.append(
+        yield (
             f"nodes still quarantined at run end: "
             f"{sorted(standby.quarantined)}"
         )
 
-    # 4a. No lost acknowledged PUT.
-    put_entries = []
-    for striped, driver in zip(cluster.clients, drivers):
-        for (node, node_key), version in driver.acked.items():
-            store = cluster.nodes[node].data_node.store
-            client_id = striped.kv_clients[node].name
-            durable = store.applied_versions.get((client_id, node_key), 0)
-            put_entries.append((
-                striped.name,
-                f"{striped.name} node {node} key={node_key}",
-                version, durable,
-            ))
-    violations.extend(str(v) for v in check_no_lost_acked_put(put_entries))
 
-    # 4b. Token, split and quarantine-audit conservation.
-    ledger = getattr(cluster.sim.telemetry, "ledger", None)
-    ledger_totals: dict = {}
-    if ledger is not None:
-        violations.extend(
-            str(v) for v in check_ledger_conservation(ledger)
-        )
-        violations.extend(
-            str(v) for v in check_split_conservation(ledger)
-        )
-        violations.extend(
-            str(v) for v in check_quarantine_audit(ledger)
-        )
-        ledger_totals = ledger.totals()
+def _partition_counters(run: ChaosRun) -> dict:
+    leader = run.cluster.coordinator
+    standby = run.cluster.standby
+    agents = run.cluster.client_agents
+    injector = run.cluster.fault_injector
+    return {
+        "takeovers": standby.takeovers,
+        "takeover_epoch": standby.takeover_epoch,
+        "stepdowns": leader.stepdowns,
+        "fenced_updates": sum(agent.updates_fenced for agent in agents),
+        "stale_rejected": sum(a.updates_rejected_stale for a in agents),
+        "quarantines": standby.quarantines,
+        "unquarantines": standby.unquarantines,
+        "fallbacks": sum(agent.fallbacks for agent in agents),
+        "rebalances": (leader.rebalances_computed
+                       + standby.rebalances_computed),
+        "tokens_shifted": leader.tokens_shifted + standby.tokens_shifted,
+        "updates_received": sum(a.updates_received for a in agents),
+        "puts_acked": sum(d.puts_acked for d in run.drivers),
+        "partitions_cut": injector.partitions_cut,
+        "slowdowns_applied": injector.slowdowns_applied,
+    }
 
-    # 4c. Reservations met in the final, fault-free period.
-    violations.extend(str(v) for v in check_reservations_met([
-        (striped.name,
-         (cluster.metrics.clients[striped.name].period_counts[-1]
-          if cluster.metrics.clients[striped.name].period_counts else None),
-         striped.aggregate_reservation)
-        for striped in cluster.clients
-    ]))
 
-    injector = cluster.fault_injector
-    return PartitionChaosReport(
-        seed=seed,
-        periods=periods,
-        violations=violations,
-        takeovers=standby.takeovers,
-        takeover_epoch=standby.takeover_epoch,
-        stepdowns=leader.stepdowns,
-        fenced_updates=fenced,
-        stale_rejected=sum(a.updates_rejected_stale for a in agents),
-        quarantines=standby.quarantines,
-        unquarantines=standby.unquarantines,
-        fallbacks=sum(agent.fallbacks for agent in agents),
-        rebalances=(leader.rebalances_computed
-                    + standby.rebalances_computed),
-        tokens_shifted=leader.tokens_shifted + standby.tokens_shifted,
-        updates_received=sum(a.updates_received for a in agents),
-        puts_acked=sum(d.puts_acked for d in drivers),
-        partitions_cut=injector.partitions_cut,
-        slowdowns_applied=injector.slowdowns_applied,
-        ledger_totals=ledger_totals,
-    )
+PARTITION = ChaosScenario(
+    name="partition",
+    summary="asymmetric partition + failover + fail-slow",
+    seeds=(11, 23, 37),
+    periods=36,
+    kind=MULTINODE,
+    build=build_ha_cluster,
+    plan=partition_chaos_plan,
+    # Invariants 2 (zero stale applications) and 4.
+    oracles=(
+        "no-stale-split",
+        "no-lost-acked-put",
+        "ledger-conservation",
+        "split-conservation",
+        "quarantine-audit",
+        "reservations-met",
+    ),
+    checks=_partition_checks,
+    counters=_partition_counters,
+    # The race the lag rule engineers was actually observed (>= 1
+    # deposed-leader update fenced by term), the gray node was
+    # quarantined during its slowdown, and both fault families fired.
+    exercised=("fenced_updates", "quarantines", "partitions_cut",
+               "slowdowns_applied", "puts_acked"),
+    columns=("takeover_epoch", "stepdowns", "fenced_updates",
+             "stale_rejected", "quarantines", "unquarantines",
+             "tokens_shifted", "puts_acked"),
+)

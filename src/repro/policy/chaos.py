@@ -36,302 +36,172 @@ Same seed, same schedule, same verdict: failures are replayable.
 
 from __future__ import annotations
 
-import dataclasses
-from typing import List, Optional
-
-from repro.cluster.scale import SimScale
-from repro.globalqos.agents import COMPUTE_MARGIN
+from repro.cluster.chaos import ChaosRun, ChaosScenario
 from repro.globalqos.chaos import (
-    RECOVER_EPOCHS,
-    SETTLE_PERIODS,
-    _PutDriver,
+    MULTINODE,
+    REBALANCE_PERIODS,
+    build_ha_cluster,
     partition_chaos_plan,
-)
-from repro.globalqos.scenario import build_skewed_cluster
-from repro.hunt.oracles import (
-    check_ledger_conservation,
-    check_no_lost_acked_put,
-    check_no_stale_policy,
-    check_no_stale_split,
-    check_policy_audit,
-    check_quarantine_audit,
-    check_reservations_met,
-    check_split_conservation,
+    takeover_bound,
+    takeover_checks,
 )
 from repro.policy.service import attach_policy_service
 from repro.policy.store import load_policy
-
-# The satellite-mandated seeds; CI's policy-smoke job runs the first,
-# tests/policy/test_chaos.py runs all three.
-DEFAULT_SEEDS = (11, 23, 37)
 
 #: The committed flip document: revision 2 of the skew policy.
 FLIP_DOCUMENT = "policy-chaos"
 
 
-@dataclasses.dataclass
-class PolicyChaosReport:
-    """One policy-flip/failover-chaos run's verdict and counters."""
+def _arm_flip(cluster, plan):
+    """Schedule the flip; returns ``(flip_epoch, flip_document)``.
 
-    seed: int
-    periods: int
-    violations: List[str]
-    flip_epoch: int
-    submitted_version: int
-    takeovers: int
-    takeover_epoch: int
-    policy_applies: int
-    policy_fenced: int
-    policy_stale_rejected: int
-    policy_pushes: int
-    rebalances: int
-    puts_acked: int
-    ledger_totals: dict = dataclasses.field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def run_policy_chaos(
-    seed: int,
-    periods: int = 36,
-    rebalance_periods: int = 2,
-    fallback_after: int = 2,
-    takeover_after: int = 2,
-    puts_per_period: int = 6,
-    scale: Optional[SimScale] = None,
-) -> PolicyChaosReport:
-    """One seeded policy-flip chaos run; returns the verdict."""
-    report, _cluster = _run_policy_chaos(
-        seed, periods=periods, rebalance_periods=rebalance_periods,
-        fallback_after=fallback_after, takeover_after=takeover_after,
-        puts_per_period=puts_per_period, scale=scale,
-    )
-    return report
-
-
-def _run_policy_chaos(seed, periods, rebalance_periods, fallback_after,
-                      takeover_after, puts_per_period, scale):
-    """The harness body; also hands back the cluster (digest guard)."""
-    cluster = build_skewed_cluster(
-        seed, coordinated=True, scale=scale,
-        rebalance_periods=rebalance_periods,
-        fallback_after=fallback_after,
-        standby=True, takeover_after=takeover_after,
-        quarantine=True, quarantine_recover_after=RECOVER_EPOCHS,
-    )
-    config = cluster.config
-    T = config.period
-    plan = partition_chaos_plan(
-        seed, config, periods, rebalance_periods, takeover_after
-    )
-    cluster.inject_faults(plan, seed=seed)
+    Submitting half a period before the takeover epoch's compute ticks
+    puts the flip in front of *both* coordinators at once — the deposed
+    leader pushes it with its stale term (lagged past the new leader's
+    push by the plan's delay rule), which is exactly the race fencing
+    must win.
+    """
     service = attach_policy_service(cluster)
-
-    # The takeover epoch is deterministic given the plan: the last
-    # heartbeat through the cut link belongs to the last epoch whose
-    # compute tick preceded the cut, and the standby's lease lapses
-    # takeover_after + 1 watch ticks later.  Submitting half a period
-    # before that epoch's compute ticks puts the flip in front of
-    # *both* coordinators at once — the deposed leader pushes it with
-    # its stale term (lagged past the new leader's push by the plan's
-    # delay rule), which is exactly the race fencing must win.
-    epoch_len = rebalance_periods * T
-    cut = plan.partitions[0]
-    last_hb_epoch = int((cut.start + COMPUTE_MARGIN * T) / epoch_len)
-    flip_epoch = last_hb_epoch + takeover_after + 1
+    T = cluster.config.period
+    flip_epoch = takeover_bound(cluster, plan)
     flip = load_policy(FLIP_DOCUMENT)
     cluster.sim.schedule_at(
-        flip_epoch * epoch_len - 0.5 * T, service.submit, flip
+        flip_epoch * REBALANCE_PERIODS * T - 0.5 * T, service.submit, flip
     )
-
-    drivers = [
-        _PutDriver(cluster, striped, puts_per_period,
-                   stop_time=(periods - 1) * T, seed=seed)
-        for striped in cluster.clients
-    ]
-
-    cluster.start()
-    cluster.sim.run(until=periods * T + T * 1e-6)
-    for striped in cluster.clients:
-        for engine in striped.engines:
-            engine.ledger_flush()
-
-    report = _check_policy_invariants(
-        cluster, plan, drivers, seed, periods, takeover_after,
-        flip_epoch, flip,
-    )
-    return report, cluster
+    return flip_epoch, flip
 
 
-def _check_policy_invariants(cluster, plan, drivers, seed, periods,
-                             takeover_after, flip_epoch,
-                             flip) -> PolicyChaosReport:
-    violations: List[str] = []
-    leader = cluster.coordinator
+def _checks(run: ChaosRun):
+    cluster = run.cluster
     standby = cluster.standby
     service = cluster.policy_service
     agents = cluster.client_agents
-    T = cluster.config.period
-    epoch_len = leader.epoch_len
-    cut = plan.partitions[0]
+    _flip_epoch, flip = run.armed
 
     # 1. Bounded takeover, exactly once (the failover the flip rides).
-    takeover_bound = flip_epoch
-    if standby.takeovers != 1:
-        violations.append(
-            f"expected exactly one takeover, got {standby.takeovers} "
-            f"(partition {cut.start / T:.1f}..{cut.end / T:.1f} periods)"
-        )
-    elif standby.takeover_epoch > takeover_bound:
-        violations.append(
-            f"takeover unbounded: standby promoted at epoch "
-            f"{standby.takeover_epoch}, bound {takeover_bound}"
-        )
+    yield from takeover_checks(run)
 
     # 2. The flip applied exactly once per client, revision 2, from
-    # the fenced winner — and the losing pushes were observed.
+    # the fenced winner.
     for agent in agents:
         if agent.policy_applies != 1:
-            violations.append(
+            yield (
                 f"{agent.striped.name}: expected exactly one policy "
                 f"apply, got {agent.policy_applies}"
             )
         if agent.policy_version_applied != flip.version:
-            violations.append(
+            yield (
                 f"{agent.striped.name}: revision "
                 f"{agent.policy_version_applied} in force at run end, "
                 f"expected {flip.version}"
             )
         if (standby.takeovers == 1 and agent.policy_keys_applied
                 and agent.policy_keys_applied[0][0] != standby.term):
-            violations.append(
+            yield (
                 f"{agent.striped.name}: applied policy from term "
                 f"{agent.policy_keys_applied[0][0]}, acting leader's "
                 f"term is {standby.term} (stale source)"
             )
-    violations.extend(str(v) for v in check_no_stale_policy([
-        (agent.striped.name, agent.policy_keys_applied)
-        for agent in agents
-    ]))
-    fenced = sum(a.policy_fenced for a in agents)
-    stale = sum(a.policy_stale_rejected for a in agents)
-    if fenced < 1:
-        violations.append(
-            "no client ever fenced the deposed leader's policy push — "
-            "the term check never fired despite the engineered lag race"
-        )
-    if stale < 1:
-        violations.append(
-            "no client ever rejected a re-pushed revision as stale — "
-            "the per-epoch redundancy was never exercised"
-        )
-
-    # Split fencing must hold alongside the policy fencing.
-    violations.extend(str(v) for v in check_no_stale_split([
-        (agent.striped.name, agent.update_keys_applied)
-        for agent in agents
-    ]))
 
     # 3. Decrease-before-increase held: no node-side admission clamp
     # fired while the raise and the shrink crossed.
-    clamped = sum(
-        node.monitor.rebalance_clamped for node in cluster.nodes
-    )
+    clamped = sum(node.monitor.rebalance_clamped for node in cluster.nodes)
     if clamped:
-        violations.append(
+        yield (
             f"admission clamped {clamped} mid-flip applies — the "
             "decrease-before-increase ordering let a transient "
             "over-reservation through"
         )
 
-    # 4a. No lost acknowledged PUT across the flip's rebinds.
-    put_entries = []
-    for striped, driver in zip(cluster.clients, drivers):
-        for (node, node_key), version in driver.acked.items():
-            store = cluster.nodes[node].data_node.store
-            client_id = striped.kv_clients[node].name
-            durable = store.applied_versions.get((client_id, node_key), 0)
-            put_entries.append((
-                striped.name,
-                f"{striped.name} node {node} key={node_key}",
-                version, durable,
-            ))
-    violations.extend(str(v) for v in check_no_lost_acked_put(put_entries))
-
-    # 4b. Token, split, quarantine and policy ledger audits.
-    ledger = getattr(cluster.sim.telemetry, "ledger", None)
-    ledger_totals: dict = {}
-    if ledger is not None:
-        violations.extend(
-            str(v) for v in check_ledger_conservation(ledger)
-        )
-        violations.extend(
-            str(v) for v in check_split_conservation(ledger)
-        )
-        violations.extend(
-            str(v) for v in check_quarantine_audit(ledger)
-        )
-        violations.extend(
-            str(v) for v in check_policy_audit(ledger)
-        )
+    # 4. The policy applies land in the ledger, one per client.
+    if run.ledger is not None:
         applies_logged = sum(
-            1 for e in ledger.events if e.get("event") == "policy_apply"
+            1 for e in run.ledger.events if e.get("event") == "policy_apply"
         )
         if applies_logged != len(agents):
-            violations.append(
+            yield (
                 f"ledger recorded {applies_logged} policy_apply events "
                 f"for {len(agents)} clients"
             )
-        ledger_totals = ledger.totals()
 
-    # 5. The policy took: final aggregates equal the lowered targets,
-    # limited classes carry their caps, and reservations are met in
-    # the final fault-free period under the *new* policy.
+    # 5. The policy took: final aggregates equal the lowered targets
+    # and limited classes carry their caps.
     for striped in cluster.clients:
         want = service._targets.get(striped.index)
         if want is None:
             continue
         reservation, limit = want
         if striped.aggregate_reservation != reservation:
-            violations.append(
+            yield (
                 f"{striped.name}: aggregate {striped.aggregate_reservation} "
                 f"at run end, policy says {reservation}"
             )
-        agent = cluster.client_agents[striped.index]
+        agent = agents[striped.index]
         if limit > 0 and not agent._policy_limits:
-            violations.append(
+            yield (
                 f"{striped.name}: policy limit {limit} never installed "
                 "on the engines"
             )
         if limit == 0 and agent._policy_limits:
-            violations.append(
+            yield (
                 f"{striped.name}: unexpected policy limits "
                 f"{agent._policy_limits} (policy sets none)"
             )
-    violations.extend(str(v) for v in check_reservations_met([
-        (striped.name,
-         (cluster.metrics.clients[striped.name].period_counts[-1]
-          if cluster.metrics.clients[striped.name].period_counts else None),
-         striped.aggregate_reservation)
-        for striped in cluster.clients
-    ]))
 
-    return PolicyChaosReport(
-        seed=seed,
-        periods=periods,
-        violations=violations,
-        flip_epoch=flip_epoch,
-        submitted_version=service.active_version,
-        takeovers=standby.takeovers,
-        takeover_epoch=standby.takeover_epoch,
-        policy_applies=sum(a.policy_applies for a in agents),
-        policy_fenced=fenced,
-        policy_stale_rejected=stale,
-        policy_pushes=service.pushes_sent,
-        rebalances=(leader.rebalances_computed
-                    + standby.rebalances_computed),
-        puts_acked=sum(d.puts_acked for d in drivers),
-        ledger_totals=ledger_totals,
-    )
+
+def _counters(run: ChaosRun) -> dict:
+    cluster = run.cluster
+    agents = cluster.client_agents
+    service = cluster.policy_service
+    return {
+        "flip_epoch": run.armed[0],
+        "submitted_version": service.active_version,
+        "takeovers": cluster.standby.takeovers,
+        "takeover_epoch": cluster.standby.takeover_epoch,
+        "policy_applies": sum(a.policy_applies for a in agents),
+        "policy_fenced": sum(a.policy_fenced for a in agents),
+        "policy_stale_rejected": sum(
+            a.policy_stale_rejected for a in agents
+        ),
+        "policy_pushes": service.pushes_sent,
+        "rebalances": (cluster.coordinator.rebalances_computed
+                       + cluster.standby.rebalances_computed),
+        "puts_acked": sum(d.puts_acked for d in run.drivers),
+    }
+
+
+POLICY_FLIP = ChaosScenario(
+    name="policy-flip",
+    summary="policy hot-swap at the takeover epoch of the partition "
+            "schedule",
+    # CI's chaos-smoke job runs the first, tests/policy/test_chaos.py
+    # runs all three.
+    seeds=(11, 23, 37),
+    periods=36,
+    kind=MULTINODE,
+    build=build_ha_cluster,
+    plan=partition_chaos_plan,
+    arm=_arm_flip,
+    # Invariant 2's zero stale applications (split fencing must hold
+    # alongside the policy fencing), invariant 4's audits, and
+    # reservations met in the final period under the *new* policy.
+    oracles=(
+        "no-stale-policy",
+        "no-stale-split",
+        "no-lost-acked-put",
+        "ledger-conservation",
+        "split-conservation",
+        "quarantine-audit",
+        "policy-audit",
+        "reservations-met",
+    ),
+    checks=_checks,
+    counters=_counters,
+    # Both losing paths were observed, not just tolerated: the deposed
+    # leader's push fenced by term despite the engineered lag race, and
+    # the acting leader's per-epoch re-pushes rejected as stale.
+    exercised=("policy_applies", "policy_fenced", "policy_stale_rejected",
+               "puts_acked"),
+    columns=("flip_epoch", "takeover_epoch", "policy_applies",
+             "policy_fenced", "policy_stale_rejected", "puts_acked"),
+)

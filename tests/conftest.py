@@ -59,3 +59,50 @@ def mini(sim) -> MiniCluster:
 def mini4(sim) -> MiniCluster:
     """A 4-client mini deployment."""
     return MiniCluster(sim, num_clients=4)
+
+
+@pytest.fixture(scope="session")
+def _chaos_runs():
+    return {}
+
+
+@pytest.fixture
+def chaos_run(_chaos_runs, monkeypatch):
+    """``chaos.run`` memoized per ``(scenario, seed)`` for the session.
+
+    The clean-verdict test, the ``chaos_pin_*`` test, the CLI report
+    test and the digest test all need the same default-length run of a
+    registered scenario; each takes seconds.  The memo is also patched
+    in as ``repro.cluster.chaos.run`` so code under test (the CLI, the
+    digest families) shares it.  ``chaos_run.fresh`` is the real
+    function, for tests that must see a second, independent run.
+
+    A memoized run hands back the shared report (read, never mutate)
+    and, in the cluster's place, only ``.sim.telemetry.period_rows`` and
+    ``.sim.telemetry.ledger`` — what the digest families read.  Keeping
+    whole clusters alive slows every later simulation by ~50% (the
+    cyclic GC rescans them), which would cost more than the memo saves.
+    """
+    from types import SimpleNamespace
+
+    from repro.cluster import chaos
+
+    fresh = chaos.run
+
+    def memoized(scenario, seed, periods=None, **kwargs):
+        registered = chaos.scenarios().get(scenario.name) is scenario
+        if kwargs or not registered or periods not in (None, scenario.periods):
+            return fresh(scenario, seed, periods=periods, **kwargs)
+        key = (scenario.name, seed)
+        if key not in _chaos_runs:
+            report, cluster = fresh(scenario, seed)
+            hub = cluster.sim.telemetry
+            streams = SimpleNamespace(period_rows=hub.period_rows,
+                                      ledger=hub.ledger)
+            _chaos_runs[key] = report, SimpleNamespace(
+                sim=SimpleNamespace(telemetry=streams))
+        return _chaos_runs[key]
+
+    memoized.fresh = fresh
+    monkeypatch.setattr(chaos, "run", memoized)
+    return memoized

@@ -1,12 +1,14 @@
-"""Pin test: the oracle-registry refactor changed no chaos verdict.
+"""Pin test: no refactor of the chaos harnesses changed a verdict.
 
 ``tests/data/chaos_pin_*.json`` hold ``dataclasses.asdict`` snapshots
-of chaos reports captured BEFORE both harnesses' ``_check_invariants``
-were rebuilt on :mod:`repro.hunt.oracles`.  Field-for-field equality
-here proves the dedup was behavior-preserving — message text included.
+of chaos reports captured BEFORE the harnesses' ``_check_invariants``
+were rebuilt on :mod:`repro.hunt.oracles` — and so long before the
+harnesses themselves became declarations over the
+:mod:`repro.cluster.chaos` spine.  Field-for-field equality with
+``ChaosReport.as_dict()`` proves both steps were behavior-preserving —
+message text included.
 """
 
-import dataclasses
 import json
 from pathlib import Path
 
@@ -21,17 +23,17 @@ def _load(name):
 
 
 @pytest.mark.parametrize("seed", [11, 23])
-def test_recovery_chaos_reports_are_pinned(seed):
-    from repro.recovery.chaos import run_chaos
+def test_recovery_chaos_reports_are_pinned(seed, chaos_run):
+    from repro.recovery.chaos import RECOVERY
 
     expected = _load("chaos_pin_recovery.json")[str(seed)]
-    got = dataclasses.asdict(run_chaos(seed))
-    assert got == expected
+    report, _cluster = chaos_run(RECOVERY, seed)
+    assert report.as_dict() == expected
 
 
-def test_globalqos_chaos_report_is_pinned():
-    from repro.globalqos.chaos import run_coord_chaos
+def test_globalqos_chaos_report_is_pinned(chaos_run):
+    from repro.globalqos.chaos import COORD_CRASH
 
     expected = _load("chaos_pin_globalqos.json")["11"]
-    got = dataclasses.asdict(run_coord_chaos(11))
-    assert got == expected
+    report, _cluster = chaos_run(COORD_CRASH, 11)
+    assert report.as_dict() == expected

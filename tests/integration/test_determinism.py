@@ -1,10 +1,12 @@
 """The determinism guard, pinned.
 
-Recomputes the canonical-seed digests and compares them against the
-committed reference (``benchmarks/results/determinism_hashes.json``).
-A failure here means simulated *behaviour* changed — an event reorder,
-a float that took a different path, an RNG consumed at a different
-point.  If the change was intentional, regenerate the reference with
+Recomputes every digest family in
+:data:`repro.cluster.determinism.FAMILIES` and compares it, key by key,
+against the committed reference
+(``benchmarks/results/determinism_hashes.json``).  A failure here means
+simulated *behaviour* changed — an event reorder, a float that took a
+different path, an RNG consumed at a different point.  If the change
+was intentional, regenerate the reference with
 
     PYTHONPATH=src python -m repro.cluster.determinism \
         --write benchmarks/results/determinism_hashes.json
@@ -12,185 +14,127 @@ point.  If the change was intentional, regenerate the reference with
 and say so in the commit message.  If it was not intentional (a
 "pure" refactor or performance change), the change is wrong — fix it,
 not the reference.
+
+The tests are generated from the table: a family added to ``FAMILIES``
+gets its pin test and its seed-coverage test without an edit here, and
+``test_reference_families_are_exactly_the_table`` fails until the
+reference file has its entry.  Generated names follow the pattern the
+suite has always printed (``test_<family>_digest_matches_...``; the
+first family, ``seeds``, carries no prefix).
 """
 
 import json
-import pathlib
 
 import pytest
 
+from repro.cluster import determinism
 from repro.cluster.determinism import (
     CANONICAL_SEEDS,
-    FABRIC_SEEDS,
-    GLOBALQOS_SEEDS,
-    PARTITION_SEEDS,
-    POLICY_SEEDS,
-    SCALE_SEEDS,
+    FAMILIES,
+    REFERENCE_PATH,
     SEED_FAULTS,
-    determinism_digest,
-    fabric_digest,
-    globalqos_digest,
-    partition_digest,
-    policy_digest,
-    scale_digest,
-)
-
-REFERENCE = (
-    pathlib.Path(__file__).resolve().parents[2]
-    / "benchmarks" / "results" / "determinism_hashes.json"
+    digest,
 )
 
 
 @pytest.fixture(scope="module")
 def reference():
-    with open(REFERENCE) as fh:
-        return json.load(fh)["seeds"]
+    with open(REFERENCE_PATH) as fh:
+        return json.load(fh)
 
 
-def test_reference_covers_every_canonical_seed():
-    with open(REFERENCE) as fh:
-        seeds = json.load(fh)["seeds"]
-    assert sorted(seeds) == sorted(str(s) for s in CANONICAL_SEEDS)
+def test_reference_families_are_exactly_the_table(reference):
+    assert sorted(reference) == sorted(FAMILIES)
+
+
+def test_reference_covers_every_canonical_seed(reference):
+    assert sorted(reference["seeds"]) == sorted(
+        str(s) for s in CANONICAL_SEEDS)
     assert sorted(SEED_FAULTS) == sorted(CANONICAL_SEEDS)
 
 
-@pytest.mark.parametrize("seed", CANONICAL_SEEDS)
-def test_digest_matches_committed_reference(seed, reference):
-    digest = determinism_digest(seed)
-    expected = reference[str(seed)]
-    # Compare the parts before the combined hash so a mismatch names
-    # the stream that moved (metrics vs ledger vs results).
-    for part in ("kind", "metrics", "ledger", "results", "combined"):
-        assert digest[part] == expected[part], (
-            f"seed {seed}: {part} digest changed -- simulated behaviour "
-            f"is no longer bit-identical to the committed reference"
-        )
+def _covers_test(family):
+    def test(reference):
+        assert sorted(reference[family]) == sorted(
+            str(s) for s in FAMILIES[family].seeds)
+    return test
 
 
-@pytest.fixture(scope="module")
-def globalqos_reference():
-    with open(REFERENCE) as fh:
-        return json.load(fh)["globalqos"]
+def _pin_test(family):
+    # chaos_run: the chaos-derived families reuse the session's runs.
+    @pytest.mark.parametrize("seed", FAMILIES[family].seeds)
+    def test(seed, reference, chaos_run):
+        got = digest(family, seed)
+        expected = reference[family][str(seed)]
+        # Compare the parts before the whole so a mismatch names the
+        # stream that moved (metrics vs ledger vs results).
+        for part, value in expected.items():
+            assert got.get(part) == value, (
+                f"{family} seed {seed}: {part} changed -- simulated "
+                f"behaviour is no longer bit-identical to the committed "
+                f"reference"
+            )
+        assert got == expected
+        if "max_error" in got:
+            # The recorded approximation quality holds, not just the
+            # hash: the equivalence check passed inside the committed
+            # tolerance tier.
+            assert got["equivalence_ok"] is True
+            assert got["max_error"] <= got["tolerance_tier"]
+    return test
 
 
-def test_globalqos_reference_covers_every_seed():
-    with open(REFERENCE) as fh:
-        seeds = json.load(fh)["globalqos"]
-    assert sorted(seeds) == sorted(str(s) for s in GLOBALQOS_SEEDS)
+for _family in FAMILIES:
+    _prefix = "" if _family == "seeds" else f"{_family}_"
+    globals()[f"test_{_prefix}digest_matches_committed_reference"] = (
+        _pin_test(_family))
+    if _family != "seeds":
+        globals()[f"test_{_prefix}reference_covers_every_seed"] = (
+            _covers_test(_family))
 
 
-@pytest.mark.parametrize("seed", GLOBALQOS_SEEDS)
-def test_globalqos_digest_matches_committed_reference(
-    seed, globalqos_reference
-):
-    digest = globalqos_digest(seed)
-    expected = globalqos_reference[str(seed)]
-    for part in ("kind", "metrics", "ledger", "results", "combined"):
-        assert digest[part] == expected[part], (
-            f"globalqos seed {seed}: {part} digest changed -- the "
-            f"coordinator scenario is no longer bit-identical to the "
-            f"committed reference"
-        )
+class TestCheckCommand:
+    """``python -m repro.cluster.determinism --check``."""
 
+    def test_default_reference_resolves_from_any_cwd(
+            self, tmp_path, monkeypatch, capsys):
+        # Regression: the old ``--digests`` flags opened the reference
+        # relative to the CWD, after the runs, and died with a traceback
+        # anywhere but the repo root.
+        monkeypatch.chdir(tmp_path)
+        assert determinism.main(["--check", "fabric"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("fabric digest seed") == 2
+        assert "MISMATCH" not in out
 
-@pytest.fixture(scope="module")
-def partition_reference():
-    with open(REFERENCE) as fh:
-        return json.load(fh)["partition"]
+    @pytest.mark.parametrize("argv, message", [
+        (["--check", "--reference", "/nonexistent"], "cannot read reference"),
+        (["--check", "no-such-family"], "unknown digest family"),
+    ])
+    def test_bad_request_exits_2_before_running_anything(
+            self, argv, message, monkeypatch, capsys):
+        def never(*_args):
+            raise AssertionError("a digest ran before the request was vetted")
 
+        monkeypatch.setattr(determinism, "digest", never)
+        assert determinism.main(argv) == 2
+        assert message in capsys.readouterr().err
 
-def test_partition_reference_covers_every_seed():
-    with open(REFERENCE) as fh:
-        seeds = json.load(fh)["partition"]
-    assert sorted(seeds) == sorted(str(s) for s in PARTITION_SEEDS)
+    def test_unparseable_reference_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "reference.json"
+        bad.write_text("not json")
+        assert determinism.main(
+            ["--check", "fabric", "--reference", str(bad)]) == 2
+        assert "cannot read reference" in capsys.readouterr().err
 
-
-@pytest.mark.parametrize("seed", PARTITION_SEEDS)
-def test_partition_digest_matches_committed_reference(
-    seed, partition_reference
-):
-    digest = partition_digest(seed)
-    expected = partition_reference[str(seed)]
-    for part in ("kind", "metrics", "ledger", "results", "combined"):
-        assert digest[part] == expected[part], (
-            f"partition seed {seed}: {part} digest changed -- the "
-            f"failover scenario is no longer bit-identical to the "
-            f"committed reference"
-        )
-
-
-@pytest.fixture(scope="module")
-def policy_reference():
-    with open(REFERENCE) as fh:
-        return json.load(fh)["policy"]
-
-
-def test_policy_reference_covers_every_seed():
-    with open(REFERENCE) as fh:
-        seeds = json.load(fh)["policy"]
-    assert sorted(seeds) == sorted(str(s) for s in POLICY_SEEDS)
-
-
-@pytest.mark.parametrize("seed", POLICY_SEEDS)
-def test_policy_digest_matches_committed_reference(seed, policy_reference):
-    digest = policy_digest(seed)
-    expected = policy_reference[str(seed)]
-    for part in ("kind", "metrics", "ledger", "results", "combined"):
-        assert digest[part] == expected[part], (
-            f"policy seed {seed}: {part} digest changed -- the "
-            f"policy-flip failover scenario is no longer bit-identical "
-            f"to the committed reference"
-        )
-
-
-@pytest.fixture(scope="module")
-def scale_reference():
-    with open(REFERENCE) as fh:
-        return json.load(fh)["scale"]
-
-
-def test_scale_reference_covers_every_seed():
-    with open(REFERENCE) as fh:
-        seeds = json.load(fh)["scale"]
-    assert sorted(seeds) == sorted(str(s) for s in SCALE_SEEDS)
-
-
-@pytest.mark.parametrize("seed", SCALE_SEEDS)
-def test_scale_digest_matches_committed_reference(seed, scale_reference):
-    digest = scale_digest(seed)
-    expected = scale_reference[str(seed)]
-    for part in ("kind", "fluid", "equivalence", "combined"):
-        assert digest[part] == expected[part], (
-            f"scale seed {seed}: {part} digest changed -- the fluid "
-            f"fast path is no longer bit-identical to the committed "
-            f"reference"
-        )
-    # The recorded approximation quality holds, not just the hash: the
-    # equivalence check passed inside the committed tolerance tier.
-    assert digest["equivalence_ok"] is True
-    assert digest["tolerance_tier"] == expected["tolerance_tier"]
-    assert digest["max_error"] <= digest["tolerance_tier"]
-
-
-@pytest.fixture(scope="module")
-def fabric_reference():
-    with open(REFERENCE) as fh:
-        return json.load(fh)["fabric"]
-
-
-def test_fabric_reference_covers_every_seed():
-    with open(REFERENCE) as fh:
-        seeds = json.load(fh)["fabric"]
-    assert sorted(seeds) == sorted(str(s) for s in FABRIC_SEEDS)
-
-
-@pytest.mark.parametrize("seed", FABRIC_SEEDS)
-def test_fabric_digest_matches_committed_reference(seed, fabric_reference):
-    digest = fabric_digest(seed)
-    expected = fabric_reference[str(seed)]
-    for part in ("kind", "results", "combined"):
-        assert digest[part] == expected[part], (
-            f"fabric seed {seed}: {part} digest changed -- the "
-            f"congestion-controlled datapath is no longer bit-identical "
-            f"to the committed reference"
-        )
+    def test_drifted_reference_exits_1(self, tmp_path, capsys):
+        with open(REFERENCE_PATH) as fh:
+            reference = json.load(fh)
+        reference["fabric"]["11"]["combined"] = "0" * 64
+        drifted = tmp_path / "reference.json"
+        drifted.write_text(json.dumps(reference))
+        assert determinism.main(
+            ["--check", "fabric", "--reference", str(drifted)]) == 1
+        out = capsys.readouterr().out
+        assert "fabric digest seed 11: MISMATCH" in out
+        assert "fabric digest seed 23: ok" in out

@@ -1,33 +1,26 @@
-"""The seeded chaos harness: invariants hold, runs are replayable."""
-
-import dataclasses
+"""The seeded recovery chaos scenario: invariants hold, runs are replayable."""
 
 import pytest
 
 from repro.common.errors import ConfigError
-from repro.recovery.chaos import (
-    CHAOS_SCALE,
-    DEFAULT_SEEDS,
-    chaos_plan,
-    run_chaos,
-)
+from repro.recovery.chaos import CHAOS_SCALE, RECOVERY, chaos_plan
 
 
 class TestInvariants:
-    @pytest.mark.parametrize("seed", DEFAULT_SEEDS)
-    def test_documented_seed_has_zero_violations(self, seed):
-        report = run_chaos(seed)
+    @pytest.mark.parametrize("seed", RECOVERY.seeds)
+    def test_documented_seed_has_zero_violations(self, seed, chaos_run):
+        report, _cluster = chaos_run(RECOVERY, seed)
         assert report.ok, report.violations
         # the harness actually exercised the tentpole machinery
-        assert report.failovers >= 1
-        assert report.rejoins >= 1
-        assert report.puts_acked > 0
+        assert report.counters["failovers"] >= 1
+        assert report.counters["rejoins"] >= 1
+        assert report.counters["puts_acked"] > 0
 
 
 class TestTokenConservation:
-    @pytest.mark.parametrize("seed", DEFAULT_SEEDS)
-    def test_ledger_balances_through_chaos(self, seed):
-        report = run_chaos(seed)
+    @pytest.mark.parametrize("seed", RECOVERY.seeds)
+    def test_ledger_balances_through_chaos(self, seed, chaos_run):
+        report, _cluster = chaos_run(RECOVERY, seed)
         ledger_violations = [v for v in report.violations
                              if v.startswith("token ledger")]
         assert ledger_violations == []
@@ -40,10 +33,10 @@ class TestTokenConservation:
 
 
 class TestDeterminism:
-    def test_same_seed_same_report(self):
-        a = run_chaos(DEFAULT_SEEDS[0])
-        b = run_chaos(DEFAULT_SEEDS[0])
-        assert dataclasses.asdict(a) == dataclasses.asdict(b)
+    def test_same_seed_same_report(self, chaos_run):
+        a, _ = chaos_run(RECOVERY, RECOVERY.seeds[0])
+        b, _ = chaos_run.fresh(RECOVERY, RECOVERY.seeds[0])
+        assert a == b
 
     def test_same_seed_same_plan(self):
         config = CHAOS_SCALE.config()

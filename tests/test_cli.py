@@ -132,16 +132,16 @@ def test_telemetry_rejects_negative_sample(capsys):
     assert main(["telemetry", "--sample", "-1"]) == 2
 
 
-def test_globalqos_chaos_writes_report(tmp_path, capsys):
+def test_globalqos_chaos_writes_report(tmp_path, capsys, chaos_run):
     import json
 
     report = tmp_path / "globalqos.json"
-    assert main(["globalqos", "--chaos", "--seeds", "11",
+    assert main(["chaos", "coord-crash", "--seeds", "11",
                  "--report", str(report)]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "1/1 seeds passed" in out
     payload = json.loads(report.read_text())
-    assert payload["mode"] == "chaos"
+    assert payload["scenario"] == "coord-crash"
     assert payload["failed"] == 0
     seed = payload["seeds"]["11"]
     assert seed["violations"] == []
@@ -149,8 +149,31 @@ def test_globalqos_chaos_writes_report(tmp_path, capsys):
 
 
 def test_globalqos_rejects_short_chaos(capsys):
-    assert main(["globalqos", "--chaos", "--seeds", "11",
+    assert main(["chaos", "coord-crash", "--seeds", "11",
                  "--periods", "3"]) == 2
+    assert "periods" in capsys.readouterr().err
+
+
+def test_chaos_defaults_to_the_recovery_scenario(capsys, chaos_run):
+    assert main(["chaos", "--seeds", "11"]) == 0
+    out = capsys.readouterr().out
+    assert "failovers" in out and "1/1 seeds passed" in out
+
+
+def test_chaos_rejects_unknown_scenario(capsys):
+    assert main(["chaos", "no-such-scenario"]) == 2
+    assert "recovery, coord-crash, partition, policy-flip" in (
+        capsys.readouterr().err)
+
+
+def test_removed_chaos_flags_are_gone(capsys):
+    for argv in (["globalqos", "--chaos"],
+                 ["globalqos", "--partition-chaos"],
+                 ["policy", "apply"],
+                 ["fabric", "--digests"]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
 
 
 def test_hunt_campaign_writes_report_and_reproducers(tmp_path, capsys):
