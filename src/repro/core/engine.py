@@ -85,17 +85,11 @@ class QoSEngine:
         self._reporting_active = False
         self._throttled_this_period = False
         self._started = False
-        # Completion-closure cache for _issue: in practice every op of
-        # a client carries the same app callback, so the wrapper is
-        # built once and reused instead of allocated per op.
+        # Completion-closure cache for _token_backed_wr: in practice
+        # every op of a client carries the same app callback, so the
+        # wrapper is built once and reused instead of allocated per op.
         self._last_on_complete = None
         self._last_finish = None
-        # Chain mode: when the QP carries fabric-model state, drained
-        # bursts are posted as doorbell-batched chains (post_chain) so
-        # submit_burst's bulk advantage comes from the calibrated
-        # amortized-doorbell cost model.  False = historical path,
-        # byte-identical to pre-model builds.
-        self._chain = kv.qp.fab is not None
 
         # Control-plane fault tolerance (see docs/FAULTS.md): retries
         # after transport failures back off exponentially with
@@ -222,7 +216,6 @@ class QoSEngine:
         self._ledger_roll("rebind")
         self.kv = kv
         self.layout = layout
-        self._chain = kv.qp.fab is not None
         self._active_source = source
         self._generation = generation
         self.tokens = ClientTokenState(reservation, self.config.period)
@@ -387,24 +380,37 @@ class QoSEngine:
     def _drain(self) -> None:
         if self.suspended:
             return  # failover in progress: submissions queue here
-        if self._chain:
-            self._drain_chain()
-            return
         # Locals for the loop: neither the queue/token objects nor the
         # limit are replaced while draining (only at period boundaries),
         # so hoisting the attribute reads is safe.
         queue = self._queue
         tokens = self.tokens
         limit = self.limit
+        qp = self.kv.qp
+        # Under the fabric model the token-backed WRs of one drain are
+        # collected and posted as one chain after the loop, so a burst
+        # shares doorbells per ``FabricModel.doorbell_batch_limit`` (a
+        # pool FAA armed by the loop is therefore posted before them).
+        # Without a model each WR is posted as it is dequeued — there is
+        # no posting cost to amortize, and every data post precedes the
+        # FAA post.  Both orders are pinned by the determinism digests.
+        chain = None if qp.fab is None else []
         while queue:
             if limit is not None and self.issued_this_period >= limit:
                 if not self._throttled_this_period:
                     self._throttled_this_period = True
                     self.limit_throttle_events += 1
-                return  # throttled until the next period
+                break  # throttled until the next period
             if tokens.try_consume():
                 key, on_complete, span = queue.popleft()
-                self._issue(key, on_complete, span)
+                wr = self._token_backed_wr(key, on_complete, span)
+                if chain is not None:
+                    chain.append(wr)
+                    continue
+                try:
+                    qp.post_send(wr)
+                except QPError as err:
+                    self._fail_unposted((wr,), err)
                 continue
             # No token in hand: claim a batch from the global pool —
             # unless degraded, in which case only the reservation is
@@ -412,9 +418,16 @@ class QoSEngine:
             if (not self._faa_inflight and not self._retry_scheduled
                     and not self.degraded):
                 self._fetch_global_batch()
-            return
+            break
+        if chain:
+            try:
+                qp.post_chain(chain)
+            except QPError as err:
+                self._fail_unposted(chain, err)
 
-    def _issue(self, key: int, on_complete: IOCallback, span=None) -> None:
+    def _token_backed_wr(self, key: int, on_complete: IOCallback,
+                         span=None) -> WorkRequest:
+        """Account one token-backed read as issued and build its WR."""
         self.issued_this_period += 1
         self.inflight_tokened += 1
         if span is not None:
@@ -438,84 +451,22 @@ class QoSEngine:
             self._last_on_complete = on_complete
             self._last_finish = finish
 
-        try:
-            self.kv.get_onesided(key, finish, touch_memory=self.touch_memory,
-                                 span=span, sample=False)
-        except QPError as err:
-            if span is not None:
-                span.finish(self.sim.now, ok=False, error=str(err))
-            # Dead QP: fail the I/O through the normal completion path
-            # (as an event, matching the asynchronous non-fault path).
-            self.sim.schedule(0.0, finish, False, str(err), 0.0)
+        return self.kv.get_onesided_wr(key, finish, self.touch_memory, span)
 
-    def _drain_chain(self) -> None:
-        """Chain-mode drain: collect every token-backed op, then post
-        them as one doorbell-batched chain (fabric model active).
-
-        Token/limit/FAA decisions are taken in exactly the order the
-        per-op drain takes them; only the posting is batched, so a
-        burst shares doorbells per ``FabricModel.doorbell_batch_limit``.
-        """
-        queue = self._queue
-        tokens = self.tokens
-        limit = self.limit
-        wrs = []
-        while queue:
-            if limit is not None and self.issued_this_period >= limit:
-                if not self._throttled_this_period:
-                    self._throttled_this_period = True
-                    self.limit_throttle_events += 1
-                break
-            if tokens.try_consume():
-                key, on_complete, span = queue.popleft()
-                wrs.append(self._chain_wr(key, on_complete, span))
-                continue
-            if (not self._faa_inflight and not self._retry_scheduled
-                    and not self.degraded):
-                self._fetch_global_batch()
-            break
-        if not wrs:
-            return
-        try:
-            self.kv.qp.post_chain(wrs)
-        except QPError as err:
-            # Dead QP: fail every collected op through its completion
-            # path (as events, matching the asynchronous non-fault path).
-            now = self.sim.now
-            for wr in wrs:
-                if wr.span is not None:
-                    wr.span.finish(now, ok=False, error=str(err))
-                wc = WorkCompletion(
-                    wr.wr_id, wr.opcode, WCStatus.FLUSH_ERROR,
-                    None, now, now, str(err),
-                )
-                self.sim.schedule(0.0, wr.on_completion, wc)
-
-    def _chain_wr(self, key: int, on_complete: IOCallback, span=None):
-        """Per-op bookkeeping of :meth:`_issue`, returning the unposted
-        WR instead of posting it (chain mode collects these)."""
-        self.issued_this_period += 1
-        self.inflight_tokened += 1
-        if span is not None:
-            span.mark("engine_queue", self.sim.now)
-        if on_complete is self._last_on_complete:
-            finish = self._last_finish
-        else:
-            def finish(ok: bool, value: object, latency: float) -> None:
-                self.inflight_tokened -= 1
-                self.completed_this_period += 1
-                self.total_completed += 1
-                telemetry = self.sim.telemetry
-                if telemetry is not None:
-                    telemetry.observe_latency("onesided_read", latency)
-                self._notify_listener(ok)
-                on_complete(ok, value, latency)
-
-            self._last_on_complete = on_complete
-            self._last_finish = finish
-        return self.kv.get_onesided_wr(
-            key, finish, touch_memory=self.touch_memory, span=span
-        )
+    def _fail_unposted(self, wrs, err: QPError) -> None:
+        """Dead QP: the post admitted none of ``wrs``.  Fail each one
+        through its own completion path (as an event, matching the
+        asynchronous non-fault path) with a flush WC."""
+        now = self.sim.now
+        error = str(err)
+        for wr in wrs:
+            if wr.span is not None:
+                wr.span.finish(now, ok=False, error=error)
+            wc = WorkCompletion(
+                wr.wr_id, wr.opcode, WCStatus.FLUSH_ERROR,
+                None, now, now, error,
+            )
+            self.sim.schedule(0.0, wr.on_completion, wc)
 
     def _notify_listener(self, ok: bool) -> None:
         listener = self.failure_listener
@@ -580,31 +531,40 @@ class QoSEngine:
         """
         return self.tokens.residual + self.tokens.local_global + self.inflight_tokened
 
-    def _fetch_global_batch(self) -> None:
-        batch = self.config.batch_size
+    def _post_control_faa(self, add_value: int, span_kind: str,
+                          on_complete) -> bool:
+        """Post a control FETCH_ADD on the pool word under a fresh epoch
+        and arm its deadline; False when the QP rejected the post.
+        ``on_complete(wc, epoch)`` must discard a superseded epoch
+        (deadline fired, suspend, rebind)."""
         self._faa_epoch += 1
         epoch = self._faa_epoch
         wr = WorkRequest(
             opcode=OpType.FETCH_ADD,
             remote_addr=self.layout.pool_addr,
             rkey=self.layout.rkey,
-            add_value=-batch,
+            add_value=add_value,
             control=True,
-            span=self._control_span("control_faa"),
-            on_completion=lambda wc: self._on_faa_complete(wc, epoch),
+            span=self._control_span(span_kind),
+            on_completion=lambda wc: on_complete(wc, epoch),
         )
         self._faa_inflight = True
-        self.faa_issued += 1
         try:
             self.kv.qp.post_send(wr)
         except QPError as err:
             self._faa_inflight = False
             if wr.span is not None:
                 wr.span.finish(self.sim.now, ok=False, error=str(err))
-            self._note_faa_failure()
-            return
+            return False
         self.sim.schedule(self.config.resolved_control_deadline,
                           self._control_deadline, epoch)
+        return True
+
+    def _fetch_global_batch(self) -> None:
+        self.faa_issued += 1
+        if not self._post_control_faa(-self.config.batch_size, "control_faa",
+                                      self._on_faa_complete):
+            self._note_faa_failure()
 
     def _on_faa_complete(self, wc: WorkCompletion, epoch: int) -> None:
         if not self._faa_inflight or epoch != self._faa_epoch:
@@ -650,10 +610,13 @@ class QoSEngine:
         self.faa_timeouts += 1
         self._note_faa_failure()
 
-    def _note_faa_failure(self) -> None:
+    def _note_control_failure(self) -> None:
         self.faa_failures += 1
         self._period_faa_failed = True
         self._notify_listener(False)
+
+    def _note_faa_failure(self) -> None:
+        self._note_control_failure()
         self._schedule_backoff_retry()
 
     def _schedule_backoff_retry(self) -> None:
@@ -680,40 +643,18 @@ class QoSEngine:
         """Zero-add FETCH_ADD: tests pool reachability without taking tokens."""
         if self._faa_inflight:
             return
-        self._faa_epoch += 1
-        epoch = self._faa_epoch
-        wr = WorkRequest(
-            opcode=OpType.FETCH_ADD,
-            remote_addr=self.layout.pool_addr,
-            rkey=self.layout.rkey,
-            add_value=0,
-            control=True,
-            span=self._control_span("control_probe"),
-            on_completion=lambda wc: self._on_probe_complete(wc, epoch),
-        )
-        self._faa_inflight = True
         self.probes_issued += 1
-        try:
-            self.kv.qp.post_send(wr)
-        except QPError as err:
-            self._faa_inflight = False
-            if wr.span is not None:
-                wr.span.finish(self.sim.now, ok=False, error=str(err))
-            self.faa_failures += 1
-            self._period_faa_failed = True
-            self._notify_listener(False)
-            return
-        self.sim.schedule(self.config.resolved_control_deadline,
-                          self._control_deadline, epoch)
+        if not self._post_control_faa(0, "control_probe",
+                                      self._on_probe_complete):
+            # No backoff retry: the next period's probe is the retry.
+            self._note_control_failure()
 
     def _on_probe_complete(self, wc: WorkCompletion, epoch: int) -> None:
         if not self._faa_inflight or epoch != self._faa_epoch:
             return
         self._faa_inflight = False
         if not wc.ok:
-            self.faa_failures += 1
-            self._period_faa_failed = True
-            self._notify_listener(False)
+            self._note_control_failure()
             return
         # Fabric is back: leave degraded mode and resume pool fetches.
         self._notify_listener(True)

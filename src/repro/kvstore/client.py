@@ -101,17 +101,30 @@ class KVClient:
     ) -> int:
         """Fetch the record for ``key`` with a single RDMA READ.
 
-        ``span`` attaches an existing telemetry span (the engine passes
-        its own, already carrying the queueing stage); with
+        ``span`` attaches an existing telemetry span; with
         ``sample=True`` and no span, the client samples one from the
         attached telemetry hub, so bare (QoS-less) callers are traced
         too.
         """
-        layout = self._require_layout()
         if span is None and sample:
             telemetry = self.sim.telemetry
             if telemetry is not None:
                 span = telemetry.data_span("onesided_read", self.name, key)
+        return self.qp.post_send(
+            self.get_onesided_wr(key, on_complete, touch_memory, span)
+        )
+
+    def get_onesided_wr(
+        self, key: int, on_complete: IOCallback, touch_memory: bool = True,
+        span=None,
+    ) -> WorkRequest:
+        """Build (but do not post) the READ work request for ``key``.
+
+        The QoS engine posts these itself — one by one, or collected
+        into a ``QueuePair.post_chain`` so a burst shares doorbells —
+        passing its own span, which already carries the queueing stage.
+        """
+        layout = self._require_layout()
         # Two closure variants so the timing-only configuration (every
         # bulk benchmark) runs the minimal body; wc.ok/wc.latency are
         # Python-level properties, so status and timestamps are read
@@ -138,47 +151,6 @@ class KVClient:
         # The completion callback rides on the WR (QueuePair routes it
         # directly), skipping the CQ-router dict round-trip on the
         # hottest per-op path in the simulator.
-        wr = WorkRequest(
-            opcode=OpType.READ,
-            size=layout.slot_size,
-            remote_addr=layout.slot_addr(key),
-            rkey=self.data_rkey,
-            touch_memory=touch_memory,
-            span=span,
-            on_completion=finish,
-        )
-        return self.qp.post_send(wr)
-
-    def get_onesided_wr(
-        self, key: int, on_complete: IOCallback, touch_memory: bool = True,
-        span=None,
-    ) -> WorkRequest:
-        """Build (but do not post) the READ work request for ``key``.
-
-        The chain-mode engine path collects these and hands them to
-        ``QueuePair.post_chain`` so a burst shares doorbells; the WR is
-        byte-for-byte what :meth:`get_onesided` would have posted.
-        """
-        layout = self._require_layout()
-        if touch_memory:
-            def finish(wc: WorkCompletion) -> None:
-                latency = wc.completed_at - wc.posted_at
-                if wc.status is not WCStatus.SUCCESS:
-                    on_complete(False, wc.error, latency)
-                    return
-                slot_key, version, payload = decode_record(wc.value)
-                if slot_key not in (key, 0):  # 0 = unmaterialized store
-                    on_complete(False, f"bad slot key {slot_key}", latency)
-                    return
-                on_complete(True, (version, payload), latency)
-        else:
-            def finish(wc: WorkCompletion) -> None:
-                latency = wc.completed_at - wc.posted_at
-                if wc.status is WCStatus.SUCCESS:
-                    on_complete(True, None, latency)
-                else:
-                    on_complete(False, wc.error, latency)
-
         return WorkRequest(
             opcode=OpType.READ,
             size=layout.slot_size,

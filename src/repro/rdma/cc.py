@@ -15,9 +15,9 @@ models the *fabric* between the NICs, following two concrete sources:
   recovery + additive/hyper-additive increase) with PFC pause as the
   lossless backstop.
 
-Everything here is **disabled by default**: a cluster built without a
-:class:`FabricModel` takes exactly the pre-existing datapath — no extra
-float operations, no extra events, no RNG draws — so every pinned
+Everything here is **disabled by default**: on a cluster built without
+a :class:`FabricModel` the datapath skips every stage defined here — no
+extra float operations, no extra events, no RNG draws — so every pinned
 determinism digest stays byte-identical (the CC-disabled equivalence
 guarantee, see docs/FABRIC.md).  The Chameleon knees in
 ``NICProfile.chameleon`` are untouched: the model's posting costs are
@@ -345,11 +345,11 @@ class QPFabricState:
 
     Created by :meth:`Fabric.connect` when the fabric carries a
     :class:`FabricModel`; ``None`` on every QP otherwise (the datapath
-    checks one attribute and takes the historical path).
+    checks one attribute and skips its model-only stages).
     """
 
     __slots__ = ("model", "port", "post_ready_at", "buckets", "sq",
-                 "sq_waiting", "sq_stall_events", "cc", "last_cnp_at",
+                 "sq_stall_events", "cc", "last_cnp_at",
                  "cnps_sent", "chain_posts", "chain_wrs", "single_posts")
 
     def __init__(self, sim, model: FabricModel, port: FabricPort):
@@ -365,7 +365,6 @@ class QPFabricState:
             TokenBucket(model.atomic_bucket_ops, burst),
         )
         self.sq = Semaphore(sim, model.sq_depth)
-        self.sq_waiting = None  # lazily a deque on first stall
         self.sq_stall_events = 0
         self.cc = DCQCNState(model) if model.cc_enabled else None
         self.last_cnp_at = -1.0
@@ -373,6 +372,20 @@ class QPFabricState:
         self.chain_posts = 0
         self.chain_wrs = 0
         self.single_posts = 0
+
+    def post(self, now: float, n: int) -> float:
+        """One host post of ``n`` WRs made at ``now``: ``n`` PCIe
+        descriptor writes, then one doorbell, starting no earlier than
+        the previous post finished.  Returns when the NIC sees the WRs.
+        A single post is ``n == 1`` (``1 * desc == desc`` exactly).
+        """
+        model = self.model
+        ready = self.post_ready_at
+        if now > ready:
+            ready = now
+        ready += n * model.pcie_desc_cost + model.pcie_doorbell_cost
+        self.post_ready_at = ready
+        return ready
 
     def metrics_items(self):
         """``(name, getter)`` pairs for the telemetry metrics registry."""

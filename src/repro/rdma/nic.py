@@ -209,8 +209,14 @@ class RNIC:
         """Per-opcode handled-op counts (dict view; cold path)."""
         return {op: self._handled_counts[op.index] for op in OpType}
 
-    def submit_issue(self, wr: WorkRequest) -> float:
-        """Serialize an outbound WR; returns absolute wire-entry time.
+    def submit_issue(self, wr: WorkRequest, at: float) -> float:
+        """Serialize an outbound WR that reaches the NIC at time ``at``;
+        returns absolute wire-entry time.
+
+        ``at`` is the posting instant, or under the fabric model the
+        end of the PCIe descriptor + doorbell timeline — possibly in
+        the future relative to ``sim.now``, so the issue pipeline is
+        driven in virtual time (as ``Pipeline.submit_at``).
 
         Control WRs (atomics, report words, QoS signals) are processed
         on a prioritized lane: they experience their service latency but
@@ -236,41 +242,9 @@ class RNIC:
             cost = cost / factor
         if wr.control:
             self.control_issue_cost_total += cost
-            return self.sim.now + cost
-        # Inlined Pipeline.submit (cost is non-negative by
-        # construction): one attribute hop per op instead of a call.
-        pipe = self.issue
-        now = self.sim.now
-        free = pipe._free_at
-        start = free if free > now else now
-        finish = start + cost
-        pipe._free_at = finish
-        pipe._busy += cost
-        return finish
-
-    def submit_issue_at(self, wr: WorkRequest, at: float) -> float:
-        """Serialize an outbound WR that reaches the NIC at time ``at``.
-
-        The fabric model's variant of :meth:`submit_issue`: host posting
-        (PCIe descriptor + doorbell) finishes at ``at``, which may be in
-        the future relative to ``sim.now``, so the issue pipeline is
-        driven in virtual time (``Pipeline.submit_at``).  Cost tables,
-        capacity factors and the control-lane bypass are identical to
-        the real-time path.
-        """
-        op_index = wr.opcode.index
-        self._issued_counts[op_index] += 1
-        pair = self._issue_flat[op_index * 2 + wr.is_response]
-        if pair is None:
-            raise ValueError(f"opcode {wr.opcode} cannot be issued")
-        base, per_byte = pair
-        cost = base + wr.size * per_byte
-        factor = self.capacity_factor
-        if factor != 1.0:
-            cost = cost / factor
-        if wr.control:
-            self.control_issue_cost_total += cost
             return at + cost
+        # Inlined Pipeline.submit_at (cost is non-negative by
+        # construction): one attribute hop per op instead of a call.
         pipe = self.issue
         free = pipe._free_at
         start = free if free > at else at

@@ -62,7 +62,7 @@ class QueuePair:
         self.fabric = None
         # Per-QP fabric-model state (repro.rdma.cc.QPFabricState), set by
         # Fabric.connect when the fabric carries a FabricModel.  None =
-        # the historical datapath, byte-identical to pre-model builds.
+        # the datapath skips its model-only stages (see _launch).
         self.fab = None
         # Closed-QP flush trampoline (see _sq_granted): failing a queued
         # WR releases its SQ slot, which grants the next waiter
@@ -112,46 +112,16 @@ class QueuePair:
         if wr.wr_id == 0:
             wr.wr_id = next(_wr_ids)
         self.outstanding += 1
-        sim = self.sim
-        posted_at = sim.now
+        posted_at = self.sim.now
         fab = self.fab
-        if fab is not None and not wr.control:
-            # Fabric-model datapath: PCIe posting costs, bounded SQ,
-            # per-verb buckets, DCQCN pacing, congestible port.  Control
-            # ops keep the prioritized lane below, exactly as before.
-            self._post_modeled(fab, wr, posted_at)
-            return wr.wr_id
-        wire_time = self.src.nic.submit_issue(wr)
-        span = wr.span
-        if span is not None:
-            span.mark("resp_nic_issue" if wr.is_response else "nic_issue",
-                      wire_time)
-        extra_delay = 0.0
-        fabric = self.fabric
-        if fabric is not None and fabric.injector is not None:
-            verdict = fabric.injector.on_post(self, wr)
-            if verdict.drop:
-                # The op vanishes on the wire; the initiator NIC burns its
-                # transport retries and surfaces a retry-exhausted WC.
-                sim.schedule_at(
-                    wire_time + verdict.fail_after, self._fail, wr, posted_at,
-                    WCStatus.RETRY_EXC_ERROR, verdict.reason,
-                )
-                return wr.wr_id
-            extra_delay = verdict.delay
-        # Inlined sim.schedule_at: the datapath schedules two events per
-        # op, so the call overhead is measurable.  The target time is
-        # now + non-negative costs, so the past-check can't fire; the
-        # seq increment matches Simulator.schedule_at exactly (event
-        # ordering is pinned by the determinism guard).
-        sim._seq += 1
-        heappush(sim._heap, (wire_time + self.prop_delay + extra_delay,
-                             sim._seq, self._arrive, (wr, posted_at)))
+        if fab is None or wr.control:
+            # No host-posting stage: the NIC sees the WR now (control
+            # ops keep this lane under the fabric model too).
+            self._launch(wr, posted_at, posted_at)
+        elif self._sq_slot(fab, wr, posted_at):
+            self._sq_granted(wr, posted_at)
         return wr.wr_id
 
-    # ------------------------------------------------------------------
-    # Fabric-model datapath (active only when Fabric carries a model)
-    # ------------------------------------------------------------------
     def post_chain(self, wrs) -> list:
         """Post a linked chain of WRs with doorbell batching.
 
@@ -165,75 +135,56 @@ class QueuePair:
         batch's doorbell rings.  Data-plane WRs only (the engine never
         chains control ops).  Without a fabric model this degrades to
         per-WR ``post_send`` — same completions, no posting costs.
+
+        All-or-nothing: a chain that does not fit under
+        ``max_outstanding`` (or meets a closed QP) raises before any WR
+        is admitted, so the caller can safely fail every WR it passed.
         """
+        n = len(wrs)
+        if self.closed:
+            raise QPError(f"QP {self.src.name}->{self.dst.name} is closed")
+        if self.outstanding + n > self.max_outstanding:
+            raise QPError(
+                f"QP {self.src.name}->{self.dst.name}: chain of {n} WRs "
+                f"exceeds {self.max_outstanding} outstanding WRs"
+            )
         fab = self.fab
         if fab is None:
             return [self.post_send(wr) for wr in wrs]
-        if self.closed:
-            raise QPError(f"QP {self.src.name}->{self.dst.name} is closed")
-        sim = self.sim
-        posted_at = sim.now
-        model = fab.model
-        desc = model.pcie_desc_cost
-        bell = model.pcie_doorbell_cost
-        limit = model.doorbell_batch_limit
-        t = fab.post_ready_at
-        if posted_at > t:
-            t = posted_at
-        n = len(wrs)
-        ids = []
-        sq = fab.sq
+        self.outstanding += n
+        posted_at = self.sim.now
+        limit = fab.model.doorbell_batch_limit
         for start in range(0, n, limit):
             batch = wrs[start:start + limit]
-            t += len(batch) * desc + bell
+            ready = fab.post(posted_at, len(batch))
             for wr in batch:
-                if self.outstanding >= self.max_outstanding:
-                    raise QPError(
-                        f"QP {self.src.name}->{self.dst.name} exceeded "
-                        f"{self.max_outstanding} outstanding WRs"
-                    )
                 if wr.wr_id == 0:
                     wr.wr_id = next(_wr_ids)
-                self.outstanding += 1
-                ids.append(wr.wr_id)
-                ev = sq.acquire()
-                if ev.triggered:
-                    self._issue_modeled(fab, wr, posted_at, t)
-                else:
-                    # SQ full: the WR waits for a completion slot and is
-                    # re-posted then (paying a full single post — its
-                    # doorbell coalescing opportunity is gone).
-                    fab.sq_stall_events += 1
-                    ev.add_callback(
-                        lambda _ev, wr=wr, p=posted_at: self._sq_granted(wr, p)
-                    )
-        fab.post_ready_at = t
+                # An SQ-stalled WR is re-posted when its slot frees
+                # (paying a full single post — its doorbell coalescing
+                # opportunity is gone).
+                if self._sq_slot(fab, wr, posted_at):
+                    self._launch(wr, posted_at, ready)
         fab.chain_posts += 1
         fab.chain_wrs += n
-        return ids
+        return [wr.wr_id for wr in wrs]
 
-    def _post_modeled(self, fab, wr: WorkRequest, posted_at: float) -> None:
-        """Single-post entry of the fabric-model datapath: acquire an SQ
-        slot, pay the un-amortized PCIe posting cost, then issue."""
+    # ------------------------------------------------------------------
+    def _sq_slot(self, fab, wr: WorkRequest, posted_at: float) -> bool:
+        """Take a send-queue slot for ``wr``; False when the bounded SQ
+        is full, in which case :meth:`_sq_granted` runs once a
+        completion frees one."""
         ev = fab.sq.acquire()
-        if not ev.triggered:
-            fab.sq_stall_events += 1
-            ev.add_callback(
-                lambda _ev, wr=wr, p=posted_at: self._sq_granted(wr, p)
-            )
-            return
-        model = fab.model
-        ready = fab.post_ready_at
-        if posted_at > ready:
-            ready = posted_at
-        ready += model.pcie_desc_cost + model.pcie_doorbell_cost
-        fab.post_ready_at = ready
-        fab.single_posts += 1
-        self._issue_modeled(fab, wr, posted_at, ready)
+        if ev.triggered:
+            return True
+        fab.sq_stall_events += 1
+        ev.add_callback(lambda _ev: self._sq_granted(wr, posted_at))
+        return False
 
     def _sq_granted(self, wr: WorkRequest, posted_at: float) -> None:
-        """A waiting WR received its SQ slot (called synchronously from
-        the completion that released it)."""
+        """``wr`` holds its SQ slot: pay the un-amortized single-post
+        PCIe cost and launch.  A WR that had to wait gets here
+        synchronously from the completion that released the slot."""
         if self.closed:
             # The connection died while the WR sat in the send queue:
             # flush it.  _fail releases the slot just granted, which
@@ -253,29 +204,27 @@ class QueuePair:
                 self._flushing = False
             return
         fab = self.fab
-        model = fab.model
-        now = self.sim.now
-        ready = fab.post_ready_at
-        if now > ready:
-            ready = now
-        ready += model.pcie_desc_cost + model.pcie_doorbell_cost
-        fab.post_ready_at = ready
         fab.single_posts += 1
-        self._issue_modeled(fab, wr, posted_at, ready)
+        self._launch(wr, posted_at, fab.post(self.sim.now, 1))
 
-    def _issue_modeled(self, fab, wr: WorkRequest, posted_at: float,
-                       ready: float) -> None:
-        """Drive a posted WR down the modeled datapath.
+    def _launch(self, wr: WorkRequest, posted_at: float,
+                ready: float) -> None:
+        """Drive an admitted WR down the datapath.
 
         ``ready`` is when host posting made the WR visible to the NIC.
-        Stages: per-verb token bucket -> issue pipeline (virtual time)
-        -> DCQCN pacing -> congestible port (ECN/PFC) -> propagation.
+        Stages: [per-verb token bucket] -> issue pipeline (virtual time)
+        -> injector verdict -> [DCQCN pacing -> congestible port
+        (ECN/PFC) -> CNP] -> propagation.  The bracketed stages exist
+        only under a fabric model, and never for control ops.
         """
-        model = fab.model
-        verb = VERB_CLASS_OF_OPCODE[wr.opcode.index]
-        if verb is not None:
-            ready = fab.buckets[verb].acquire(1.0, ready)
-        wire = self.src.nic.submit_issue_at(wr, ready)
+        fab = self.fab
+        if fab is not None and wr.control:
+            fab = None
+        if fab is not None:
+            verb = VERB_CLASS_OF_OPCODE[wr.opcode.index]
+            if verb is not None:
+                ready = fab.buckets[verb].acquire(1.0, ready)
+        wire = self.src.nic.submit_issue(wr, ready)
         span = wr.span
         if span is not None:
             span.mark("resp_nic_issue" if wr.is_response else "nic_issue",
@@ -286,28 +235,37 @@ class QueuePair:
         if fabric is not None and fabric.injector is not None:
             verdict = fabric.injector.on_post(self, wr)
             if verdict.drop:
-                # Lost on the wire before reaching the congested port.
+                # The op vanishes on the wire (before reaching any
+                # congested port); the initiator NIC burns its transport
+                # retries and surfaces a retry-exhausted WC.
                 sim.schedule_at(
                     wire + verdict.fail_after, self._fail, wr, posted_at,
                     WCStatus.RETRY_EXC_ERROR, verdict.reason,
                 )
                 return
             extra_delay = verdict.delay
-        nbytes = wr.size + model.header_bytes
-        cc = fab.cc
-        if cc is not None:
-            wire = cc.pace(nbytes, wire)
-        deliver, marked = fab.port.admit(nbytes, wire)
-        if marked and cc is not None:
-            # The destination reflects the ECN mark as a CNP one RTT
-            # later, rate-limited per QP (DCQCN's notification point).
-            cnp_at = deliver + 2.0 * self.prop_delay
-            if cnp_at - fab.last_cnp_at >= model.cnp_interval:
-                fab.last_cnp_at = cnp_at
-                fab.cnps_sent += 1
-                sim.schedule_at(cnp_at, cc.on_cnp, cnp_at)
+        if fab is not None:
+            model = fab.model
+            nbytes = wr.size + model.header_bytes
+            cc = fab.cc
+            if cc is not None:
+                wire = cc.pace(nbytes, wire)
+            wire, marked = fab.port.admit(nbytes, wire)
+            if marked and cc is not None:
+                # The destination reflects the ECN mark as a CNP one RTT
+                # later, rate-limited per QP (DCQCN's notification point).
+                cnp_at = wire + 2.0 * self.prop_delay
+                if cnp_at - fab.last_cnp_at >= model.cnp_interval:
+                    fab.last_cnp_at = cnp_at
+                    fab.cnps_sent += 1
+                    sim.schedule_at(cnp_at, cc.on_cnp, cnp_at)
+        # Inlined sim.schedule_at: the datapath schedules two events per
+        # op, so the call overhead is measurable.  The target time is
+        # now + non-negative costs, so the past-check can't fire; the
+        # seq increment matches Simulator.schedule_at exactly (event
+        # ordering is pinned by the determinism guard).
         sim._seq += 1
-        heappush(sim._heap, (deliver + self.prop_delay + extra_delay,
+        heappush(sim._heap, (wire + self.prop_delay + extra_delay,
                              sim._seq, self._arrive, (wr, posted_at)))
 
     # ------------------------------------------------------------------

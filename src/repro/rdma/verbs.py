@@ -75,8 +75,8 @@ class WorkRequest:
         self.swap = swap
         self.add_value = add_value
         # Control-plane ops (atomics, report words, QoS signals) take
-        # the NIC's prioritized lane: they consume pipeline capacity but
-        # do not queue behind bulk data (see Pipeline.charge).
+        # the NIC's prioritized lane: they pay their service latency but
+        # do not queue behind bulk data (see RNIC.submit_issue).
         self.is_response = is_response
         self.touch_memory = touch_memory
         self.control = control

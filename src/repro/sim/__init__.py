@@ -11,8 +11,7 @@ A small, fast, from-scratch DES engine in the style of simpy:
 - :mod:`~repro.sim.resources` — semaphores, FIFO stores, and the O(1)
   "next-free-time" :class:`~repro.sim.resources.Pipeline` used to model
   NIC and CPU service stages.
-- :mod:`~repro.sim.stats` — time-series probes, counters, and latency
-  reservoirs.
+- :mod:`~repro.sim.stats` — counters and latency reservoirs.
 
 The I/O hot path of the RDMA model is callback-based (no generator
 resumption per event) so that multi-million-event runs stay tractable in
@@ -23,7 +22,7 @@ from repro.sim.core import Simulator
 from repro.sim.events import AllOf, AnyOf, Event, Interrupt, Timeout
 from repro.sim.process import Process
 from repro.sim.resources import Pipeline, Semaphore, Store, TokenBucket
-from repro.sim.stats import Counter, LatencyHistogram, LatencyReservoir, TimeSeries
+from repro.sim.stats import Counter, LatencyHistogram, LatencyReservoir
 
 __all__ = [
     "AllOf",
@@ -38,7 +37,6 @@ __all__ = [
     "Semaphore",
     "Simulator",
     "Store",
-    "TimeSeries",
     "Timeout",
     "TokenBucket",
 ]

@@ -55,24 +55,6 @@ class Pipeline:
         self._busy += cost
         return finish
 
-    def charge(self, cost: float) -> float:
-        """Consume ``cost`` seconds of capacity without queueing.
-
-        The work completes at ``now + cost`` but still pushes the
-        pipeline's next-free-time out by ``cost``, so its capacity
-        consumption delays queued bulk work exactly as under a
-        weighted-fair arbiter.  Used for small prioritized control
-        operations (atomics, 8-byte report writes) that real NICs
-        schedule round-robin across QPs rather than FIFO behind bulk
-        transfers.
-        """
-        if cost < 0:
-            raise ValueError(f"negative service cost: {cost}")
-        now = self.sim.now
-        self._free_at = max(self._free_at, now) + cost
-        self._busy += cost
-        return now + cost
-
     def submit_at(self, at: float, cost: float) -> float:
         """Enqueue work that *arrives* at virtual time ``at``.
 
@@ -147,13 +129,6 @@ class Semaphore:
     def in_use(self) -> int:
         """Number of currently held slots."""
         return self.capacity - self._available
-
-    def try_acquire(self) -> bool:
-        """Non-blocking acquire; True on success."""
-        if self._available > 0:
-            self._available -= 1
-            return True
-        return False
 
     def acquire(self) -> Event:
         """An event that succeeds once a slot is held by the caller."""

@@ -1,4 +1,4 @@
-"""Measurement probes: counters, time series, latency reservoirs.
+"""Measurement probes: counters, latency reservoirs and histograms.
 
 These are deliberately simulation-agnostic containers; the experiment
 harness decides what to record and when to reset for warm-up windows.
@@ -31,36 +31,6 @@ class Counter:
     def in_window(self) -> int:
         """Events counted since the last :meth:`mark_window`."""
         return self.total - self._window_start
-
-
-class TimeSeries:
-    """An append-only list of ``(time, value)`` samples."""
-
-    __slots__ = ("times", "values")
-
-    def __init__(self) -> None:
-        self.times: List[float] = []
-        self.values: List[float] = []
-
-    def record(self, time: float, value: float) -> None:
-        """Append one sample."""
-        self.times.append(time)
-        self.values.append(value)
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-    def window(self, start: float, end: float) -> "TimeSeries":
-        """Samples with ``start <= time < end`` as a new series."""
-        out = TimeSeries()
-        for t, v in zip(self.times, self.values):
-            if start <= t < end:
-                out.record(t, v)
-        return out
-
-    def items(self) -> Sequence[Tuple[float, float]]:
-        """The samples as (time, value) pairs."""
-        return list(zip(self.times, self.values))
 
 
 class LatencyReservoir:

@@ -1,10 +1,14 @@
 """Client QoS engine behaviour."""
 
+from collections import Counter
+
 import pytest
 
 from repro.common.errors import QoSError
 from repro.core.engine import QoSEngine
 from repro.rdma.atomics import to_signed64, unpack_report
+from repro.rdma.cc import FabricModel
+from repro.telemetry import TelemetryConfig, attach_telemetry
 
 from tests.core.conftest import SCALE, make_qos_cluster
 
@@ -367,3 +371,102 @@ class TestControlPlaneHardening:
         drain(cluster, 6.0)
         assert not engine.degraded
         assert engine.degraded_entries == 0
+
+
+FABRIC_MODELS = [None, FabricModel.chameleon()]
+
+
+class TestOneDrain:
+    """The drain takes the same token/limit/FAA decisions whether the QP
+    carries a fabric model (chained post) or not (post as dequeued)."""
+
+    def decisions(self, fabric_model, estimate_ops, limit_ops, burst):
+        """Per-period (issued, throttle events, FAAs, queue depth) of one
+        active client: five single submits, then a burst."""
+        cluster = make_qos_cluster(
+            [100_000, 100_000], limits_ops=[limit_ops, None],
+            fabric_model=fabric_model,
+        )
+        if estimate_ops is not None:
+            cluster.monitor.estimator._current = float(
+                cluster.config.tokens_per_period(estimate_ops)
+            )
+        cluster.start()
+        engine = cluster.clients[0].engine
+        rows = []
+        for _ in range(2):
+            drain(cluster, 0.05)
+            submit_n(engine, 5)
+            engine.submit_burst(burst, lambda: 3, lambda ok, v, l: None)
+            drain(cluster, 0.9)
+            rows.append((engine.issued_this_period,
+                         engine.limit_throttle_events,
+                         engine.faa_issued, engine.queue_depth))
+            drain(cluster, 0.05)
+        return rows
+
+    def test_limit_binds_identically(self):
+        plain, modeled = (
+            self.decisions(m, None, 150_000, 200) for m in FABRIC_MODELS
+        )
+        assert plain == modeled
+        # L_i = 150 tokens: 100 reserved + 50 single-token pool FAAs
+        # (plus the retries that found the pool momentarily empty).
+        assert [row[0] for row in plain] == [150, 150]
+        assert [row[1] for row in plain] == [1, 2]
+        assert [row[3] for row in plain] == [55, 110]
+
+    def test_pool_runs_dry_identically(self):
+        plain, modeled = (
+            self.decisions(m, 230_000, None, 600) for m in FABRIC_MODELS
+        )
+        assert plain == modeled
+        issued, throttled, faas, queued = plain[0]
+        assert throttled == 0 and queued > 0  # starved, not limited
+        assert 100 < issued < 605 and faas > issued - 100
+
+    @pytest.mark.parametrize("fabric_model", FABRIC_MODELS,
+                             ids=["plain", "fabric-model"])
+    def test_closed_qp_fails_every_op_exactly_once(self, fabric_model):
+        cluster = make_qos_cluster([300_000, 100_000],
+                                   fabric_model=fabric_model)
+        hub = attach_telemetry(cluster, TelemetryConfig(sample_every=1))
+        cluster.start()
+        drain(cluster, 0.03)
+        engine = cluster.clients[0].engine
+        engine.kv.qp.close()
+        fired = Counter()
+        for i in range(3):
+            engine.submit(i, lambda ok, v, l, i=i: fired.update([(i, ok)]))
+        engine.submit_burst(
+            7, lambda: 9, lambda ok, v, l: fired.update([("burst", ok)]))
+        assert engine.inflight_tokened == 10 and not fired  # async failure
+        drain(cluster, 0.1)
+        assert fired == {(0, False): 1, (1, False): 1, (2, False): 1,
+                         ("burst", False): 7}
+        assert engine.inflight_tokened == 0
+        assert engine.queue_depth == 0
+        reads = [s for s in hub.spans if s.kind == "onesided_read"]
+        assert len(reads) == 10
+        assert all(s.finished and not s.ok for s in reads)
+
+    def test_chain_over_max_outstanding_is_all_or_nothing(self):
+        """A chain that does not fit must admit nothing: the engine
+        fails every WR it handed over, so a posted prefix would complete
+        twice (and drive ``inflight_tokened`` negative)."""
+        cluster = make_qos_cluster([300_000, 300_000],
+                                   fabric_model=FabricModel.chameleon())
+        qp = cluster.clients[0].kv.qp
+        qp.max_outstanding = 4
+        cluster.start()
+        drain(cluster, 0.01)
+        engine = cluster.clients[0].engine
+        results = []
+        engine.submit_burst(8, lambda: 1,
+                            lambda ok, v, l: results.append(ok))
+        assert qp.outstanding == 0  # nothing was admitted
+        drain(cluster, 0.5)
+        assert results == [False] * 8  # each callback exactly once
+        assert engine.inflight_tokened == 0
+        assert qp.outstanding == 0 and qp.fab.sq.in_use == 0
+        drain(cluster, 1.0)  # report ticks pack a non-negative residual

@@ -68,13 +68,13 @@ class TestProfileCalibration:
 class TestRNIC:
     def test_issue_serializes(self, sim, profile):
         nic = RNIC(sim, "n", profile)
-        t1 = nic.submit_issue(wr_read_4k())
-        t2 = nic.submit_issue(wr_read_4k())
+        t1 = nic.submit_issue(wr_read_4k(), sim.now)
+        t2 = nic.submit_issue(wr_read_4k(), sim.now)
         assert t2 == pytest.approx(t1 + 2.5e-6)
 
     def test_issue_and_target_are_independent_pipelines(self, sim, profile):
         nic = RNIC(sim, "n", profile)
-        nic.submit_issue(wr_read_4k())
+        nic.submit_issue(wr_read_4k(), sim.now)
         done = nic.submit_target(wr_read_4k())
         assert done == pytest.approx(profile.target_cost(wr_read_4k()))
 
@@ -90,21 +90,21 @@ class TestRNIC:
         nic = RNIC(sim, "n", profile)
         faa = WorkRequest(opcode=OpType.FETCH_ADD, control=True)
         nic.submit_target(faa)
-        nic.submit_issue(faa)
+        nic.submit_issue(faa, sim.now)
         overhead = nic.control_overhead_fraction(periods=1.0)
         assert overhead["target"] == pytest.approx(profile.atomic_target_cost)
         assert overhead["issue"] == pytest.approx(profile.atomic_issue_cost)
 
     def test_op_counters(self, sim, profile):
         nic = RNIC(sim, "n", profile)
-        nic.submit_issue(wr_read_4k())
+        nic.submit_issue(wr_read_4k(), sim.now)
         nic.submit_target(wr_read_4k())
         assert nic.issued_ops[OpType.READ] == 1
         assert nic.handled_ops[OpType.READ] == 1
 
     def test_reset_accounting(self, sim, profile):
         nic = RNIC(sim, "n", profile)
-        nic.submit_issue(wr_read_4k())
+        nic.submit_issue(wr_read_4k(), sim.now)
         nic.reset_accounting()
         assert nic.issued_ops[OpType.READ] == 0
         assert nic.control_issue_cost_total == 0.0
@@ -123,7 +123,7 @@ class TestRNIC:
         k = 100
         nic = RNIC(sim, "n", NICProfile.chameleon(scale=k))
         faa = WorkRequest(opcode=OpType.FETCH_ADD, control=True)
-        nic.submit_issue(faa)
+        nic.submit_issue(faa, sim.now)
         overhead = nic.control_overhead_fraction(periods=1.0, paper_period=1.0)
         # One dilated-cost atomic against the 1 s paper period.
         assert overhead["issue"] == pytest.approx(

@@ -39,16 +39,6 @@ class TestPipeline:
         sim.run()
         assert pipe.utilization() == pytest.approx(0.5)
 
-    def test_charge_completes_now_plus_cost(self, sim):
-        pipe = Pipeline(sim)
-        pipe.submit(10.0)
-        assert pipe.charge(0.5) == 0.5  # skips the bulk queue
-
-    def test_charge_consumes_capacity(self, sim):
-        pipe = Pipeline(sim)
-        pipe.charge(1.0)
-        assert pipe.submit(2.0) == 3.0  # bulk work starts after the charge
-
     def test_reset_accounting_zeroes_busy(self, sim):
         pipe = Pipeline(sim)
         pipe.submit(2.0)
@@ -143,13 +133,6 @@ class TestTokenBucket:
 
 
 class TestSemaphore:
-    def test_try_acquire_until_exhausted(self, sim):
-        sem = Semaphore(sim, 2)
-        assert sem.try_acquire()
-        assert sem.try_acquire()
-        assert not sem.try_acquire()
-        assert sem.in_use == 2
-
     def test_acquire_blocks_until_release(self, sim):
         sem = Semaphore(sim, 1)
         assert sem.acquire().triggered

@@ -1,10 +1,10 @@
-"""Counters, time series and latency reservoirs."""
+"""Counters, latency reservoirs and histograms."""
 
 import math
 
 import pytest
 
-from repro.sim import Counter, LatencyReservoir, TimeSeries
+from repro.sim import Counter, LatencyReservoir
 from repro.sim.stats import mean_and_std
 
 
@@ -22,22 +22,6 @@ class TestCounter:
         c.add(3)
         assert c.in_window == 3
         assert c.total == 13
-
-
-class TestTimeSeries:
-    def test_record_and_items(self):
-        ts = TimeSeries()
-        ts.record(1.0, 10.0)
-        ts.record(2.0, 20.0)
-        assert ts.items() == [(1.0, 10.0), (2.0, 20.0)]
-        assert len(ts) == 2
-
-    def test_window_is_half_open(self):
-        ts = TimeSeries()
-        for t in range(5):
-            ts.record(float(t), float(t))
-        w = ts.window(1.0, 3.0)
-        assert w.items() == [(1.0, 1.0), (2.0, 2.0)]
 
 
 class TestLatencyReservoir:
