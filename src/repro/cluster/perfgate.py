@@ -18,6 +18,13 @@ Usage::
 The committed baseline lives at
 ``benchmarks/results/perf_baseline.json``; a normalized score more than
 ``tolerance`` (default 25%) above the baseline fails the gate.
+
+Beside the timing the gate holds a noise-free **event budget**: the
+workload's scheduled-event count (``Simulator._seq``) and events per
+completed op are exact for the seed, so they are compared against the
+baseline's ``events`` / ``events_per_op`` ceilings with no tolerance —
+a change that reintroduces a per-op or per-tick timer fails here even
+on a runner too noisy for the timing to show it.
 """
 
 from __future__ import annotations
@@ -59,20 +66,24 @@ def _calibration_round(events: int = _CALIBRATION_EVENTS) -> float:
     return time.process_time() - start
 
 
-def _workload_round() -> float:
-    """Seconds of process time for one gate-workload run.
+def _workload_round() -> tuple:
+    """``(seconds of process time, events scheduled, ops completed)``
+    for one gate-workload run.
 
     The workload is one cell of the pinned Fig. 12 sweep (uniform
     reservations at 70%, K=500) — the configuration the tentpole
     speedup was measured on, run through the same scenario the parallel
     runner uses.
     """
-    from repro.cluster.runner import get_scenario
+    from repro.cluster.runner import run_fig12_point
 
-    scenario = get_scenario("fig12-point")
     start = time.process_time()
-    scenario({"distribution": "uniform", "fraction": 0.7}, 0)
-    return time.process_time() - start
+    cluster, _result, _reservations = run_fig12_point(
+        {"distribution": "uniform", "fraction": 0.7}, 0)
+    seconds = time.process_time() - start
+    completed = sum(m.completed.total
+                    for m in cluster.metrics.clients.values())
+    return seconds, cluster.sim._seq, completed
 
 
 def measure(rounds: int = 5) -> dict:
@@ -90,7 +101,7 @@ def measure(rounds: int = 5) -> dict:
     ratios = []
     for _ in range(rounds):
         calibration = _calibration_round()
-        workload = _workload_round()
+        workload, events, completed = _workload_round()
         calibrations.append(calibration)
         workloads.append(workload)
         ratios.append(workload / calibration)
@@ -98,6 +109,9 @@ def measure(rounds: int = 5) -> dict:
         "calibration_seconds": round(statistics.median(calibrations), 4),
         "workload_seconds": round(statistics.median(workloads), 4),
         "normalized": round(statistics.median(ratios), 4),
+        # Exact for the seed: every round schedules the same events.
+        "events": events,
+        "events_per_op": round(events / completed, 4),
     }
 
 
@@ -115,7 +129,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     current = measure(rounds=args.rounds)
     print(f"calibration: {current['calibration_seconds']:.3f}s  "
           f"workload: {current['workload_seconds']:.3f}s  "
-          f"normalized: {current['normalized']:.3f}")
+          f"normalized: {current['normalized']:.3f}  "
+          f"events: {current['events']}  "
+          f"events_per_op: {current['events_per_op']:.4f}")
 
     if args.write:
         with open(args.baseline, "w") as fh:
@@ -135,9 +151,20 @@ def main(argv: Optional[List[str]] = None) -> int:
     regression = current["normalized"] / reference - 1.0
     print(f"baseline normalized: {reference:.3f}  limit: {limit:.3f}  "
           f"delta: {regression:+.1%}")
+    failed = False
     if current["normalized"] > limit:
         print(f"FAIL: normalized score regressed {regression:+.1%} "
               f"(> {args.tolerance:.0%} allowed)", file=sys.stderr)
+        failed = True
+    # Baselines written before the event budget existed carry no ceiling.
+    for key in ("events", "events_per_op"):
+        ceiling = baseline.get(key)
+        if ceiling is not None and current[key] > ceiling:
+            print(f"FAIL: {key} {current[key]} exceeds the committed "
+                  f"ceiling {ceiling} (a timer or completion came back "
+                  f"onto the heap?)", file=sys.stderr)
+            failed = True
+    if failed:
         return 1
     print("perf gate passed")
     return 0

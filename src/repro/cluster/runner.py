@@ -299,9 +299,11 @@ def run_cells(
 # ---------------------------------------------------------------------------
 # Built-in scenarios
 # ---------------------------------------------------------------------------
-@register_scenario("fig12-point")
-def _fig12_point(params: Mapping[str, Any], seed: int) -> dict:
-    """One Fig. 12 sweep point: QoS throughput at a reserved fraction.
+def run_fig12_point(params: Mapping[str, Any], seed: int):
+    """Build and run one Fig. 12 sweep point; returns ``(cluster,
+    result, reservations)`` so callers that need more than the
+    scenario's JSON payload (the perf gate's event budget) can read the
+    simulator.
 
     params: distribution, fraction, and optionally capacity /
     scale_factor / interval_divisor / warmup / periods (defaults match
@@ -330,6 +332,14 @@ def _fig12_point(params: Mapping[str, Any], seed: int) -> dict:
         warmup_periods=params.get("warmup", 2),
         measure_periods=params.get("periods", 6),
     )
+    return cluster, result, reservations
+
+
+@register_scenario("fig12-point")
+def _fig12_point(params: Mapping[str, Any], seed: int) -> dict:
+    """One Fig. 12 sweep point: QoS throughput at a reserved fraction
+    (see :func:`run_fig12_point` for params)."""
+    _cluster, result, reservations = run_fig12_point(params, seed)
     return {
         "total_kiops": result.total_kiops(),
         "client_kiops": {

@@ -7,12 +7,14 @@ three client-side duties:
   requests without one queue inside the engine (this is the isolation
   mechanism: a runaway client blocks here, not at the server).  Global
   tokens are claimed with a batched remote fetch-and-add.
-- **token management** — a tick thread decays the entitlement bound X
-  at rate ``r_i`` and yields unbacked reservation tokens.
-- **reporting** — once signalled by the monitor, a tick thread writes
-  the packed (residual, completed) word with a silent one-sided WRITE;
-  a final statistics word is always written just before period end so
-  the monitor can run capacity estimation.
+- **token management** — the entitlement bound X decays at rate
+  ``r_i`` in ``mgmt_interval`` steps and unbacked reservation tokens
+  are yielded.  The steps are not timer events: the due ones are
+  replayed whenever token state is observed (see ``_decay_to_now``).
+- **reporting** — once signalled by the monitor, a tick callback writes
+  the packed (residual, completed) word with a silent (unsignaled)
+  one-sided WRITE; a final statistics word is always written just
+  before period end so the monitor can run capacity estimation.
 
 Every remote interaction here is one-sided; the engine never causes
 work on the data-node CPU.
@@ -33,6 +35,8 @@ from repro.kvstore.client import KVClient
 from repro.rdma.atomics import pack_report, to_signed64
 from repro.rdma.verbs import WCStatus, WorkCompletion, WorkRequest
 from repro.sim.trace import NULL_TRACER
+
+_NEVER = float("inf")
 
 IOCallback = Callable[[bool, object, float], None]
 
@@ -72,7 +76,10 @@ class QoSEngine:
         self.limit = limit
         self.touch_memory = touch_memory
         self.tracer = tracer
-        self.tokens = ClientTokenState(reservation, config.period)
+        self._tokens = ClientTokenState(reservation, config.period)
+        # Time of the next token-management step (see _decay_to_now);
+        # the first PeriodStart or rebind starts the clock.
+        self._next_tick_at = _NEVER
 
         self._queue: Deque[Tuple[int, IOCallback]] = deque()
         self.period_id = 0
@@ -84,7 +91,6 @@ class QoSEngine:
         self._retry_scheduled = False
         self._reporting_active = False
         self._throttled_this_period = False
-        self._started = False
         # Completion-closure cache for _token_backed_wr: in practice
         # every op of a client carries the same app callback, so the
         # wrapper is built once and reused instead of allocated per op.
@@ -94,12 +100,15 @@ class QoSEngine:
         # Control-plane fault tolerance (see docs/FAULTS.md): retries
         # after transport failures back off exponentially with
         # deterministic jitter; an FAA that never completes is failed at
-        # the control-op deadline (the epoch discards late completions);
+        # the control-op deadline (one lazily re-armed timer per engine;
+        # the epoch discards late completions);
         # K consecutive periods without a usable pool flip the engine
         # into degraded local-only mode, probed once per period.
         self._backoff_rng = make_rng(seed, "engine-backoff", client_id)
         self._retry_attempt = 0
         self._faa_epoch = 0
+        self._deadline_at = 0.0  # deadline of the newest control FAA
+        self._deadline_armed = False  # a _control_deadline timer is pending
         self._faa_failed_streak = 0
         self._period_faa_failed = False
         self._period_faa_ok = False
@@ -212,14 +221,15 @@ class QoSEngine:
         the I/O queued up during the outage.
         """
         # The pre-failover grant episode ends here: close its ledger
-        # account against the outgoing token state before replacing it.
+        # account against the outgoing token state (decayed to now)
+        # before replacing it.
         self._ledger_roll("rebind")
         self.kv = kv
         self.layout = layout
         self._active_source = source
         self._generation = generation
-        self.tokens = ClientTokenState(reservation, self.config.period)
-        self.tokens.start_period(tokens_now)
+        self._tokens = ClientTokenState(reservation, self.config.period)
+        self._tokens.start_period(tokens_now)
         self.period_id = period_id
         self._ledger_open(tokens_now)
         self._period_end = period_end_time
@@ -236,9 +246,7 @@ class QoSEngine:
         self.degraded = False
         self.suspended = False
         self.re_registrations += 1
-        if not self._started:
-            self._started = True
-            self._mgmt_start()
+        self._mgmt_start()
         self.tracer.emit("engine", "rebound", client=self.client_id,
                          period=period_id, reservation=reservation,
                          tokens_now=tokens_now, generation=generation)
@@ -324,20 +332,20 @@ class QoSEngine:
             self._roll_failure_window()
         self.period_id = msg.period_id
         self._period_end = msg.period_end_time
-        self.tracer.emit("engine", "period_start", client=self.client_id,
-                         period=msg.period_id, tokens=msg.tokens)
-        # Close the previous grant episode's ledger account BEFORE
-        # start_period replaces the token state, then open the new one.
+        if self.tracer is not NULL_TRACER:
+            self.tracer.emit("engine", "period_start", client=self.client_id,
+                             period=msg.period_id, tokens=msg.tokens)
+        # Close the previous grant episode's ledger account (decayed to
+        # now) BEFORE start_period replaces the token state, then open
+        # the new one.
         self._ledger_roll("period_start")
-        self.tokens.start_period(msg.tokens)
+        self._tokens.start_period(msg.tokens)
         self._ledger_open(msg.tokens)
         self.completed_this_period = 0
         self.issued_this_period = 0
         self._throttled_this_period = False
         self._reporting_active = False
-        if not self._started:
-            self._started = True
-            self._mgmt_start()
+        self._mgmt_start()
         # Final statistics are written shortly before the period ends so
         # the monitor can run Algorithm 1 at the boundary.
         final_at = self._period_end - self.config.final_report_margin
@@ -380,11 +388,13 @@ class QoSEngine:
     def _drain(self) -> None:
         if self.suspended:
             return  # failover in progress: submissions queue here
+        if self._next_tick_at <= self.sim.now:  # inlined no-op test
+            self._decay_to_now()
         # Locals for the loop: neither the queue/token objects nor the
         # limit are replaced while draining (only at period boundaries),
         # so hoisting the attribute reads is safe.
         queue = self._queue
-        tokens = self.tokens
+        tokens = self._tokens
         limit = self.limit
         qp = self.kv.qp
         # Under the fabric model the token-backed WRs of one drain are
@@ -487,7 +497,10 @@ class QoSEngine:
 
         Must run *before* the token state is replaced: the closing
         balance reads the outgoing episode's spend/yield/residual.
+        Runs unconditionally ahead of both replacement sites, so it is
+        also where the steps due on the outgoing state are consumed.
         """
+        self._decay_to_now()
         account, self._ledger_account = self._ledger_account, None
         if account is None:
             return
@@ -497,8 +510,8 @@ class QoSEngine:
         ledger.close(
             account,
             spent=self.issued_this_period,
-            yielded=self.tokens.yielded_tokens,
-            residual=self.tokens.xi_res + self.tokens.local_global,
+            yielded=self._tokens.yielded_tokens,
+            residual=self._tokens.xi_res + self._tokens.local_global,
             reason=reason,
             time=self.sim.now,
         )
@@ -529,12 +542,13 @@ class QoSEngine:
         the in-flight term is negligible and this reduces exactly to
         the paper's residual-reservation report.
         """
-        return self.tokens.residual + self.tokens.local_global + self.inflight_tokened
+        tokens = self.tokens
+        return tokens.residual + tokens.local_global + self.inflight_tokened
 
     def _post_control_faa(self, add_value: int, span_kind: str,
                           on_complete) -> bool:
         """Post a control FETCH_ADD on the pool word under a fresh epoch
-        and arm its deadline; False when the QP rejected the post.
+        and set its deadline; False when the QP rejected the post.
         ``on_complete(wc, epoch)`` must discard a superseded epoch
         (deadline fired, suspend, rebind)."""
         self._faa_epoch += 1
@@ -556,8 +570,14 @@ class QoSEngine:
             if wr.span is not None:
                 wr.span.finish(self.sim.now, ok=False, error=str(err))
             return False
-        self.sim.schedule(self.config.resolved_control_deadline,
-                          self._control_deadline, epoch)
+        # At most one FAA is in flight, and deadlines only move forward,
+        # so one timer per engine is enough: a pending one (armed for an
+        # FAA that has since completed) re-arms itself for this FAA when
+        # it fires; only an idle engine schedules a new one.
+        self._deadline_at = self.sim.now + self.config.resolved_control_deadline
+        if not self._deadline_armed:
+            self._deadline_armed = True
+            self.sim.schedule_at(self._deadline_at, self._control_deadline)
         return True
 
     def _fetch_global_batch(self) -> None:
@@ -582,7 +602,7 @@ class QoSEngine:
         self._retry_attempt = 0
         self._notify_listener(True)
         prior = to_signed64(wc.value)
-        granted = self.tokens.grant_from_pool(prior, self.config.batch_size)
+        granted = self._tokens.grant_from_pool(prior, self.config.batch_size)
         self.faa_granted_tokens += granted
         telemetry = self.sim.telemetry
         if (telemetry is not None and telemetry.ledger is not None
@@ -591,8 +611,9 @@ class QoSEngine:
                 self._ledger_account, self.config.batch_size, granted,
                 prior, self.sim.now,
             )
-        self.tracer.emit("engine", "faa", client=self.client_id,
-                         prior=prior, granted=granted)
+        if self.tracer is not NULL_TRACER:
+            self.tracer.emit("engine", "faa", client=self.client_id,
+                             prior=prior, granted=granted)
         if granted > 0:
             self._drain()
             return
@@ -603,9 +624,16 @@ class QoSEngine:
         self._retry_scheduled = True
         self.sim.schedule(self.config.faa_retry_interval, self._retry_fetch)
 
-    def _control_deadline(self, epoch: int) -> None:
-        if not self._faa_inflight or epoch != self._faa_epoch:
-            return  # completed (or was superseded) in time
+    def _control_deadline(self) -> None:
+        self._deadline_armed = False
+        if not self._faa_inflight:
+            return  # completed (or was superseded) in time: go idle
+        if self._deadline_at > self.sim.now:
+            # This timer was armed for an earlier FAA; the one in flight
+            # is due later — re-arm at exactly its deadline.
+            self._deadline_armed = True
+            self.sim.schedule_at(self._deadline_at, self._control_deadline)
+            return
         self._faa_inflight = False
         self.faa_timeouts += 1
         self._note_faa_failure()
@@ -668,28 +696,42 @@ class QoSEngine:
         self._drain()
 
     # ------------------------------------------------------------------
-    # Token-management thread
+    # Token management
     # ------------------------------------------------------------------
-    # Direct self-rescheduling callbacks replaced the original
-    # generator threads here: a per-tick generator resume plus a fresh
-    # Timeout/Event pair per tick is pure overhead when the tick body is
-    # three lines.  The callback chain makes schedule calls at exactly
-    # the positions the generator machinery did (spawn scheduled a
-    # +0.0 resume; the first resume scheduled tick 1 at +interval; each
-    # tick runs its body, then schedules the next), so the simulator's
-    # seq counter — and with it every same-timestamp tie-break — is
-    # allocated identically and runs stay bit-identical (enforced by
-    # repro.cluster.determinism).
+    # The decay steps fall at ``start + k * mgmt_interval`` (accumulated
+    # by repeated addition, as a self-rescheduling timer would), but
+    # nothing can see a step until token state is next read, so no timer
+    # exists: every reader replays the due steps first — one
+    # ``decay(mgmt_interval)`` each, the same float arithmetic in the
+    # same order.  A step due at exactly ``now`` is applied before the
+    # read, which is the timer form's order for any reader scheduled
+    # less than one interval ahead (the tick's own event was scheduled
+    # one interval ahead).  Bit-identity with the timer form holds
+    # because only events without an observable effect at their position
+    # were removed; the relative (time, seq) order of every remaining
+    # event is unchanged, and repro.cluster.determinism referees it.
     def _mgmt_start(self) -> None:
-        self.sim.schedule(0.0, self._mgmt_arm)
+        if self._next_tick_at == _NEVER:
+            self._next_tick_at = self.sim.now + self.config.mgmt_interval
 
-    def _mgmt_arm(self) -> None:
-        self.sim.schedule(self.config.mgmt_interval, self._mgmt_tick)
-
-    def _mgmt_tick(self) -> None:
+    def _decay_to_now(self) -> None:
+        """Replay the token-management steps due by ``sim.now``."""
+        now = self.sim.now
+        due = self._next_tick_at
+        if due > now:
+            return
         interval = self.config.mgmt_interval
-        self.tokens.decay(interval)
-        self.sim.schedule(interval, self._mgmt_tick)
+        decay = self._tokens.decay
+        while due <= now:
+            decay(interval)
+            due += interval
+        self._next_tick_at = due
+
+    @property
+    def tokens(self) -> ClientTokenState:
+        """The client's token state, decayed to ``sim.now``."""
+        self._decay_to_now()
+        return self._tokens
 
     # ------------------------------------------------------------------
     # Reporting
@@ -702,7 +744,8 @@ class QoSEngine:
                           self._reporting_tick, period_id)
 
     def _write_report(self, addr: int) -> None:
-        word = pack_report(self.token_obligations, self.completed_this_period)
+        obligations = self.token_obligations
+        word = pack_report(obligations, self.completed_this_period)
         wr = WorkRequest(
             opcode=OpType.WRITE,
             size=8,
@@ -710,16 +753,18 @@ class QoSEngine:
             rkey=self.layout.rkey,
             payload=word.to_bytes(8, "little"),
             control=True,
+            signaled=False,  # silent: nobody consumes the completion
         )
         try:
-            self.kv.qp.post_send(wr)  # fire-and-forget: completion unclaimed
+            self.kv.qp.post_send(wr)
         except QPError:
             self.reports_failed += 1
             return
         self.reports_written += 1
-        self.tracer.emit("engine", "report", client=self.client_id,
-                         residual=self.token_obligations,
-                         completed=self.completed_this_period)
+        if self.tracer is not NULL_TRACER:
+            self.tracer.emit("engine", "report", client=self.client_id,
+                             residual=obligations,
+                             completed=self.completed_this_period)
 
     def _write_final_report(self, period_id: int) -> None:
         if self.period_id != period_id:

@@ -18,8 +18,9 @@ class ClientTokenState:
     ``xi_res``
         Remaining reservation tokens; consumed one per I/O.
     ``x_bound``
-        The decaying entitlement bound X.  The management thread calls
-        :meth:`decay` every tick; reservation tokens above ``ceil(X)``
+        The decaying entitlement bound X.  The engine applies
+        :meth:`decay` once per management interval (replayed when the
+        state is next read); reservation tokens above ``ceil(X)``
         are yielded back (they show up as a smaller reported residual,
         which the monitor's conversion turns into global tokens).
     ``local_global``

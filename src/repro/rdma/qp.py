@@ -309,6 +309,13 @@ class QueuePair:
         done = self.dst.nic.submit_target(wr)
         if span is not None:
             span.mark("nic_target", done)
+        elif not wr.signaled and (wr.control or self.fab is None):
+            # Unsignaled and successful: no CQE, so no completion event —
+            # the WR retires here.  (A WR holding an SQ slot, or carrying
+            # a span that closes at the completion, takes the normal
+            # path; failures returned above.)
+            self.outstanding -= 1
+            return
         # Inlined sim.schedule_at (see post_send).
         sim = self.sim
         sim._seq += 1

@@ -57,14 +57,16 @@ class WorkRequest:
 
     __slots__ = ("opcode", "wr_id", "size", "remote_addr", "rkey",
                  "payload", "compare", "swap", "add_value", "is_response",
-                 "touch_memory", "control", "span", "on_completion")
+                 "touch_memory", "control", "span", "on_completion",
+                 "signaled")
 
     def __init__(self, opcode: OpType, wr_id: int = 0, size: int = 0,
                  remote_addr: int = 0, rkey: int = 0, payload: Any = None,
                  compare: int = 0, swap: int = 0, add_value: int = 0,
                  is_response: bool = False, touch_memory: bool = True,
                  control: bool = False, span: Any = None,
-                 on_completion: Optional[Callable] = None):
+                 on_completion: Optional[Callable] = None,
+                 signaled: bool = True):
         self.opcode = opcode
         self.wr_id = wr_id
         self.size = size
@@ -88,6 +90,11 @@ class WorkRequest:
         # the CQ (equivalent to a CQ handler that routes by wr_id, minus
         # the per-op dict round-trip; see QueuePair._complete).
         self.on_completion = on_completion
+        # IBV_SEND_SIGNALED.  An unsignaled one-sided WR that succeeds
+        # produces no CQE: the QP retires it at the target and schedules
+        # no completion event (see QueuePair._arrive).  Failures always
+        # complete, as on hardware.
+        self.signaled = signaled
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"WorkRequest(opcode={self.opcode}, wr_id={self.wr_id}, "

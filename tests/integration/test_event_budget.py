@@ -61,6 +61,7 @@ def test_qos_control_plane_event_budget():
     cluster.sim.run(until=4 * period)
     per_period = (cluster.sim._seq - baseline) / 2
     ticks = cluster.config.period / cluster.config.check_interval
-    # monitor loop + 2 mgmt threads + period machinery; no I/O traffic.
-    # Budget: ~4 events per tick across the deployment.
-    assert per_period < 4 * ticks + 100
+    # monitor loop + period machinery; no I/O traffic.  Token decay is
+    # evaluated at observation and costs no events, so the budget does
+    # not grow with the client count: ~2 events per tick in total.
+    assert per_period < 2 * ticks + 100

@@ -243,3 +243,95 @@ class TestQPClose:
         qp = mini.clients[0].qp
         qp.close()
         qp.close()
+
+
+class TestUnsignaled:
+    """``WorkRequest.signaled=False`` (no ``IBV_SEND_SIGNALED``): a
+    successful one-sided WR retires at the target — no CQE and no
+    completion event — while anything that goes wrong still completes."""
+
+    @staticmethod
+    def silent_write(region, **overrides):
+        fields = dict(opcode=OpType.WRITE, size=8, remote_addr=region.addr,
+                      rkey=region.rkey, payload=(7).to_bytes(8, "little"),
+                      control=True, signaled=False)
+        fields.update(overrides)
+        return WorkRequest(**fields)
+
+    def test_signaled_is_the_default(self):
+        assert WorkRequest(opcode=OpType.WRITE).signaled is True
+
+    def test_success_applies_the_write_and_delivers_no_completion(self, mini):
+        region = control_region(mini)
+        qp = mini.clients[0].qp
+        done = []
+        qp.cq.set_handler(done.append)
+        before = mini.sim._seq
+        qp.post_send(self.silent_write(region))
+        assert qp.outstanding == 1
+        mini.sim.run(until=0.01)
+        assert mini.server.memory.backing.read_u64(region.addr) == 7
+        assert done == [] and len(qp.cq) == 0
+        assert qp.outstanding == 0
+        assert mini.sim._seq - before == 1  # the arrival; no completion event
+
+    def test_signaled_twin_takes_two_events_and_completes(self, mini):
+        region = control_region(mini)
+        qp = mini.clients[0].qp
+        done = []
+        qp.cq.set_handler(done.append)
+        before = mini.sim._seq
+        qp.post_send(self.silent_write(region, signaled=True))
+        mini.sim.run(until=0.01)
+        assert len(done) == 1 and done[0].ok
+        assert mini.sim._seq - before == 2
+
+    def test_bad_rkey_still_completes_with_an_error(self, mini):
+        region = control_region(mini)
+        qp = mini.clients[0].qp
+        done = []
+        qp.cq.set_handler(done.append)
+        qp.post_send(self.silent_write(region, rkey=region.rkey + 12345))
+        mini.sim.run(until=0.01)
+        assert [wc.status for wc in done] == [WCStatus.REMOTE_ACCESS_ERROR]
+        assert qp.outstanding == 0
+
+    def test_injector_drop_still_completes_with_an_error(self, mini):
+        from repro.faults import FaultPlan
+        from repro.faults.injector import FaultInjector
+        from repro.faults.plan import DropRule
+
+        FaultInjector(FaultPlan(drops=(DropRule(rate=1.0),))).install(
+            mini.fabric)
+        region = control_region(mini)
+        qp = mini.clients[0].qp
+        done = []
+        qp.cq.set_handler(done.append)
+        qp.post_send(self.silent_write(region))
+        mini.sim.run(until=0.01)
+        assert [wc.status for wc in done] == [WCStatus.RETRY_EXC_ERROR]
+        assert qp.outstanding == 0
+        assert mini.server.memory.backing.read_u64(region.addr) == 0
+
+    def test_span_carrying_wr_completes_and_closes_its_span(self, mini):
+        from repro.telemetry.spans import Span
+
+        region = control_region(mini)
+        qp = mini.clients[0].qp
+        done = []
+        qp.cq.set_handler(done.append)
+        span = Span(1, "control_report", "c0", mini.sim.now, control=True)
+        qp.post_send(self.silent_write(region, span=span))
+        mini.sim.run(until=0.01)
+        assert len(done) == 1 and done[0].ok
+        assert span.finished and span.ok
+        assert span.marks[-1] == ("fabric_return", span.end)
+        assert qp.outstanding == 0
+
+    def test_closed_qp_leaves_nothing_outstanding(self, mini):
+        region = control_region(mini)
+        qp = mini.clients[0].qp
+        qp.post_send(self.silent_write(region))
+        qp.close()
+        mini.sim.run(until=0.01)
+        assert qp.outstanding == 0
