@@ -968,6 +968,11 @@ def _cmd_fabric(args) -> int:
         print(line)
 
     ok = all(r["all_finished"] for r in runs.values())
+    for label, r in runs.items():
+        if "failed_ops" in r:
+            print(f"FAIL: {label} completed {r['failed_ops']} ops in error",
+                  file=sys.stderr)
+            ok = False
     on = runs["cc_on"]
     if on["cc"]["qps"]["cnps_sent"] == 0:
         print("FAIL: DCQCN run produced no CNPs (no rate feedback)",

@@ -36,6 +36,7 @@ from repro.cluster.scale import SimScale
 from repro.cluster.scenarios import TEST_SCALE, qos_cluster
 from repro.policy import load_policy
 from repro.rdma.cc import FabricModel
+from repro.rdma.memory import Permissions
 from repro.rdma.verbs import WorkRequest
 
 #: Fan-in of the canonical incast: enough senders that aggregate issue
@@ -64,14 +65,16 @@ class MixedVerbDriver:
 
     Bypasses the KV/QoS layers on purpose: these scenarios characterize
     the *fabric*, so the driver speaks raw work requests (READ/WRITE
-    timing-only, atomics against slot words) with a completion-gated
-    window — the classic incast sender.  Verbs and sizes are drawn from
-    a private seeded stream, so runs are bit-deterministic.
+    timing-only against the store, atomics against 8-byte words of
+    ``atomic_region`` — the store's own rkey grants no remote atomics)
+    with a completion-gated window — the classic incast sender.  Verbs
+    and sizes are drawn from a private seeded stream, so runs are
+    bit-deterministic.
     """
 
     def __init__(self, sim, kv, name: str, total_ops: int, window: int,
-                 mix=VERB_MIXES["read-only"], sizes=((1.0, 4096),),
-                 seed: int = 0):
+                 atomic_region, mix=VERB_MIXES["read-only"],
+                 sizes=((1.0, 4096),), seed: int = 0):
         if total_ops < 1 or window < 1:
             raise ConfigError("total_ops and window must be >= 1")
         self.sim = sim
@@ -81,6 +84,8 @@ class MixedVerbDriver:
         self.window = window
         self.mix = tuple(mix)
         self.sizes = tuple(sizes)
+        self.atomic_region = atomic_region
+        self._atomic_words = atomic_region.length // 8
         self._rng = make_rng(seed, "fabric-driver", name)
         layout = kv.layout
         max_size = max(size for _, size in self.sizes)
@@ -126,12 +131,13 @@ class MixedVerbDriver:
                 remote_addr=layout.slot_addr(key), rkey=self.kv.data_rkey,
                 touch_memory=False, on_completion=self._on_wc,
             )
-        else:  # FETCH_ADD / COMPARE_SWAP on the slot's first word
+        else:  # FETCH_ADD / COMPARE_SWAP on a word of the atomic region
             self.ops_by_verb["atomic"] += 1
+            region = self.atomic_region
             wr = WorkRequest(
                 opcode=op, size=8,
-                remote_addr=layout.slot_addr(key), rkey=self.kv.data_rkey,
-                add_value=1, compare=0, swap=1,
+                remote_addr=region.addr + 8 * (key % self._atomic_words),
+                rkey=region.rkey, add_value=1, compare=0, swap=1,
                 on_completion=self._on_wc,
             )
         self.kv.qp.post_send(wr)
@@ -207,17 +213,20 @@ def run_mixed_verb(seed: int, kind: str = "read-only",
     mix = VERB_MIXES[kind]
     model = FabricModel.chameleon(cc_enabled=cc_enabled)
     cluster = _bare_fabric_cluster(num_clients, model, seed)
+    atomic_region = cluster.server_host.memory.allocate_and_register(
+        4096, Permissions.all()
+    )
     drivers = []
     for ctx in cluster.clients:
         driver = MixedVerbDriver(
             cluster.sim, ctx.kv, ctx.name, ops_per_client, window,
-            mix=mix, sizes=sizes, seed=seed,
+            atomic_region, mix=mix, sizes=sizes, seed=seed,
         )
         drivers.append(driver)
         driver.start()
     cluster.sim.run(until=horizon)
     makespans = [d.finished_at for d in drivers]
-    return {
+    result = {
         "kind": kind,
         "cc_enabled": cc_enabled,
         "num_clients": num_clients,
@@ -229,6 +238,12 @@ def run_mixed_verb(seed: int, kind: str = "read-only",
         "qps": _qp_rates(cluster),
         "cc": cluster.fabric.cc_summary(),
     }
+    failed = sum(d.failed for d in drivers)
+    if failed:
+        # Only on a run with failures: a clean payload stays the one
+        # the ``fabric`` digests pin.
+        result["failed_ops"] = failed
+    return result
 
 
 def run_incast(seed: int, cc_enabled: bool = True,

@@ -24,7 +24,12 @@ workload's scheduled-event count (``Simulator._seq``) and events per
 completed op are exact for the seed, so they are compared against the
 baseline's ``events`` / ``events_per_op`` ceilings with no tolerance —
 a change that reintroduces a per-op or per-tick timer fails here even
-on a runner too noisy for the timing to show it.
+on a runner too noisy for the timing to show it.  The fluid path has
+no events, so its budget is **calls per period**: Python-level calls
+into ``src/repro`` while a 512-flow engine runs, counted with
+``sys.setprofile`` and held under ``fluid_calls_per_period`` the same
+way — a per-flow Python loop coming back into the period step is two
+orders of magnitude over it.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from __future__ import annotations
 import argparse
 import heapq
 import json
+import os
 import sys
 import time
 from typing import List, Optional
@@ -40,6 +46,18 @@ DEFAULT_BASELINE = "benchmarks/results/perf_baseline.json"
 DEFAULT_TOLERANCE = 0.25
 
 _CALIBRATION_EVENTS = 300_000
+
+#: The fluid cell: the ``fluid_1m_tenants`` shape, a tenth of its length.
+_FLUID_CELL = dict(num_clients=1_000_000, tenants=32, groups_per_tenant=16,
+                   periods=60, seed=11)
+
+#: Exact-count budgets: baseline key -> what exceeding it means.
+_CEILINGS = {
+    "events": "a timer or completion came back onto the heap?",
+    "events_per_op": "a timer or completion came back onto the heap?",
+    "fluid_calls_per_period": "a per-flow Python loop came back into "
+                              "the fluid period step?",
+}
 
 
 def _calibration_round(events: int = _CALIBRATION_EVENTS) -> float:
@@ -86,6 +104,32 @@ def _workload_round() -> tuple:
     return seconds, cluster.sim._seq, completed
 
 
+def _fluid_calls_per_period() -> float:
+    """Python-level calls into ``src/repro`` per period of the fluid
+    cell's run phase (exact for the seed; setup is not counted)."""
+    from repro.fluid.scenario import build_fluid_scale
+
+    _hierarchy, engine, _ledger, _capacity = build_fluid_scale(**_FLUID_CELL)
+    # .../src/repro/ — this file is repro/cluster/perfgate.py.
+    here = os.path.abspath(__file__)
+    prefix = os.path.dirname(os.path.dirname(here)) + os.sep
+    calls = 0
+
+    def count(frame, event, _arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename.startswith(prefix):
+            calls += 1
+
+    periods = _FLUID_CELL["periods"]
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        engine.run(periods)
+    finally:
+        sys.setprofile(previous)
+    return calls / periods
+
+
 def measure(rounds: int = 5) -> dict:
     """Calibration, workload, and the normalized gate score.
 
@@ -112,6 +156,7 @@ def measure(rounds: int = 5) -> dict:
         # Exact for the seed: every round schedules the same events.
         "events": events,
         "events_per_op": round(events / completed, 4),
+        "fluid_calls_per_period": round(_fluid_calls_per_period(), 4),
     }
 
 
@@ -131,7 +176,8 @@ def main(argv: Optional[List[str]] = None) -> int:
           f"workload: {current['workload_seconds']:.3f}s  "
           f"normalized: {current['normalized']:.3f}  "
           f"events: {current['events']}  "
-          f"events_per_op: {current['events_per_op']:.4f}")
+          f"events_per_op: {current['events_per_op']:.4f}  "
+          f"fluid_calls_per_period: {current['fluid_calls_per_period']:.4f}")
 
     if args.write:
         with open(args.baseline, "w") as fh:
@@ -156,13 +202,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"FAIL: normalized score regressed {regression:+.1%} "
               f"(> {args.tolerance:.0%} allowed)", file=sys.stderr)
         failed = True
-    # Baselines written before the event budget existed carry no ceiling.
-    for key in ("events", "events_per_op"):
+    # Baselines written before a budget existed carry no ceiling for it.
+    for key, suspect in _CEILINGS.items():
         ceiling = baseline.get(key)
         if ceiling is not None and current[key] > ceiling:
             print(f"FAIL: {key} {current[key]} exceeds the committed "
-                  f"ceiling {ceiling} (a timer or completion came back "
-                  f"onto the heap?)", file=sys.stderr)
+                  f"ceiling {ceiling} ({suspect})", file=sys.stderr)
             failed = True
     if failed:
         return 1

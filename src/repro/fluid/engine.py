@@ -31,24 +31,22 @@ estimator seedings, plan), which is what lets the determinism guard pin
 fluid digests next to the DES families.
 
 Flow state is struct-of-arrays and a period is a fixed number of numpy
-calls, whatever the flow count, plus one water-fill; the per-flow loop
-this replaced lives on as the oracle in
+calls, whatever the flow count, plus one array water-fill
+(:func:`repro.fluid.kernels.bounded_apportion`: a few array ops per
+freeze-and-redistribute round); the per-flow loop this replaced lives
+on, with the list water-fill, as the oracle in
 ``tests/fluid/reference_engine.py`` and must agree to the last bit.
-All quantities are int64 tokens.  The water-fill is still the list
-``bounded_apportion`` (wants out as a list, grants back in as a column):
-its array form is ready in :mod:`repro.fluid.kernels` and moving the
-claim phase onto it is the next step (``docs/SCALE.md``).
+All quantities are int64 tokens.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.common.errors import ConfigError
+from repro.common.errors import ConfigError, QoSError
 from repro.core.capacity import AdaptiveCapacityEstimator
 from repro.core.config import HaechiConfig
 from repro.fluid.flows import FlowClass, sync_flows
-from repro.globalqos.waterfill import bounded_apportion
 from repro.tenancy.hierarchy import TenantHierarchy
 
 
@@ -88,13 +86,16 @@ class FluidEngine:
         # ``kernels``).
         from repro.fluid import kernels
 
+        self._kernels = kernels
         self._np = np = kernels.np
         self._names = names
         # Flow state as columns.  Client counts, demands and burst caps
         # never change after construction; reservations and limits only
         # through ``apply_hierarchy``, which rebuilds their columns.
         self.total_clients = sum(f.clients for f in flows)
-        self._weights = [float(f.clients) for f in flows]
+        self._weights = np.array(
+            [f.clients for f in flows], dtype=np.float64
+        )
         self._demand = np.array([f.demand for f in flows], dtype=np.int64)
         self._burst = np.array([f.burst for f in flows], dtype=np.int64)
         self._bucket = self._burst.copy()
@@ -198,10 +199,16 @@ class FluidEngine:
             pool, int(wants.sum()), max(0, physical - res_spent)
         )
         if spendable > 0:
-            grants = np.array(
-                bounded_apportion(spendable, self._weights, wants.tolist()),
-                dtype=np.int64,
+            grants = self._kernels.bounded_apportion(
+                spendable, self._weights, wants
             )
+            if grants is None:
+                # spendable <= wants.sum() above rules this out.
+                raise QoSError(
+                    f"period {self.period_id}: no feasible claim of "
+                    f"{spendable} tokens under wants summing to "
+                    f"{int(wants.sum())}"
+                )
         else:
             grants = np.zeros(len(self._names), dtype=np.int64)
 

@@ -8,11 +8,12 @@ not pay numpy's start-up time and resident memory (``docs/SCALE.md``).
 :func:`largest_remainder` and :func:`bounded_apportion` are the array
 forms of the list functions in :mod:`repro.globalqos.waterfill`, which
 stay the reference they are tested against
-(``tests/properties/test_prop_apportion.py``).  The engine's claim
-phase does not call them yet — it still water-fills through the list
-form; switching it over is the next step (``docs/SCALE.md``).  They
-return the same integers, not merely close ones, because every step is
-the same IEEE operation in the same order:
+(``tests/properties/test_prop_apportion.py``, and engine against engine
+in ``tests/fluid/test_differential.py``).  The engine's claim phase is
+their one caller: a water-fill over hundreds of flows costs a few array
+ops per freeze-and-redistribute round instead of a Python step per bin
+(``docs/SCALE.md``).  They return the same integers, not merely close
+ones, because every step is the same IEEE operation in the same order:
 
 - the quota denominator is the builtin ``sum`` over the weights in
   index order (``ndarray.sum`` adds pairwise, and Python >= 3.12's

@@ -122,24 +122,18 @@ def build_scale_hierarchy(
     return hierarchy, demand_of
 
 
-def run_fluid_scale(
-    num_clients: int = 100_000,
-    tenants: int = 4,
-    groups_per_tenant: int = 4,
-    periods: int = 30,
-    seed: int = 0,
+def build_fluid_scale(
+    num_clients: int,
+    tenants: int,
+    groups_per_tenant: int,
+    periods: int,
+    seed: int,
     brownout: bool = True,
-    resize: bool = True,
     token_conversion: bool = True,
-) -> dict:
-    """One scale run; returns a JSON-serializable, deterministic report.
-
-    The control-plane schedule: a 60% brownout over periods
-    ``[periods//3, periods//3 + 3)`` and, at the two-thirds mark, a
-    coordinator-style rebalance that shrinks the largest tenant by 20%
-    and grows the smallest by the freed amount (decrease before
-    increase, via the hierarchy's resize ops).
-    """
+):
+    """The scale run before its first period: ``(hierarchy, engine,
+    ledger, capacity_tokens)``.  With ``brownout``, a 60% capacity
+    window over periods ``[periods//3, periods//3 + 3)``."""
     config = HaechiConfig.paper(token_conversion=token_conversion)
     rate = NICProfile.chameleon().onesided_saturation_rate()
     capacity_tokens = config.tokens_per_period(rate)
@@ -173,6 +167,31 @@ def run_fluid_scale(
         flows, config, estimator,
         physical_capacity=capacity_tokens, plan=plan, ledger=ledger,
     )
+    return hierarchy, engine, ledger, capacity_tokens
+
+
+def run_fluid_scale(
+    num_clients: int = 100_000,
+    tenants: int = 4,
+    groups_per_tenant: int = 4,
+    periods: int = 30,
+    seed: int = 0,
+    brownout: bool = True,
+    resize: bool = True,
+    token_conversion: bool = True,
+) -> dict:
+    """One scale run; returns a JSON-serializable, deterministic report.
+
+    The control-plane schedule: the brownout of
+    :func:`build_fluid_scale` and, at the two-thirds mark, a
+    coordinator-style rebalance that shrinks the largest tenant by 20%
+    and grows the smallest by the freed amount (decrease before
+    increase, via the hierarchy's resize ops).
+    """
+    hierarchy, engine, ledger, capacity_tokens = build_fluid_scale(
+        num_clients, tenants, groups_per_tenant, periods, seed,
+        brownout=brownout, token_conversion=token_conversion,
+    )
 
     resize_point = max(1, (2 * periods) // 3)
     engine.run(resize_point)
@@ -193,7 +212,7 @@ def run_fluid_scale(
     return {
         "num_clients": engine.total_clients,
         "tenants": len(hierarchy.tenants),
-        "flows": len(flows),
+        "flows": len(engine.flows),
         "periods": engine.period_id,
         "total_reserved": engine.total_reserved,
         "capacity_tokens": capacity_tokens,

@@ -73,17 +73,6 @@ class Pipeline:
         self._busy += cost
         return finish
 
-    def pause_until(self, until: float) -> None:
-        """Forbid new work from starting before ``until`` (PFC pause).
-
-        Pushes the next-free-time out without accruing busy time: work
-        already accepted keeps its completion time (pause does not
-        rewrite history), and a later ``pause_until`` with an earlier
-        time is a no-op — pauses only ever extend.
-        """
-        if until > self._free_at:
-            self._free_at = until
-
     @property
     def free_at(self) -> float:
         """Earliest time new work could start service."""

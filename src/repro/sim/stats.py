@@ -7,7 +7,7 @@ harness decides what to record and when to reset for warm-up windows.
 from __future__ import annotations
 
 import math
-from typing import List, Sequence, Tuple
+from typing import List
 
 
 class Counter:
@@ -188,13 +188,3 @@ class LatencyHistogram:
         self._counts = [0] * (self._nbuckets + 2)
         self.count = 0
         self._sum = 0.0
-
-
-def mean_and_std(values: Sequence[float]) -> Tuple[float, float]:
-    """Sample mean and population standard deviation of ``values``."""
-    n = len(values)
-    if n == 0:
-        return math.nan, math.nan
-    mu = sum(values) / n
-    var = sum((v - mu) ** 2 for v in values) / n
-    return mu, math.sqrt(var)

@@ -24,7 +24,7 @@ def test_write_then_check_passes(tmp_path):
     payload = json.loads(baseline.read_text())
     assert set(payload) == {
         "calibration_seconds", "workload_seconds", "normalized",
-        "events", "events_per_op",
+        "events", "events_per_op", "fluid_calls_per_period",
     }
     # A generous tolerance makes the check insensitive to machine noise.
     assert perfgate.main(["--rounds", "1", "--tolerance", "10.0",
@@ -65,6 +65,20 @@ def test_event_budget_is_exact_and_gated(tmp_path, capsys):
     assert "events" in capsys.readouterr().err
 
 
+def test_fluid_call_budget_is_exact_and_gated(tmp_path, capsys):
+    """Calls into ``src/repro`` per fluid period repeat exactly, so the
+    ceiling is held with no tolerance, like the event count."""
+    first = perfgate._fluid_calls_per_period()
+    assert first == perfgate._fluid_calls_per_period()
+    # A 512-flow water-fill in Python is ~1.8 k calls a period.
+    assert first < 40
+    baseline = tmp_path / "perf_baseline.json"
+    payload = {"normalized": 1000.0, "fluid_calls_per_period": first - 0.01}
+    baseline.write_text(json.dumps(payload))
+    assert perfgate.main(["--rounds", "1", "--baseline", str(baseline)]) == 1
+    assert "fluid_calls_per_period" in capsys.readouterr().err
+
+
 def test_committed_event_ceiling_holds():
     """The committed ceiling is the count at the commit that set it; a
     per-op or per-tick timer coming back onto the heap fails here."""
@@ -73,3 +87,6 @@ def test_committed_event_ceiling_holds():
     current = perfgate.measure(rounds=1)
     assert current["events"] <= committed["events"]
     assert current["events_per_op"] <= committed["events_per_op"]
+    # ... and a per-flow Python loop coming back into the fluid step.
+    assert (current["fluid_calls_per_period"]
+            <= committed["fluid_calls_per_period"])

@@ -65,3 +65,48 @@ def test_qos_control_plane_event_budget():
     # evaluated at observation and costs no events, so the budget does
     # not grow with the client count: ~2 events per tick in total.
     assert per_period < 2 * ticks + 100
+
+
+def test_fluid_period_never_enters_the_list_waterfill(monkeypatch):
+    """The fluid claim phase is array ops per water-fill *round*; the
+    list form (a Python step per bin) is off the fluid path for good."""
+    from repro.core.capacity import (
+        AdaptiveCapacityEstimator, ProfiledCapacity,
+    )
+    from repro.core.config import HaechiConfig
+    from repro.fluid.engine import FluidEngine
+    from repro.fluid.flows import FlowClass
+    from repro.globalqos import waterfill
+    from repro.telemetry.ledger import TokenLedger
+
+    def refuse(*_args):
+        raise AssertionError("list water-fill on the fluid path")
+
+    # ``largest_remainder`` too: it is looked up at call time, so this
+    # also catches a ``bounded_apportion`` imported by name earlier.
+    monkeypatch.setattr(waterfill, "bounded_apportion", refuse)
+    monkeypatch.setattr(waterfill, "largest_remainder", refuse)
+    config = HaechiConfig.paper(token_conversion=True)
+    # Half the flows use a quarter of their reservation (the rest
+    # converts into the pool), the other half want far more than their
+    # limit lets them claim.
+    flows = [
+        FlowClass(name=f"T/g{i}", tenant="T", group=f"g{i}", clients=10 + i,
+                  reservation=1000, demand=250 if i % 2 else 5000,
+                  limit=None if i % 2 else 1800)
+        for i in range(8)
+    ]
+    capacity = 16_000
+    estimator = AdaptiveCapacityEstimator(
+        profiled=ProfiledCapacity(mean=float(capacity), stddev=100.0),
+        eta=config.eta, history_window=config.history_window,
+        saturation_tolerance=config.saturation_tolerance,
+    )
+    ledger = TokenLedger()
+    engine = FluidEngine(flows, config, estimator,
+                         physical_capacity=capacity, ledger=ledger)
+    engine.run(10)
+    assert engine.conversions == 10
+    # The limit, not the pool, stopped the hungry flows.
+    assert engine.flow_completions["T/g0"] == [1800] * 10
+    assert ledger.check_conservation() == []

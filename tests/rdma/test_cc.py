@@ -471,3 +471,53 @@ class TestCongestionControl:
         for q in congested:
             assert q["rate_bps"] < line
         assert on["cc"]["min_congested_rate_bps"] < line
+
+
+class TestMixedVerbAtomics:
+    """The verb-mix scenarios aim atomics at a region that grants them
+    (the store's own rkey is read/write only)."""
+
+    @pytest.mark.parametrize("kind", ["write-heavy", "cas-heavy"])
+    def test_canonical_mixes_finish_without_failures(self, kind):
+        from repro.cluster.fabric_scenarios import run_mixed_verb
+
+        result = run_mixed_verb(11, kind)
+        assert result["all_finished"]
+        assert "failed_ops" not in result
+        for summary in result["drivers"].values():
+            assert summary["failed"] == 0
+            assert summary["ops_by_verb"]["atomic"] > 0
+            assert summary["completed"] == summary["posted"]
+
+    def test_atomic_bucket_throttles(self, monkeypatch):
+        # In the canonical mixes a QP's atomics stay under 300 K ops/s
+        # (the issue pipeline binds first), so the 500 K ops/s bucket
+        # is driven with atomics alone.
+        from repro.cluster import fabric_scenarios as fs
+
+        monkeypatch.setitem(
+            fs.VERB_MIXES, "atomic-only", ((1.0, OpType.COMPARE_SWAP),)
+        )
+        ops = 1200
+        result = fs.run_mixed_verb(11, "atomic-only", num_clients=1,
+                                   ops_per_client=ops)
+        model = FabricModel.chameleon()
+        floor = (ops - model.bucket_burst_ops) / model.atomic_bucket_ops
+        assert "failed_ops" not in result
+        assert floor <= result["makespan"] < 1.05 * floor
+
+    def test_failures_are_visible_in_the_result(self, monkeypatch):
+        from repro.cluster import fabric_scenarios as fs
+        from repro.rdma.memory import Permissions
+
+        # The old bug, on purpose: a region without remote_atomic.
+        monkeypatch.setattr(
+            Permissions, "all",
+            classmethod(lambda cls: cls(remote_read=True,
+                                        remote_write=True)),
+        )
+        result = fs.run_mixed_verb(11, "cas-heavy", num_clients=2,
+                                   ops_per_client=200)
+        atomics = sum(d["ops_by_verb"]["atomic"]
+                      for d in result["drivers"].values())
+        assert result["failed_ops"] == atomics > 0

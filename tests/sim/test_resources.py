@@ -49,7 +49,7 @@ class TestPipeline:
 
 
 class TestPipelineVirtualTime:
-    """submit_at / pause_until: the fabric model's congestion edges."""
+    """submit_at: the fabric model's virtual-time hand-offs."""
 
     def test_submit_at_waits_for_future_arrival(self, sim):
         pipe = Pipeline(sim)
@@ -62,30 +62,9 @@ class TestPipelineVirtualTime:
         pipe.submit(2.0)
         assert pipe.submit_at(1.0, 1.0) == 3.0  # arrival before free time
 
-    def test_pause_extends_free_time_without_busy_accrual(self, sim):
-        pipe = Pipeline(sim)
-        pipe.pause_until(4.0)
-        assert pipe.free_at == 4.0
-        sim.schedule(4.0, lambda: None)
-        sim.run()
-        assert pipe.utilization() == 0.0  # pause is idle, not service
-
-    def test_pause_never_shrinks(self, sim):
-        pipe = Pipeline(sim)
-        pipe.submit(3.0)
-        pipe.pause_until(1.0)  # earlier than free: a no-op
-        assert pipe.submit(1.0) == 4.0
-
-    def test_zero_cost_submit_at_pause_boundary(self, sim):
-        # The PFC edge: a frame handed over exactly when the pause lifts
-        # starts (and, at zero cost, finishes) at the boundary itself.
-        pipe = Pipeline(sim)
-        pipe.pause_until(2.0)
-        assert pipe.submit_at(2.0, 0.0) == 2.0
-
     def test_zero_cost_submit_before_boundary_is_held(self, sim):
         pipe = Pipeline(sim)
-        pipe.pause_until(2.0)
+        pipe.submit(2.0)
         assert pipe.submit_at(1.0, 0.0) == 2.0
 
 

@@ -5,7 +5,6 @@ import math
 import pytest
 
 from repro.sim import Counter, LatencyReservoir
-from repro.sim.stats import mean_and_std
 
 
 class TestCounter:
@@ -78,17 +77,6 @@ class TestLatencyReservoir:
     def test_tiny_max_samples_rejected(self):
         with pytest.raises(ValueError):
             LatencyReservoir(max_samples=10)
-
-
-def test_mean_and_std():
-    mu, sigma = mean_and_std([2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0])
-    assert mu == pytest.approx(5.0)
-    assert sigma == pytest.approx(2.0)
-
-
-def test_mean_and_std_empty():
-    mu, sigma = mean_and_std([])
-    assert math.isnan(mu) and math.isnan(sigma)
 
 
 class TestLatencyHistogram:
