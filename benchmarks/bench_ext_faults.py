@@ -19,7 +19,6 @@ same fault sequence and the same counters.
 
 import pytest
 
-from repro.cluster.metrics import robustness_summary
 from repro.cluster.experiment import run_experiment
 from repro.cluster.scenarios import faulty_qos_cluster, qos_cluster
 
@@ -83,16 +82,19 @@ def test_ext_faults(benchmark, report):
     report.line(f"Control-op loss sweep: {NUM} clients, reservation "
                 f"{RESERVATION / 1000:.0f} K, demand {DEMAND / 1000:.0f} K "
                 "(KIOPS)")
+    def faa_failures(cluster):
+        return sum(ctx.engine.faa_failures for ctx in cluster.clients)
+
     rows = []
     for rate, (cluster, result) in sweep.items():
-        summary = robustness_summary(cluster)
-        dropped = summary.get("faults", {}).get("dropped_total", 0)
+        injector = cluster.fault_injector  # None on the fault-free run
+        dropped = sum(injector.dropped.values()) if injector else 0
         rows.append([
             f"{rate:.0%}",
             *[f"{result.client_kiops(n):.0f}" for n in names],
             f"{result.total_kiops():.0f}",
             str(dropped),
-            str(summary["faa_failures_total"]),
+            str(faa_failures(cluster)),
         ])
     report.table(["drop rate", *names, "total", "ops dropped",
                   "faa failures"], rows)
@@ -110,7 +112,7 @@ def test_ext_faults(benchmark, report):
             assert served * 1000 >= 0.95 * RESERVATION
         # faults actually happened and were absorbed, not avoided
         assert cluster.fault_injector.dropped["control-loss"] > 0
-        assert robustness_summary(cluster)["faa_failures_total"] > 0
+        assert faa_failures(cluster) > 0
 
     report.line()
     report.line(f"Crash + lease eviction: {NUM_CRASH} saturating clients "

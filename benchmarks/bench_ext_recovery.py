@@ -20,7 +20,6 @@ import math
 import pytest
 
 from repro.cluster.experiment import attach_app, run_experiment
-from repro.cluster.metrics import robustness_summary
 from repro.faults import CrashWindow, FaultPlan
 from repro.recovery import build_replicated_cluster
 from repro.recovery.failover import FailoverState
@@ -140,16 +139,17 @@ def test_ext_recovery(benchmark, report):
     assert fairness >= 0.95
 
     # -- protocol accounting ---------------------------------------------
-    summary = robustness_summary(cluster)
+    failovers = sum(ctx.failover.failovers for ctx in cluster.clients)
+    rejoins = len(cluster.replica_monitor.rejoins)
     report.line()
-    report.line(f"  failovers: {summary['failovers_total']}, "
-                f"re-registrations: {summary['re_registrations_total']}, "
-                f"replica rejoins: "
-                f"{len(summary['replica_monitor']['rejoins'])}, "
+    report.line(f"  failovers: {failovers}, "
+                f"re-registrations: "
+                f"{sum(c.engine.re_registrations for c in cluster.clients)}, "
+                f"replica rejoins: {rejoins}, "
                 f"stale control msgs dropped: "
-                + str(sum(e["stale_control_messages"]
-                          for e in summary["engines"].values())))
-    assert summary["failovers_total"] == NUM
-    assert len(summary["replica_monitor"]["rejoins"]) == NUM
+                + str(sum(c.engine.stale_control_messages
+                          for c in cluster.clients)))
+    assert failovers == NUM
+    assert rejoins == NUM
     # the baseline never touched the recovery machinery
-    assert robustness_summary(base_cluster).get("failovers_total", 0) == 0
+    assert all(ctx.failover.failovers == 0 for ctx in base_cluster.clients)

@@ -1,13 +1,16 @@
-"""Extension: telemetry cost and the per-stage latency decomposition.
+"""Extension: telemetry span sampling and the per-stage latency
+decomposition.
 
 Two questions a QoS observability layer must answer about itself:
 
-- **What does watching cost?**  The overhead table times the saturated
-  Fig. 7 point (10 clients, burst, one-sided) with no hub, a disabled
-  hub, and span sampling at 1/100, 1/10 and 1/1.  The simulated KIOPS
-  must be bit-identical in every column — telemetry observes the run,
-  it never perturbs it — so the only cost is host CPU, reported as the
-  median paired-round overhead against the no-hub baseline.
+- **Does watching change the run?**  The sampling table runs the
+  saturated Fig. 7 point (10 clients, burst, one-sided) with no hub, a
+  disabled hub, and span sampling at 1/100, 1/10 and 1/1.  The
+  simulated KIOPS must be bit-identical in every row — telemetry
+  observes the run, it never perturbs it — while the span count
+  follows the sampling depth.  (What watching costs the *host* is
+  measured in one place: ``feature_cost.telemetry.*`` in
+  ``benchmarks/layered``.)
 - **Where does the time go?**  The decomposition table breaks the same
   saturated point's end-to-end latency into causal stages (engine
   queue, NIC issue pipeline, fabric, target pipeline, return) whose
@@ -17,49 +20,57 @@ Two questions a QoS observability layer must answer about itself:
 
 import pytest
 
-from repro.telemetry import format_stage_table, stage_breakdown
-from repro.telemetry.overhead import DEFAULT_RATES, measure_overhead, \
-    run_saturated
+from repro.cluster.experiment import run_experiment
+from repro.cluster.scenarios import SATURATING_OPS, bare_cluster
+from repro.telemetry import TelemetryConfig, attach_telemetry, \
+    format_stage_table, stage_breakdown
+
+from conftest import NUM_CLIENTS, SWEEP_SCALE
 
 PERIODS = 8
-REPEATS = 3
+# Label -> sample_every; None attaches no hub at all (the seed's path).
+RATES = {"no hub": None, "disabled": 0, "1/100": 100, "1/10": 10, "1/1": 1}
+
+
+def saturated_point(sample_every):
+    """``(KIOPS, hub or None)`` for one saturated run."""
+    cluster = bare_cluster([SATURATING_OPS] * NUM_CLIENTS, scale=SWEEP_SCALE)
+    hub = None
+    if sample_every is not None:
+        hub = attach_telemetry(
+            cluster, TelemetryConfig(sample_every=sample_every))
+    result = run_experiment(cluster, warmup_periods=1,
+                            measure_periods=PERIODS)
+    return result.total_kiops(), hub
 
 
 def test_ext_telemetry(benchmark, report):
     def run():
-        rows = measure_overhead(rates=DEFAULT_RATES, periods=PERIODS,
-                                repeats=REPEATS)
-        sampled = run_saturated(periods=PERIODS, sample_every=10)
-        return rows, sampled
+        return {label: saturated_point(rate)
+                for label, rate in RATES.items()}
 
-    rows, sampled = benchmark.pedantic(run, rounds=1, iterations=1)
+    runs = benchmark.pedantic(run, rounds=1, iterations=1)
+    spans = {label: len(hub.spans) if hub is not None else 0
+             for label, (_kiops, hub) in runs.items()}
 
-    report.line("Telemetry overhead at the saturated Fig. 7 point "
+    report.line("Span sampling at the saturated Fig. 7 point "
                 "(10 clients, burst, one-sided)")
     report.table(
-        ["sampling", "KIOPS", "cpu (s)", "overhead", "spans"],
-        [[row["sample"], f"{row['kiops']:.0f}",
-          f"{row['cpu_seconds']:.3f}", f"{row['overhead'] * 100:+.1f}%",
-          str(row["spans_recorded"])] for row in rows],
+        ["sampling", "KIOPS", "spans"],
+        [[label, f"{kiops:.0f}", str(spans[label])]
+         for label, (kiops, _hub) in runs.items()],
     )
     report.line("(KIOPS identical in every row: telemetry never perturbs "
                 "the simulated run)")
 
-    # measure_overhead already asserts KIOPS equality; restate the
-    # issue's throughput criteria explicitly against the baseline.
-    baseline = rows[0]["kiops"]
-    by_label = {row["sample"]: row for row in rows}
-    assert abs(by_label["disabled"]["kiops"] - baseline) <= 0.03 * baseline
-    assert abs(by_label["1/100"]["kiops"] - baseline) <= 0.10 * baseline
+    assert len({kiops for kiops, _hub in runs.values()}) == 1
     # Sampling depth scales the span count, roughly linearly.
-    assert by_label["1/1"]["spans_recorded"] > \
-        5 * by_label["1/10"]["spans_recorded"] > \
-        5 * by_label["1/100"]["spans_recorded"] > 0
+    assert spans["1/1"] > 5 * spans["1/10"] > 5 * spans["1/100"] > 0
 
     report.line()
     report.line("Per-stage latency decomposition at the same point "
                 "(sampling 1/10)")
-    hub = sampled["hub"]
+    _kiops, hub = runs["1/10"]
     for line in format_stage_table(hub.spans):
         report.line(line)
     entry = stage_breakdown(hub.spans)["onesided_read"]

@@ -11,7 +11,7 @@ Subcommands::
                               [--report out.json]
     python -m repro globalqos [--seeds 11 23 ...] [--report out.json]
     python -m repro telemetry [--sample N] [--trace out.json]
-                              [--chaos-seed N] [--overhead-check]
+                              [--chaos-seed N]
     python -m repro figures
     python -m repro bench     [--workers N] [--cache DIR]
                               [--distribution uniform|zipf|both]
@@ -26,7 +26,7 @@ Subcommands::
 chosen configuration, the bread-and-butter view of the paper's
 evaluation.  ``telemetry`` runs a scenario with span sampling on and
 prints the per-stage latency decomposition (docs/OBSERVABILITY.md),
-with optional Perfetto/JSONL exports and the CI overhead gate.
+with optional Perfetto/JSONL exports.
 ``figures`` lists the benchmark that regenerates each of the paper's
 tables/figures.
 """
@@ -41,7 +41,6 @@ from typing import List, Optional
 from repro.analysis import format_table, meets_reservation
 from repro.common.types import QoSMode
 from repro.cluster.experiment import run_experiment
-from repro.cluster.metrics import robustness_summary
 from repro.cluster.profiling import run_profiling
 from repro.cluster.scale import SimScale
 from repro.cluster.scenarios import (
@@ -153,7 +152,7 @@ def _build_parser() -> argparse.ArgumentParser:
     telemetry = sub.add_parser(
         "telemetry",
         help="run a traced scenario: per-stage latency breakdown, "
-             "Perfetto/JSONL exports, overhead gate",
+             "Perfetto/JSONL exports",
     )
     telemetry.add_argument("--mode", choices=sorted(_MODES), default="haechi")
     telemetry.add_argument("--access", choices=["one-sided", "two-sided"],
@@ -176,14 +175,6 @@ def _build_parser() -> argparse.ArgumentParser:
     telemetry.add_argument("--chaos-seed", type=int, default=None,
                            help="trace one seeded recovery chaos run "
                                 "instead of a QoS scenario")
-    telemetry.add_argument("--overhead-check", action="store_true",
-                           help="measure wall-clock overhead at "
-                                "off/sampled rates and enforce the "
-                                "committed baseline's bounds")
-    telemetry.add_argument(
-        "--baseline", default="benchmarks/results/telemetry_baseline.json",
-        help="overhead-bound file for --overhead-check",
-    )
 
     sub.add_parser("figures", help="list the paper-figure benchmarks")
 
@@ -426,20 +417,21 @@ def _cmd_faults(args) -> int:
         ["client", "reservation (KIOPS)", "served (KIOPS)"], rows
     ):
         print(line)
-    summary = robustness_summary(cluster)
-    faults_seen = summary.get("faults", {})
+    faults_seen = cluster.fault_injector.summary()
     print(f"total: {result.total_kiops():.0f} KIOPS  "
           f"(kind={args.kind}, rate={args.rate}, seed={args.seed})")
-    print(f"faults: dropped={faults_seen.get('dropped_total', 0)}  "
-          f"delayed={faults_seen.get('delayed_total', 0)}  "
-          f"qps_closed={faults_seen.get('qps_closed', 0)}")
-    monitor = summary.get("monitor", {})
-    print(f"control plane: faa_failures={summary['faa_failures_total']}  "
-          f"timeouts={summary['faa_timeouts_total']}  "
-          f"degraded_entries={summary['degraded_entries_total']}  "
-          f"stale_reports={monitor.get('stale_reports', 0)}  "
-          f"clamped={monitor.get('clamped_reports', 0)}")
-    for eviction in monitor.get("evictions", ()):
+    print(f"faults: dropped={faults_seen['dropped_total']}  "
+          f"delayed={faults_seen['delayed_total']}  "
+          f"qps_closed={faults_seen['qps_closed']}")
+    engines = [ctx.engine for ctx in cluster.clients]
+    monitor = cluster.monitor
+    print(f"control plane: "
+          f"faa_failures={sum(e.faa_failures for e in engines)}  "
+          f"timeouts={sum(e.faa_timeouts for e in engines)}  "
+          f"degraded_entries={sum(e.degraded_entries for e in engines)}  "
+          f"stale_reports={monitor.stale_reports}  "
+          f"clamped={monitor.clamped_reports}")
+    for eviction in monitor.evictions:
         print(f"evicted: client C{eviction['client'] + 1} at period "
               f"{eviction['period']} (reservation {eviction['reservation']})")
     return 0
@@ -559,9 +551,6 @@ def _cmd_telemetry(args) -> int:
         print("--sample must be >= 0", file=sys.stderr)
         return 2
 
-    if args.overhead_check:
-        return _telemetry_overhead_check(args)
-
     if args.chaos_seed is not None:
         from repro.cluster import chaos
         from repro.recovery.chaos import NUM_CLIENTS, RECOVERY
@@ -641,57 +630,6 @@ def _cmd_telemetry(args) -> int:
     return 0
 
 
-def _telemetry_overhead_check(args) -> int:
-    import json
-
-    from repro.telemetry import measure_overhead
-
-    try:
-        with open(args.baseline) as fh:
-            baseline = json.load(fh)
-    except FileNotFoundError:
-        print(f"baseline file not found: {args.baseline}", file=sys.stderr)
-        return 2
-    bounds = baseline["bounds"]
-    scenario = baseline["scenario"]
-    rates = [None if r is None else int(r) for r in baseline["rates"]]
-    rows = measure_overhead(
-        rates=rates,
-        num_clients=scenario["clients"],
-        periods=scenario["periods"],
-        scale_factor=scenario["scale"],
-        repeats=scenario.get("repeats", 3),
-    )
-    table = [
-        [row["sample"], f"{row['kiops']:.0f}", f"{row['cpu_seconds']:.3f}",
-         f"{row['overhead'] * 100:+.1f}%", str(row["spans_recorded"])]
-        for row in rows
-    ]
-    for line in format_table(
-        ["sampling", "KIOPS", "cpu (s)", "overhead", "spans"], table
-    ):
-        print(line)
-    # Throughput gate: the simulated KIOPS must be *identical* across
-    # rates (measure_overhead raises otherwise) — stricter than the
-    # issue's 3%/10% criteria, and fully deterministic.
-    print(f"simulated throughput: {rows[0]['kiops']:.0f} KIOPS at every "
-          "sampling rate (identical by construction)")
-    failed = False
-    for row in rows:
-        bound = bounds.get(row["sample"])
-        if bound is None:
-            continue
-        if row["overhead"] > bound:
-            failed = True
-            print(f"FAIL: {row['sample']} CPU overhead "
-                  f"{row['overhead'] * 100:.1f}% exceeds bound "
-                  f"{bound * 100:.0f}%", file=sys.stderr)
-    if not failed:
-        print("host CPU overhead within bounds "
-              + ", ".join(f"{k}<={v * 100:.0f}%" for k, v in bounds.items()))
-    return 1 if failed else 0
-
-
 _FIGURES = [
     ("Table I", "bench_table1_config.py", "testbed configuration"),
     ("Fig. 6", "bench_fig06_client_throughput.py", "per-client saturation"),
@@ -716,6 +654,14 @@ _FIGURES = [
     ("extension", "bench_ext_multinode.py", "multi-data-node Haechi"),
     ("extension", "bench_ext_limits.py", "limit (L_i) enforcement"),
     ("extension", "bench_ext_poisson.py", "QoS under Poisson arrivals"),
+    ("extension", "bench_ext_faults.py", "QoS under injected faults"),
+    ("extension", "bench_ext_recovery.py", "replication + client failover"),
+    ("extension", "bench_ext_telemetry.py", "span sampling + stage latency"),
+    ("extension", "bench_ext_globalqos.py", "coordinator vs static split"),
+    ("extension", "bench_ext_failover.py", "coordinator failover chaos"),
+    ("extension", "bench_ext_hunt.py", "anomaly-hunting campaign"),
+    ("extension", "bench_ext_scale.py", "fluid fast path vs exact DES"),
+    ("extension", "bench_ext_fabric.py", "verb-diverse NIC + DCQCN fabric"),
 ]
 
 

@@ -194,222 +194,3 @@ def _register_multinode_metrics(cluster, registry) -> None:
         for name, getter in agent.metrics_items():
             registry.gauge(name, getter, node=agent.node.host.name)
 
-
-def robustness_summary(cluster) -> dict:
-    """Fault and recovery counters for a built cluster, in one dict.
-
-    Aggregates the engines' control-plane telemetry (retries, timeouts,
-    degraded-mode episodes), the monitor's lease/clamp counters with the
-    eviction log, and — when a fault injector is installed — what the
-    plan actually inflicted.  Benches, the CLI, and the fault tests all
-    report through this single view.
-
-    Since the telemetry subsystem landed this is a *façade over the
-    metrics registry*: every scalar is read through the same callback
-    gauges :func:`register_cluster_metrics` exposes to the exporters,
-    so the two views cannot drift.  List- and string-valued entries
-    (eviction/rejoin logs, failover state) stay direct reads — they are
-    event logs, not metrics.  The output shape is unchanged
-    field-for-field from the pre-registry implementation.
-    """
-    from repro.core.engine import QoSEngine
-    from repro.recovery.failover import FailoverManager
-    from repro.telemetry.registry import MetricsRegistry
-
-    if hasattr(cluster, "nodes"):  # MultiNodeCluster
-        return _multinode_summary(cluster)
-
-    registry = MetricsRegistry()
-    register_cluster_metrics(cluster, registry)
-
-    def read(name, **labels):
-        return registry.value(name, **labels)
-
-    engines = {}
-    failover = {}
-    for ctx in cluster.clients:
-        if ctx.engine is None:
-            continue
-        engines[ctx.name] = {
-            field: read(f"engine_{field}", client=ctx.name)
-            for field in QoSEngine.SUMMARY_FIELDS
-        }
-        manager = getattr(ctx, "failover", None)
-        if manager is not None:
-            entry = {"state": manager.state.value}
-            entry.update({
-                field: read(f"failover_{field}", client=ctx.name)
-                for field in FailoverManager.SUMMARY_FIELDS
-            })
-            entry["failover_windows"] = list(manager.failover_windows)
-            failover[ctx.name] = entry
-    summary = {
-        "engines": engines,
-        "faa_failures_total": sum(e["faa_failures"] for e in engines.values()),
-        "faa_timeouts_total": sum(e["faa_timeouts"] for e in engines.values()),
-        "degraded_entries_total": sum(
-            e["degraded_entries"] for e in engines.values()
-        ),
-        "re_registrations_total": sum(
-            e["re_registrations"] for e in engines.values()
-        ),
-    }
-    if failover:
-        summary["failover"] = failover
-        summary["failovers_total"] = sum(
-            f["failovers"] for f in failover.values()
-        )
-    if cluster.monitor is not None:
-        node = cluster.server_host.name
-        summary["monitor"] = {
-            "stale_reports": read("monitor_stale_reports", node=node),
-            "clamped_reports": read("monitor_clamped_reports", node=node),
-            "sends_failed": read("monitor_sends_failed", node=node),
-            "evictions": list(cluster.monitor.evictions),
-            "rejoins": list(cluster.monitor.rejoins),
-            "reinitializations": read("monitor_reinitializations", node=node),
-        }
-    replica_monitor = getattr(cluster, "replica_monitor", None)
-    if replica_monitor is not None:
-        replica = cluster.replica_host.name
-        primary = cluster.server_host.name
-        summary["replica_monitor"] = {
-            "rejoins": list(replica_monitor.rejoins),
-            "rejoin_clamped": read("monitor_rejoin_clamped", node=replica),
-            "sends_failed": read("monitor_sends_failed", node=replica),
-        }
-        summary["replication"] = {
-            "replicated_puts": read("server_replicated_puts", node=primary),
-            "replication_retries":
-                read("server_replication_retries", node=primary),
-            "degraded_acks": read("server_degraded_acks", node=primary),
-            "replica_applies": read("server_replica_applies", node=replica),
-            # replayed PUTs suppressed by version, per store
-            "duplicate_suppressed_primary":
-                read("server_duplicate_suppressed", node=primary),
-            "duplicate_suppressed_replica":
-                read("server_duplicate_suppressed", node=replica),
-        }
-    binding = getattr(cluster, "tenancy", None)
-    if binding is not None:
-        tenancy = {
-            name: read(name) for name, _ in binding.metrics_items()
-        }
-        tenancy["tenants"] = binding.tenant_rollup()
-        tenancy["rollup_conservation"] = binding.rollup_conservation()
-        ledger_rollup = binding.ledger_rollup()
-        if ledger_rollup:
-            tenancy["ledger"] = ledger_rollup
-        summary["tenancy"] = tenancy
-    if cluster.fault_injector is not None:
-        summary["faults"] = cluster.fault_injector.summary()
-    return summary
-
-
-def _multinode_summary(cluster) -> dict:
-    """The multi-node façade: per-(client, node) engine counters, one
-    monitor block per node, and the global-coordinator telemetry
-    (coordinator + client/node agent counters) when one is attached —
-    plus a ``standby`` sub-block and failover/quarantine totals when
-    the warm standby is armed.
-
-    Reads go through the same registry gauges
-    :func:`register_cluster_metrics` exposes to the exporters, so this
-    view cannot drift from the metrics stream.
-    """
-    from repro.core.engine import QoSEngine
-    from repro.telemetry.registry import MetricsRegistry
-
-    registry = MetricsRegistry()
-    register_cluster_metrics(cluster, registry)
-
-    def read(name, **labels):
-        return registry.value(name, **labels)
-
-    engines = {}
-    for striped in cluster.clients:
-        engines[striped.name] = {
-            node.host.name: {
-                field: read(f"engine_{field}",
-                            client=striped.name, node=node.host.name)
-                for field in QoSEngine.SUMMARY_FIELDS
-            }
-            for node in cluster.nodes[:len(striped.engines)]
-        }
-    flat = [e for per_node in engines.values() for e in per_node.values()]
-    summary = {
-        "engines": engines,
-        "faa_failures_total": sum(e["faa_failures"] for e in flat),
-        "faa_timeouts_total": sum(e["faa_timeouts"] for e in flat),
-        "degraded_entries_total": sum(
-            e["degraded_entries"] for e in flat
-        ),
-        "re_registrations_total": sum(
-            e["re_registrations"] for e in flat
-        ),
-        "monitors": {},
-    }
-    for node in cluster.nodes:
-        if node.monitor is None:
-            continue
-        name = node.host.name
-        summary["monitors"][name] = {
-            "stale_reports": read("monitor_stale_reports", node=name),
-            "clamped_reports": read("monitor_clamped_reports", node=name),
-            "sends_failed": read("monitor_sends_failed", node=name),
-            "evictions": list(node.monitor.evictions),
-            "rejoins": list(node.monitor.rejoins),
-            "rebalances": len(node.monitor.rebalances),
-            "rebalance_clamped": node.monitor.rebalance_clamped,
-        }
-    coordinator = getattr(cluster, "coordinator", None)
-    if coordinator is not None:
-        coord_node = coordinator.host.name
-        block = {
-            name: read(name, node=coord_node)
-            for name, _ in coordinator.metrics_items()
-        }
-        block["clients"] = {
-            agent.striped.name: {
-                name: read(name, client=agent.striped.name)
-                for name, _ in agent.metrics_items()
-            }
-            for agent in cluster.client_agents
-        }
-        block["nodes"] = {
-            agent.node.host.name: {
-                name: read(name, node=agent.node.host.name)
-                for name, _ in agent.metrics_items()
-            }
-            for agent in cluster.node_agents
-        }
-        block["fallbacks_total"] = sum(
-            agent.fallbacks for agent in cluster.client_agents
-        )
-        standby = getattr(cluster, "standby", None)
-        if standby is not None:
-            block["standby"] = {
-                name: read(name, node=standby.host.name)
-                for name, _ in standby.metrics_items()
-            }
-            coordinators = (coordinator, standby)
-            agents = cluster.client_agents
-            block["takeovers_total"] = sum(
-                c.takeovers for c in coordinators
-            )
-            block["fenced_updates_total"] = sum(
-                a.updates_fenced for a in agents
-            )
-            block["stale_updates_rejected_total"] = sum(
-                a.updates_rejected_stale for a in agents
-            )
-            block["quarantines_total"] = sum(
-                c.quarantines for c in coordinators
-            )
-            block["unquarantines_total"] = sum(
-                c.unquarantines for c in coordinators
-            )
-        summary["globalqos"] = block
-    if cluster.fault_injector is not None:
-        summary["faults"] = cluster.fault_injector.summary()
-    return summary

@@ -774,7 +774,8 @@ class QoSEngine:
     # ------------------------------------------------------------------
     # Metrics registry integration
     # ------------------------------------------------------------------
-    # The per-engine fields robustness_summary exposes, in its order.
+    # Control-plane fault counters, registered first and in this order
+    # (registration order is part of the metrics JSONL the digests hash).
     SUMMARY_FIELDS = (
         "faa_failures",
         "faa_timeouts",

@@ -422,20 +422,30 @@ class QoSMonitor:
         if self._running:
             raise QoSError("monitor already started")
         self._running = True
-        self.sim.process(self._run())
+        self.sim.schedule(0.0, self._open_period)
 
-    def _run(self):
-        config = self.config
-        while True:
-            self._begin_period()
-            remaining = self._period_end - self.sim.now
-            while remaining > config.check_interval:
-                yield self.sim.timeout(config.check_interval)
-                self._check_interval()
-                remaining = self._period_end - self.sim.now
-            if remaining > 0:
-                yield self.sim.timeout(remaining)
-            self._end_period()
+    def _open_period(self) -> None:
+        self._begin_period()
+        self._arm()
+
+    def _arm(self) -> None:
+        """Wake once per check interval; the period's last stretch (one
+        interval or less) runs straight to its end with no check."""
+        remaining = self._period_end - self.sim.now
+        if remaining > self.config.check_interval:
+            self.sim.schedule(self.config.check_interval, self._tick)
+        elif remaining > 0:
+            self.sim.schedule(remaining, self._close_period)
+        else:
+            self._close_period()
+
+    def _tick(self) -> None:
+        self._check_interval()
+        self._arm()
+
+    def _close_period(self) -> None:
+        self._end_period()
+        self._open_period()
 
     def _begin_period(self) -> None:
         self.period_id += 1
@@ -628,8 +638,8 @@ class QoSMonitor:
     # ------------------------------------------------------------------
     # Metrics registry integration
     # ------------------------------------------------------------------
-    # Scalar fields robustness_summary exposes (its list-valued entries
-    # — evictions, rejoins — are read off the monitor directly).
+    # Lease/clamp fault counters, registered first and in this order
+    # (the eviction and rejoin logs are gauged by length below).
     SUMMARY_FIELDS = (
         "stale_reports",
         "clamped_reports",

@@ -126,28 +126,28 @@ class _PutDriver:
         gap = cluster.config.period / PUTS_PER_PERIOD
         payload = b"coordchaos"
 
-        def driver():
-            while sim.now < stop_time:
-                key = rng.randrange(keyspace)
-                node = key % num_nodes
-                node_key = key // num_nodes
-                slot = (node, node_key)
-                version = self._versions.get(slot, 0) + 1
-                self._versions[slot] = version
+        def put_next():
+            if sim.now >= stop_time:
+                return
+            key = rng.randrange(keyspace)
+            node = key % num_nodes
+            node_key = key // num_nodes
+            slot = (node, node_key)
+            version = self._versions.get(slot, 0) + 1
+            self._versions[slot] = version
 
-                def on_ack(ok, _value, _latency,
-                           slot=slot, version=version):
-                    if ok:
-                        self.puts_acked += 1
-                        if version > self.acked.get(slot, 0):
-                            self.acked[slot] = version
+            def on_ack(ok, _value, _latency):
+                if ok:
+                    self.puts_acked += 1
+                    if version > self.acked.get(slot, 0):
+                        self.acked[slot] = version
 
-                striped.kv_clients[node].put_twosided(
-                    node_key, payload, on_ack, client_version=version
-                )
-                yield sim.timeout(gap)
+            striped.kv_clients[node].put_twosided(
+                node_key, payload, on_ack, client_version=version
+            )
+            sim.schedule(gap, put_next)
 
-        sim.process(driver())
+        sim.schedule(0.0, put_next)
 
 
 # ---------------------------------------------------------------------------

@@ -114,14 +114,12 @@ def _attach_put_driver(cluster: ReplicatedCluster, manager, index: int,
     num_slots = cluster.data_node.store.layout.num_slots
     payload = b"chaos"
 
-    def driver():
-        key = index % num_slots
-        while sim.now < stop_time:
+    def put_next(key):
+        if sim.now < stop_time:
             manager.put(key, payload)
-            key = (key + 7) % num_slots
-            yield sim.timeout(gap)
+            sim.schedule(gap, put_next, (key + 7) % num_slots)
 
-    sim.process(driver())
+    sim.schedule(0.0, put_next, index % num_slots)
 
 
 def _drive(cluster: ReplicatedCluster, seed: int, stop_time: float) -> None:

@@ -91,7 +91,7 @@ class FailoverManager:
         self._versions = 0
         self.acked_puts: Dict[int, int] = {}
 
-        # telemetry (surfaced through cluster.metrics.robustness_summary)
+        # telemetry (gauged through metrics_items)
         self.suspect_transitions = 0
         self.probes_sent = 0
         self.reconnect_attempts = 0
@@ -270,8 +270,8 @@ class FailoverManager:
     # ------------------------------------------------------------------
     # Metrics registry integration
     # ------------------------------------------------------------------
-    # Scalar fields robustness_summary exposes (state and the
-    # failover_windows list are read off the manager directly).
+    # Scalar failover counters, registered first and in this order
+    # (state and the failover_windows list are read off the manager).
     SUMMARY_FIELDS = (
         "suspect_transitions",
         "probes_sent",

@@ -7,19 +7,20 @@ A small, fast, from-scratch DES engine in the style of simpy:
 - :class:`~repro.sim.events.Event` / :class:`~repro.sim.events.Timeout` —
   one-shot waitables.
 - :class:`~repro.sim.process.Process` — generator-based cooperative
-  processes with interrupt support.
+  processes.
 - :mod:`~repro.sim.resources` — semaphores, FIFO stores, and the O(1)
   "next-free-time" :class:`~repro.sim.resources.Pipeline` used to model
   NIC and CPU service stages.
 - :mod:`~repro.sim.stats` — counters and latency reservoirs.
 
-The I/O hot path of the RDMA model is callback-based (no generator
-resumption per event) so that multi-million-event runs stay tractable in
-pure Python.
+Everything under ``src/`` schedules plain self-rescheduling callbacks
+(``sim.schedule``) — no generator resumption per event — so that
+multi-million-event runs stay tractable in pure Python; no production
+code spawns a :class:`~repro.sim.process.Process`.
 """
 
 from repro.sim.core import Simulator
-from repro.sim.events import AllOf, AnyOf, Event, Interrupt, Timeout
+from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Process
 from repro.sim.resources import Pipeline, Semaphore, Store, TokenBucket
 from repro.sim.stats import Counter, LatencyHistogram, LatencyReservoir
@@ -29,7 +30,6 @@ __all__ = [
     "AnyOf",
     "Counter",
     "Event",
-    "Interrupt",
     "LatencyHistogram",
     "LatencyReservoir",
     "Pipeline",

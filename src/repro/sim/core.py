@@ -32,7 +32,6 @@ class Simulator:
 
         sim = Simulator()
         sim.schedule(1.0, print, "one second in")
-        sim.process(my_generator(sim))
         sim.run(until=10.0)
 
     Time is a float in *seconds*.  ``run(until=t)`` executes every event

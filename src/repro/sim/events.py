@@ -14,17 +14,6 @@ from __future__ import annotations
 from typing import Any, Callable, List, Optional
 
 
-class Interrupt(Exception):
-    """Raised inside a process generator when it is interrupted.
-
-    The interrupt ``cause`` is available as ``exc.cause``.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
-
-
 class Event:
     """A one-shot waitable.
 

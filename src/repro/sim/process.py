@@ -4,17 +4,13 @@ A :class:`Process` drives a Python generator: the generator ``yield``\\ s
 :class:`~repro.sim.events.Event` objects and is resumed with the event's
 value when it triggers.  A process is itself an event that succeeds with
 the generator's return value, so processes can wait on each other.
-
-Processes may be interrupted: :meth:`Process.interrupt` raises
-:class:`~repro.sim.events.Interrupt` inside the generator at its current
-yield point.
 """
 
 from __future__ import annotations
 
 from typing import Any, Generator, Optional
 
-from repro.sim.events import Event, Interrupt
+from repro.sim.events import Event
 
 
 class Process(Event):
@@ -25,42 +21,24 @@ class Process(Event):
     never runs synchronously inside its spawner.
     """
 
-    __slots__ = ("_gen", "_waiting_on", "alive")
+    __slots__ = ("_gen", "alive")
 
     def __init__(self, sim: "Simulator", gen: Generator):  # noqa: F821
         super().__init__(sim)
         if not hasattr(gen, "send"):
             raise TypeError(f"process target must be a generator, got {type(gen)!r}")
         self._gen = gen
-        self._waiting_on: Optional[Event] = None
         self.alive = True
         sim.schedule(0.0, self._resume, None, None)
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Raise :class:`Interrupt` inside the process at its yield point.
-
-        Interrupting a finished process is a no-op.
-        """
-        if not self.alive:
-            return
-        # Detach from whatever the process was waiting on; the stale event
-        # callback checks ``_waiting_on`` identity before resuming.
-        self._waiting_on = None
-        self.sim.schedule(0.0, self._resume, None, Interrupt(cause))
-
     # ------------------------------------------------------------------
     def _on_event(self, event: Event) -> None:
-        if self._waiting_on is not event:
-            return  # interrupted while waiting; stale wakeup
-        self._waiting_on = None
         if event.ok:
             self._resume(event.value, None)
         else:
             self._resume(None, event.exception)
 
     def _resume(self, value: Any, exc: Optional[BaseException]) -> None:
-        if not self.alive:
-            return
         try:
             if exc is not None:
                 target = self._gen.throw(exc)
@@ -69,12 +47,6 @@ class Process(Event):
         except StopIteration as stop:
             self.alive = False
             self.succeed(stop.value)
-            return
-        except Interrupt:
-            # Generator chose not to handle its interrupt: treat as a
-            # clean, deliberate exit.
-            self.alive = False
-            self.succeed(None)
             return
         except BaseException as err:
             self.alive = False
@@ -85,5 +57,4 @@ class Process(Event):
             err = TypeError(f"process yielded non-event {target!r}")
             self.fail(err)
             return
-        self._waiting_on = target
         target.add_callback(self._on_event)

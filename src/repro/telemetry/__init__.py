@@ -17,7 +17,6 @@ from repro.telemetry.exporters import (
 from repro.telemetry.health import HealthTracker
 from repro.telemetry.hub import TelemetryConfig, TelemetryHub, attach_telemetry
 from repro.telemetry.ledger import LedgerAccount, TokenLedger
-from repro.telemetry.overhead import measure_overhead, run_saturated
 from repro.telemetry.registry import (
     CounterMetric,
     GaugeMetric,
@@ -41,10 +40,8 @@ __all__ = [
     "attach_telemetry",
     "format_stage_table",
     "ledger_jsonl",
-    "measure_overhead",
     "metrics_jsonl",
     "perfetto_trace",
-    "run_saturated",
     "stage_breakdown",
     "write_ledger_jsonl",
     "write_metrics_jsonl",

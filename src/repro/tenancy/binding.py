@@ -148,20 +148,6 @@ class HierarchyBinding:
             }
         return out
 
-    def ledger_rollup(self) -> Dict[str, dict]:
-        """Per-tenant token flow from the attached ledger (empty when
-        telemetry runs without one); sums of exactly-balanced accounts
-        via :meth:`~repro.telemetry.ledger.TokenLedger.totals_by`."""
-        hub = getattr(self.cluster.sim, "telemetry", None)
-        ledger = getattr(hub, "ledger", None)
-        if ledger is None:
-            return {}
-        name_to_tenant = {
-            ctx.name: self.tenant_of[ctx.index]
-            for ctx in self.cluster.clients
-        }
-        return ledger.totals_by(name_to_tenant.get)
-
     def rollup_conservation(self) -> List[str]:
         """Nesting invariant *as enforced*, not just as configured.
 

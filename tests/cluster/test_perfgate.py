@@ -1,92 +1,107 @@
-"""Perf-gate mechanics (decision logic, baseline I/O — not timing)."""
+"""Perf-gate mechanics: exact counts, ceiling decisions, baseline I/O."""
 
 from __future__ import annotations
 
 import json
 import pathlib
 
+import pytest
+
 from repro.cluster import perfgate
 
-
-def test_measure_reports_positive_scores():
-    scores = perfgate.measure(rounds=1)
-    assert scores["calibration_seconds"] > 0
-    assert scores["workload_seconds"] > 0
-    assert scores["normalized"] > 0
-    assert scores["events"] > 0
-    assert scores["events_per_op"] > 0
+KEYS = {"events", "events_per_op", "fluid_calls_per_period"}
 
 
-def test_write_then_check_passes(tmp_path):
+@pytest.fixture(scope="module")
+def measured():
+    """One real measurement, shared: the counts are exact for the seed
+    (the two ``*_is_exact_and_gated`` tests re-run one half each)."""
+    return perfgate.measure()
+
+
+@pytest.fixture
+def gate(measured, monkeypatch):
+    """``perfgate.main`` deciding on the shared measurement."""
+    monkeypatch.setattr(perfgate, "measure", lambda: dict(measured))
+    return perfgate.main
+
+
+def _write(path, payload) -> str:
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def test_measure_reports_positive_scores(measured):
+    assert set(measured) == KEYS
+    assert all(measured[key] > 0 for key in KEYS)
+
+
+def test_write_then_check_passes(tmp_path, gate):
     baseline = tmp_path / "perf_baseline.json"
-    assert perfgate.main(["--write", "--rounds", "1",
-                          "--baseline", str(baseline)]) == 0
-    payload = json.loads(baseline.read_text())
-    assert set(payload) == {
-        "calibration_seconds", "workload_seconds", "normalized",
-        "events", "events_per_op", "fluid_calls_per_period",
-    }
-    # A generous tolerance makes the check insensitive to machine noise.
-    assert perfgate.main(["--rounds", "1", "--tolerance", "10.0",
-                          "--baseline", str(baseline)]) == 0
+    assert gate(["--write", "--baseline", str(baseline)]) == 0
+    assert set(json.loads(baseline.read_text())) == KEYS
+    assert gate(["--baseline", str(baseline)]) == 0
 
 
-def test_regression_fails_the_gate(tmp_path):
+def test_regression_fails_the_gate(tmp_path, gate, measured, capsys):
+    """Each budget fails alone, by name, the moment it is exceeded."""
+    for key in sorted(KEYS):
+        payload = dict(measured)
+        payload[key] -= 0.0001
+        baseline = _write(tmp_path / f"{key}.json", payload)
+        assert gate(["--baseline", baseline]) == 1
+        err = capsys.readouterr().err
+        assert f"FAIL: {key} " in err and err.count("FAIL") == 1
+
+
+def test_missing_baseline_is_an_error(tmp_path, monkeypatch):
+    """An unreadable baseline exits 2 before anything is measured."""
+    def unreachable():
+        raise AssertionError("measured before opening the baseline")
+
+    monkeypatch.setattr(perfgate, "measure", unreachable)
+    assert perfgate.main(["--baseline", str(tmp_path / "nope.json")]) == 2
+    corrupt = tmp_path / "corrupt.json"
+    corrupt.write_text("{not json")
+    assert perfgate.main(["--baseline", str(corrupt)]) == 2
+
+
+def test_event_budget_is_exact_and_gated(tmp_path, gate, measured, capsys):
+    """The counts are deterministic, so the gate holds them with no
+    tolerance: a second run repeats the first exactly, a ceiling equal
+    to it passes, and one event under it fails."""
+    events, completed = perfgate._workload_counts()
+    assert events == measured["events"]
+    assert round(events / completed, 4) == measured["events_per_op"]
+    payload = {"events": measured["events"],
+               "events_per_op": measured["events_per_op"]}
     baseline = tmp_path / "perf_baseline.json"
-    baseline.write_text(json.dumps({
-        "calibration_seconds": 1.0,
-        "workload_seconds": 0.001,
-        "normalized": 0.001,  # absurdly fast baseline: any run regresses
-    }))
-    assert perfgate.main(["--rounds", "1",
-                          "--baseline", str(baseline)]) == 1
-
-
-def test_missing_baseline_is_an_error(tmp_path):
-    assert perfgate.main(["--rounds", "1",
-                          "--baseline", str(tmp_path / "nope.json")]) == 2
-
-
-def test_event_budget_is_exact_and_gated(tmp_path, capsys):
-    """The event count is deterministic, so the gate holds it with no
-    tolerance: a ceiling equal to a previous run's count passes, one
-    event under it fails (so every run schedules exactly that many)."""
-    first = perfgate.measure(rounds=1)
-    baseline = tmp_path / "perf_baseline.json"
-    payload = {"calibration_seconds": 1.0, "workload_seconds": 1000.0,
-               "normalized": 1000.0,  # timing can never fail
-               "events": first["events"],
-               "events_per_op": first["events_per_op"]}
-    baseline.write_text(json.dumps(payload))
-    assert perfgate.main(["--rounds", "1", "--baseline", str(baseline)]) == 0
+    assert gate(["--baseline", _write(baseline, payload)]) == 0
     payload["events"] -= 1
-    baseline.write_text(json.dumps(payload))
-    assert perfgate.main(["--rounds", "1", "--baseline", str(baseline)]) == 1
+    assert gate(["--baseline", _write(baseline, payload)]) == 1
     assert "events" in capsys.readouterr().err
 
 
-def test_fluid_call_budget_is_exact_and_gated(tmp_path, capsys):
+def test_fluid_call_budget_is_exact_and_gated(tmp_path, gate, measured,
+                                              capsys):
     """Calls into ``src/repro`` per fluid period repeat exactly, so the
     ceiling is held with no tolerance, like the event count."""
-    first = perfgate._fluid_calls_per_period()
-    assert first == perfgate._fluid_calls_per_period()
+    first = measured["fluid_calls_per_period"]
+    assert round(perfgate._fluid_calls_per_period(), 4) == first
     # A 512-flow water-fill in Python is ~1.8 k calls a period.
     assert first < 40
-    baseline = tmp_path / "perf_baseline.json"
-    payload = {"normalized": 1000.0, "fluid_calls_per_period": first - 0.01}
-    baseline.write_text(json.dumps(payload))
-    assert perfgate.main(["--rounds", "1", "--baseline", str(baseline)]) == 1
+    payload = {"fluid_calls_per_period": first - 0.01}
+    baseline = _write(tmp_path / "perf_baseline.json", payload)
+    assert gate(["--baseline", baseline]) == 1
     assert "fluid_calls_per_period" in capsys.readouterr().err
 
 
-def test_committed_event_ceiling_holds():
+def test_committed_event_ceiling_holds(measured):
     """The committed ceiling is the count at the commit that set it; a
-    per-op or per-tick timer coming back onto the heap fails here."""
+    per-op or per-tick timer coming back onto the heap fails here, and
+    so does a per-flow Python loop coming back into the fluid step."""
     repo = pathlib.Path(__file__).resolve().parents[2]
     committed = json.loads((repo / perfgate.DEFAULT_BASELINE).read_text())
-    current = perfgate.measure(rounds=1)
-    assert current["events"] <= committed["events"]
-    assert current["events_per_op"] <= committed["events_per_op"]
-    # ... and a per-flow Python loop coming back into the fluid step.
-    assert (current["fluid_calls_per_period"]
-            <= committed["fluid_calls_per_period"])
+    assert set(committed) == KEYS
+    for key in KEYS:
+        assert measured[key] <= committed[key]

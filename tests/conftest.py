@@ -4,11 +4,21 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cluster.metrics import register_cluster_metrics
 from repro.kvstore import DataNode, KVClient
 from repro.rdma import Fabric, Host, NICProfile
 from repro.rdma.cpu import CPUProfile
 from repro.rdma.dispatch import TypeDispatcher
 from repro.sim import Simulator
+from repro.telemetry.registry import MetricsRegistry
+
+
+def cluster_registry(cluster):
+    """A fresh registry holding every gauge ``cluster`` registers — the
+    one place tests read a cluster's counters by name."""
+    registry = MetricsRegistry()
+    register_cluster_metrics(cluster, registry)
+    return registry
 
 
 @pytest.fixture

@@ -1,7 +1,7 @@
 """Fluid-vs-exact-DES equivalence, pinned on the documented seeds.
 
 These are the down-scaled validation runs the determinism guard's
-``scale`` digest family and the CI ``scale-smoke`` job rely on: the
+``scale`` digest family and the CI ``smoke (scale)`` job rely on: the
 fluid approximation must keep every who-wins relation and stay inside
 the documented attainment tolerance tier (docs/SCALE.md).
 """

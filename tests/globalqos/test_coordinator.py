@@ -4,7 +4,6 @@ import pytest
 
 from repro.common.errors import ConfigError
 from repro.common.types import QoSMode
-from repro.cluster.metrics import robustness_summary
 from repro.cluster.multinode import build_multinode_cluster
 from repro.cluster.scale import SimScale
 from repro.faults.plan import CrashWindow, FaultPlan
@@ -16,6 +15,8 @@ from repro.globalqos.scenario import (
     run_skewed,
 )
 from repro.globalqos.waterfill import even_split
+
+from tests.conftest import cluster_registry
 
 SCALE = SimScale(factor=500, interval_divisor=100)
 
@@ -56,6 +57,14 @@ class TestAttachValidation:
 def skewed_run():
     """One short coordinated run of the skewed scenario, shared."""
     return run_skewed(11, True, warmup_periods=4, measure_periods=4)
+
+
+# Gauges only an HA build (standby and/or quarantine armed) registers.
+HA_GAUGES = {
+    "globalqos_term", "globalqos_takeovers", "globalqos_stepdowns",
+    "globalqos_quarantines", "globalqos_unquarantines",
+    "globalqos_updates_fenced", "globalqos_updates_rejected_stale",
+}
 
 
 class TestRebalancing:
@@ -102,36 +111,43 @@ class TestRebalancing:
             assert sum(event["new"]) == event["aggregate"]
 
     def test_robustness_summary_exposes_the_subsystem(self, skewed_run):
-        summary = robustness_summary(skewed_run["_cluster"])
-        gq = summary["globalqos"]
-        assert gq["globalqos_rebalances_computed"] >= 1
-        assert gq["globalqos_updates_sent"] >= 1
-        assert set(gq["clients"]) == {
-            c.name for c in skewed_run["_cluster"].clients
-        }
-        assert set(gq["nodes"]) == {
-            n.host.name for n in skewed_run["_cluster"].nodes
-        }
-        assert "engines" in summary and "monitors" in summary
+        cluster = skewed_run["_cluster"]
+        registry = cluster_registry(cluster)
+        coord = cluster.coordinator.host.name
+        assert registry.value("globalqos_rebalances_computed",
+                              node=coord) >= 1
+        assert registry.value("globalqos_updates_sent", node=coord) >= 1
+
+        def labelled(gauge, key):
+            return {labels[key] for name, labels, _value
+                    in registry.collect() if name == gauge}
+
+        clients = {striped.name for striped in cluster.clients}
+        nodes = {node.host.name for node in cluster.nodes}
+        assert labelled("globalqos_updates_received", "client") == clients
+        assert labelled("globalqos_node_reports_sent", "node") == nodes
+        assert labelled("engine_faa_failures", "client") == clients
+        assert labelled("monitor_period_id", "node") == nodes
 
     def test_summary_ha_block_absent_without_standby(self, skewed_run):
-        gq = robustness_summary(skewed_run["_cluster"])["globalqos"]
-        for key in ("standby", "takeovers_total", "fenced_updates_total",
-                    "stale_updates_rejected_total", "quarantines_total",
-                    "unquarantines_total"):
-            assert key not in gq
+        names = {name for name, _labels, _value
+                 in cluster_registry(skewed_run["_cluster"]).collect()}
+        assert not names & HA_GAUGES
 
     def test_summary_ha_block_present_with_standby(self):
         cluster = build_skewed_cluster(
             11, coordinated=True, standby=True, quarantine=True,
         )
-        gq = robustness_summary(cluster)["globalqos"]
-        assert isinstance(gq["standby"], dict) and gq["standby"]
-        assert gq["takeovers_total"] == 0
-        assert gq["fenced_updates_total"] == 0
-        assert gq["stale_updates_rejected_total"] == 0
-        assert gq["quarantines_total"] == 0
-        assert gq["unquarantines_total"] == 0
+        registry = cluster_registry(cluster)
+        for coordinator in (cluster.coordinator, cluster.standby):
+            node = coordinator.host.name
+            for name in ("globalqos_takeovers", "globalqos_quarantines",
+                         "globalqos_unquarantines"):
+                assert registry.value(name, node=node) == 0
+        for striped in cluster.clients:
+            for name in ("globalqos_updates_fenced",
+                         "globalqos_updates_rejected_stale"):
+                assert registry.value(name, client=striped.name) == 0
 
 
 class TestFallback:

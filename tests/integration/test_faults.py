@@ -3,11 +3,11 @@ redistribution, and bit-for-bit reproducibility."""
 
 from repro.common.types import OpType
 from repro.cluster.experiment import run_experiment
-from repro.cluster.metrics import robustness_summary
 from repro.cluster.scenarios import fault_plan, faulty_qos_cluster, qos_cluster
 from repro.faults import DropRule, FaultPlan, OpFilter
 from repro.sim.trace import Tracer
 
+from tests.conftest import cluster_registry
 from tests.core.conftest import SCALE, make_qos_cluster
 
 
@@ -55,10 +55,15 @@ class TestControlLossSurvival:
 
     def test_summary_counts_the_damage(self):
         cluster, _ = self.run_at(0.05)
-        summary = robustness_summary(cluster)
-        assert summary["faults"]["dropped_total"] > 0
-        assert summary["faa_failures_total"] >= 0
-        assert set(summary["engines"]) == {"C1", "C2", "C3"}
+        registry = cluster_registry(cluster)
+        assert registry.value("faults_dropped_total") > 0
+        failures = {
+            labels["client"]: value
+            for name, labels, value in registry.collect()
+            if name == "engine_faa_failures"
+        }
+        assert set(failures) == {"C1", "C2", "C3"}
+        assert sum(failures.values()) > 0
 
 
 class TestDegradedMode:

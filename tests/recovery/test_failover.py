@@ -3,12 +3,13 @@
 import math
 
 from repro.cluster.experiment import attach_app
-from repro.cluster.metrics import robustness_summary
 from repro.faults import CrashWindow, FaultPlan, QPCloseFault
 from repro.recovery import build_replicated_cluster
 from repro.recovery.chaos import CHAOS_SCALE
 from repro.recovery.failover import FailoverState
 from repro.workloads.patterns import RequestPattern
+
+from tests.conftest import cluster_registry
 
 RES = [60_000.0, 60_000.0]
 
@@ -83,15 +84,17 @@ class TestPrimaryCrashFailover:
             drop_fail_after=cluster.config.check_interval,
         ))
         run(cluster, 8)
-        summary = robustness_summary(cluster)
-        assert summary["failovers_total"] == 2
-        assert summary["re_registrations_total"] == 2
+        registry = cluster_registry(cluster)
         for name in ("C1", "C2"):
-            entry = summary["failover"][name]
-            assert entry["state"] == "failed_over"
-            assert entry["rejoins_completed"] == 1
-            assert len(entry["failover_windows"]) == 1
-        assert len(summary["replica_monitor"]["rejoins"]) == 2
+            assert registry.value("failover_failovers", client=name) == 1
+            assert registry.value("engine_re_registrations", client=name) == 1
+            assert registry.value("failover_rejoins_completed",
+                                  client=name) == 1
+            assert registry.value("failover_windows", client=name) == 1
+        assert registry.value("monitor_rejoins",
+                              node=cluster.replica_host.name) == 2
+        for ctx in cluster.clients:
+            assert ctx.failover.state is FailoverState.FAILED_OVER
 
 
 class TestStaleControlEpoch:

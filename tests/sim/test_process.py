@@ -2,8 +2,6 @@
 
 import pytest
 
-from repro.sim import Interrupt
-
 
 def test_process_advances_through_timeouts(sim):
     trace = []
@@ -82,61 +80,6 @@ def test_uncaught_exception_fails_the_process(sim):
     sim.run()
     assert p.triggered and not p.ok
     assert isinstance(p.exception, RuntimeError)
-
-
-def test_interrupt_raises_inside_generator(sim):
-    trace = []
-
-    def proc():
-        try:
-            yield sim.timeout(10.0)
-        except Interrupt as intr:
-            trace.append(("interrupted", intr.cause, sim.now))
-
-    p = sim.process(proc())
-    sim.schedule(3.0, p.interrupt, "reason")
-    sim.run()
-    assert trace == [("interrupted", "reason", 3.0)]
-
-
-def test_unhandled_interrupt_is_clean_exit(sim):
-    def proc():
-        yield sim.timeout(10.0)
-
-    p = sim.process(proc())
-    sim.schedule(1.0, p.interrupt)
-    sim.run()
-    assert p.triggered and p.ok
-    assert not p.alive
-
-
-def test_interrupting_finished_process_is_noop(sim):
-    def proc():
-        yield sim.timeout(1.0)
-
-    p = sim.process(proc())
-    sim.run()
-    p.interrupt()  # must not raise
-    sim.run()
-
-
-def test_stale_wakeup_after_interrupt_ignored(sim):
-    """The event a process was waiting on fires after the interrupt."""
-    resumed = []
-
-    def proc():
-        try:
-            yield sim.timeout(5.0)
-            resumed.append("timeout")
-        except Interrupt:
-            yield sim.timeout(10.0)
-            resumed.append("post-interrupt")
-
-    p = sim.process(proc())
-    sim.schedule(1.0, p.interrupt)
-    sim.run()
-    assert resumed == ["post-interrupt"]
-    assert sim.now == 11.0
 
 
 def test_yielding_non_event_fails_process(sim):

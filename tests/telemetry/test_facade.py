@@ -1,133 +1,132 @@
-"""robustness_summary must stay field-for-field what it was pre-registry.
+"""The registry is the one reader: every gauge fronts its getter.
 
-The summary is now a façade over the metrics registry; this pins its
-output to a verbatim copy of the pre-registry implementation, on both a
-plain QoS cluster and a replicated cluster driven through a chaos plan
-(which populates the failover/replica/replication/faults sections).
+``register_cluster_metrics`` turns each component's ``metrics_items()``
+into callback gauges.  For a plain QoS cluster, a replicated cluster
+driven through a chaos plan and an HA multi-node cluster through a
+leader crash, every registered gauge must read exactly what the getter
+it fronts returns, nothing may be registered that no component fronts,
+and the ``name{label keys}`` set must match the committed
+``gauge_names.txt`` (one ``topology name{label keys}`` row each; the
+digest families hash the metrics JSONL these names feed, so a rename
+is a re-pin, not a drive-by).
 """
 
-from repro.cluster.experiment import attach_app, run_experiment
-from repro.cluster.metrics import robustness_summary
+import math
+import pathlib
+
+from repro.cluster import chaos
+from repro.cluster.experiment import run_experiment
 from repro.cluster.scale import SimScale
 from repro.cluster.scenarios import paper_demands, qos_cluster, \
     reservation_set
-from repro.recovery.chaos import CHAOS_SCALE, chaos_plan
-from repro.recovery.cluster import build_replicated_cluster
-from repro.workloads.patterns import RequestPattern
+from repro.faults.plan import CrashWindow, FaultPlan
+from repro.globalqos.coordinator import COORD_HOST_NAME
+from repro.globalqos.scenario import build_skewed_cluster
+from repro.recovery.chaos import RECOVERY
+
+from tests.conftest import cluster_registry
+
+COARSE = SimScale(factor=1000, interval_divisor=50)
+NAMES = pathlib.Path(__file__).with_name("gauge_names.txt")
 
 
-def legacy_summary(cluster) -> dict:
-    """The pre-registry robustness_summary, copied verbatim."""
-    engines = {}
-    failover = {}
+def single_node_components(cluster):
+    """``(labels, component)`` for everything with ``metrics_items()``
+    on a (possibly replicated) single-data-node cluster."""
+    server = cluster.server_host.name
+    out = [({"node": server}, part) for part in
+           (cluster.server_host.nic, cluster.data_node, cluster.monitor)]
     for ctx in cluster.clients:
-        engine = ctx.engine
-        if engine is None:
-            continue
-        engines[ctx.name] = {
-            "faa_failures": engine.faa_failures,
-            "faa_timeouts": engine.faa_timeouts,
-            "faa_pool_empty": engine.faa_pool_empty,
-            "probes_issued": engine.probes_issued,
-            "reports_failed": engine.reports_failed,
-            "degraded": engine.degraded,
-            "degraded_entries": engine.degraded_entries,
-            "degraded_periods": engine.degraded_periods,
-            "degraded_recoveries": engine.degraded_recoveries,
-            "re_registrations": engine.re_registrations,
-            "stale_control_messages": engine.stale_control_messages,
-            "generation_resyncs": engine.generation_resyncs,
-        }
-        manager = getattr(ctx, "failover", None)
-        if manager is not None:
-            failover[ctx.name] = {
-                "state": manager.state.value,
-                "suspect_transitions": manager.suspect_transitions,
-                "probes_sent": manager.probes_sent,
-                "reconnect_attempts": manager.reconnect_attempts,
-                "failovers": manager.failovers,
-                "rejoins_completed": manager.rejoins_completed,
-                "put_retries": manager.put_retries,
-                "puts_acked": manager.puts_acked,
-                "failover_windows": list(manager.failover_windows),
-            }
-    summary = {
-        "engines": engines,
-        "faa_failures_total": sum(e["faa_failures"] for e in engines.values()),
-        "faa_timeouts_total": sum(e["faa_timeouts"] for e in engines.values()),
-        "degraded_entries_total": sum(
-            e["degraded_entries"] for e in engines.values()
-        ),
-        "re_registrations_total": sum(
-            e["re_registrations"] for e in engines.values()
-        ),
-    }
-    if failover:
-        summary["failover"] = failover
-        summary["failovers_total"] = sum(
-            f["failovers"] for f in failover.values()
-        )
-    if cluster.monitor is not None:
-        monitor = cluster.monitor
-        summary["monitor"] = {
-            "stale_reports": monitor.stale_reports,
-            "clamped_reports": monitor.clamped_reports,
-            "sends_failed": monitor.sends_failed,
-            "evictions": list(monitor.evictions),
-            "rejoins": list(monitor.rejoins),
-            "reinitializations": monitor.reinitializations,
-        }
-    replica_monitor = getattr(cluster, "replica_monitor", None)
-    if replica_monitor is not None:
-        summary["replica_monitor"] = {
-            "rejoins": list(replica_monitor.rejoins),
-            "rejoin_clamped": replica_monitor.rejoin_clamped,
-            "sends_failed": replica_monitor.sends_failed,
-        }
-        data_node = cluster.data_node
-        summary["replication"] = {
-            "replicated_puts": data_node.replicated_puts,
-            "replication_retries": data_node.replication_retries,
-            "degraded_acks": data_node.degraded_acks,
-            "replica_applies": cluster.replica_node.replica_applies,
-            "duplicate_suppressed_primary":
-                data_node.store.duplicate_suppressed,
-            "duplicate_suppressed_replica":
-                cluster.replica_node.store.duplicate_suppressed,
-        }
+        out.append(({"client": ctx.name}, ctx.engine))
+        out.append(({"node": ctx.host.name}, ctx.host.nic))
+        if getattr(ctx, "failover", None) is not None:
+            out.append(({"client": ctx.name}, ctx.failover))
+    if getattr(cluster, "replica_host", None) is not None:
+        replica = cluster.replica_host.name
+        out += [({"node": replica}, part) for part in
+                (cluster.replica_host.nic, cluster.replica_node,
+                 cluster.replica_monitor)]
     if cluster.fault_injector is not None:
-        summary["faults"] = cluster.fault_injector.summary()
-    return summary
+        out.append(({}, cluster.fault_injector))
+    return out
+
+
+def multinode_components(cluster):
+    out = [({}, cluster.fault_injector)]
+    for striped in cluster.clients:
+        out.append(({"node": striped.host.name}, striped.host.nic))
+        for node, engine in zip(cluster.nodes, striped.engines):
+            out.append(({"client": striped.name, "node": node.host.name},
+                        engine))
+    for node in cluster.nodes:
+        out += [({"node": node.host.name}, part) for part in
+                (node.host.nic, node.data_node, node.monitor)]
+    for coordinator in (cluster.coordinator, cluster.standby):
+        out.append(({"node": coordinator.host.name}, coordinator))
+    for agent in cluster.client_agents:
+        out.append(({"client": agent.striped.name}, agent))
+    for agent in cluster.node_agents:
+        out.append(({"node": agent.node.host.name}, agent))
+    return out
+
+
+def check_gauges_front_their_getters(cluster, components) -> set:
+    """Returns the ``name{label keys}`` set the cluster registered."""
+    registry = cluster_registry(cluster)
+    fronted = set()
+    for labels, component in components:
+        for name, getter in component.metrics_items():
+            assert registry.value(name, **labels) == getter(), (name, labels)
+            fronted.add((name, tuple(sorted(labels.items()))))
+    registered = {(name, tuple(sorted(labels.items())))
+                  for name, labels, _value in registry.collect()}
+    assert registered == fronted
+    return {f"{name}{{{','.join(key for key, _ in labels)}}}"
+            for name, labels in registered}
+
+
+def committed(topology, without=()) -> set:
+    rows = (line.split() for line in NAMES.read_text().splitlines())
+    return {name for kind, name in rows
+            if kind == topology and not name.startswith(without)}
 
 
 def test_qos_cluster_summary_unchanged():
     reservations = reservation_set("uniform", 400_000, num_clients=2)
     cluster = qos_cluster(
-        reservations, paper_demands(reservations, 50_000),
-        scale=SimScale(factor=1000, interval_divisor=50),
+        reservations, paper_demands(reservations, 50_000), scale=COARSE,
     )
     run_experiment(cluster, warmup_periods=1, measure_periods=2)
-    assert robustness_summary(cluster) == legacy_summary(cluster)
+    names = check_gauges_front_their_getters(
+        cluster, single_node_components(cluster))
+    assert names == committed("single", without=("failover_", "faults_"))
 
 
 def test_chaotic_replicated_cluster_summary_unchanged():
-    # Drives failover, eviction/rejoin, replication, and fault counters
-    # so every section of the summary is populated and compared.
-    periods = 8
-    cluster = build_replicated_cluster(
-        num_clients=4, reservations_ops=[60_000.0] * 4, scale=CHAOS_SCALE,
-    )
-    plan = chaos_plan(11, cluster.config, periods, num_clients=4)
-    cluster.inject_faults(plan, seed=11)
-    for ctx in cluster.clients:
-        attach_app(cluster, ctx, RequestPattern.BURST, demand_ops=60_000.0,
-                   window=None)
-    cluster.start()
-    cluster.sim.run(until=periods * cluster.config.period)
+    # Failover, rejoin, replication and fault counters all move, so the
+    # gauges compared are not all zero.
+    report, cluster = chaos.run(RECOVERY, 11, periods=8)
+    assert report.counters["failovers"] and report.counters["puts_acked"]
+    assert sum(cluster.fault_injector.dropped.values()) > 0
+    names = check_gauges_front_their_getters(
+        cluster, single_node_components(cluster))
+    assert names == committed("single")
 
-    summary = robustness_summary(cluster)
-    assert summary == legacy_summary(cluster)
-    # The run actually exercised the sections this test exists to pin.
-    assert summary["failover"]
-    assert "replication" in summary
-    assert "faults" in summary
+
+def test_ha_multinode_cluster_gauges_front_their_getters():
+    cluster = build_skewed_cluster(
+        11, coordinated=True, standby=True, quarantine=True, scale=COARSE,
+        rebalance_periods=1, takeover_after=2,
+    )
+    T = cluster.config.period
+    cluster.inject_faults(FaultPlan(
+        crashes=(CrashWindow(COORD_HOST_NAME, 2.5 * T, math.inf),),
+        drop_fail_after=cluster.config.check_interval,
+    ), seed=11)
+    cluster.start()
+    cluster.sim.run(until=10 * T)
+
+    assert cluster.standby.takeovers == 1
+    names = check_gauges_front_their_getters(
+        cluster, multinode_components(cluster))
+    assert names == committed("multi")

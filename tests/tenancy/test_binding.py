@@ -1,9 +1,8 @@
-"""Lowering the hierarchy onto the DES: guard, rollups, facade block."""
+"""Lowering the hierarchy onto the DES: guard, rollups, tenancy gauges."""
 
 import pytest
 
 from repro.cluster.experiment import run_experiment
-from repro.cluster.metrics import robustness_summary
 from repro.cluster.scenarios import TEST_SCALE, qos_cluster
 from repro.common.errors import ConfigError
 from repro.tenancy.binding import (
@@ -12,6 +11,8 @@ from repro.tenancy.binding import (
     leaf_reservations_ops,
 )
 from repro.tenancy.hierarchy import ClientGroup, Tenant, TenantHierarchy
+
+from tests.conftest import cluster_registry
 
 
 def small_hierarchy(config):
@@ -135,24 +136,17 @@ def test_tenant_rollup_matches_flat_telemetry():
         )
 
 
-def legacy_tenancy_block(cluster) -> dict:
-    """The facade's tenancy block, recomputed from first principles."""
-    binding = cluster.tenancy
-    block = {name: getter() for name, getter in binding.metrics_items()}
-    block["tenants"] = binding.tenant_rollup()
-    block["rollup_conservation"] = binding.rollup_conservation()
-    ledger_rollup = binding.ledger_rollup()
-    if ledger_rollup:
-        block["ledger"] = ledger_rollup
-    return block
-
-
 def test_facade_tenancy_block_pinned():
     cluster, binding = bound_cluster(periods=3)
-    summary = robustness_summary(cluster)
-    assert summary["tenancy"] == legacy_tenancy_block(cluster)
-    assert summary["tenancy"]["tenancy_tenants"] == 2
-    assert summary["tenancy"]["rollup_conservation"] == []
+    registry = cluster_registry(cluster)
+    items = binding.metrics_items()
+    assert items
+    for name, getter in items:
+        assert name.startswith("tenancy_")
+        assert registry.value(name) == getter()
+    assert registry.value("tenancy_tenants") == 2
+    assert registry.value("tenancy_rollup_violations") == 0
+    assert binding.rollup_conservation() == []
 
 
 def test_facade_block_absent_without_hierarchy():
@@ -161,4 +155,5 @@ def test_facade_block_absent_without_hierarchy():
         scale=TEST_SCALE,
     )
     run_experiment(cluster, warmup_periods=1, measure_periods=2)
-    assert "tenancy" not in robustness_summary(cluster)
+    rows = cluster_registry(cluster).collect()
+    assert not any(name.startswith("tenancy_") for name, _, _ in rows)

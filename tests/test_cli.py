@@ -1,5 +1,7 @@
 """CLI behaviour (argument handling, exit codes, output shape)."""
 
+import pathlib
+
 import pytest
 
 from repro.cli import main
@@ -11,7 +13,12 @@ def test_figures_lists_every_paper_artifact(capsys):
     for fig in range(6, 20):
         assert f"Fig. {fig}" in out
     assert "Table I" in out
-    assert "bench_fig09_haechi_qos.py" in out
+    # Every committed bench is listed, so the table cannot go stale.
+    benches = pathlib.Path(__file__).resolve().parents[1] / "benchmarks"
+    names = sorted(path.name for path in benches.glob("bench_*.py"))
+    assert "bench_fig09_haechi_qos.py" in names
+    for name in names:
+        assert name in out
 
 
 def test_profile_reports_capacity(capsys):
@@ -50,6 +57,16 @@ def test_run_rejects_bad_fraction(capsys):
 def test_run_basic_mode(capsys):
     assert main(["run", "--mode", "basic", "--distribution", "uniform",
                  "--periods", "3", "--warmup", "2", "--scale", "1000"]) == 0
+
+
+def test_faults_reports_injected_damage(capsys):
+    assert main(["faults", "--kind", "control-loss", "--rate", "0.05",
+                 "--clients", "3", "--periods", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 7
+    assert lines[5] == "faults: dropped=361  delayed=0  qps_closed=0"
+    assert lines[6] == ("control plane: faa_failures=202  timeouts=0  "
+                        "degraded_entries=0  stale_reports=0  clamped=0")
 
 
 def test_unknown_command_rejected():
