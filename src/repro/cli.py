@@ -39,6 +39,7 @@ import sys
 from typing import List, Optional
 
 from repro.analysis import format_table, meets_reservation
+from repro.common.errors import ConfigError
 from repro.common.types import QoSMode
 from repro.cluster.experiment import run_experiment
 from repro.cluster.profiling import run_profiling
@@ -379,32 +380,26 @@ def _cmd_faults(args) -> int:
     if not 0 <= args.client < args.clients:
         print(f"--client must be in [0, {args.clients})", file=sys.stderr)
         return 2
-    from repro.common.errors import ConfigError
-
     scale = SimScale(factor=args.scale, interval_divisor=200)
     reservations = reservation_set(
         args.distribution, args.reserved_fraction * _CAPACITY, args.clients
     )
     pool = (1 - args.reserved_fraction) * _CAPACITY
     demands = paper_demands(reservations, pool)
-    try:
-        cluster = faulty_qos_cluster(
-            reservations, demands,
-            kind=args.kind,
-            fault_seed=args.seed,
-            fault_kwargs={
-                "rate": args.rate,
-                "client": args.client,
-                "factor": args.factor,
-                "start_period": args.start_period,
-                "end_period": args.end_period,
-            },
-            scale=scale,
-            master_seed=args.seed,
-        )
-    except ConfigError as err:
-        print(err, file=sys.stderr)
-        return 2
+    cluster = faulty_qos_cluster(
+        reservations, demands,
+        kind=args.kind,
+        fault_seed=args.seed,
+        fault_kwargs={
+            "rate": args.rate,
+            "client": args.client,
+            "factor": args.factor,
+            "start_period": args.start_period,
+            "end_period": args.end_period,
+        },
+        scale=scale,
+        master_seed=args.seed,
+    )
     result = run_experiment(cluster, warmup_periods=args.warmup,
                             measure_periods=args.periods)
 
@@ -446,7 +441,6 @@ def _write_report(path: str, payload: dict) -> None:
 
 def _cmd_chaos(args) -> int:
     from repro.cluster import chaos
-    from repro.common.errors import ConfigError
 
     registry = chaos.scenarios()
     scenario = registry.get(args.scenario)
@@ -458,11 +452,7 @@ def _cmd_chaos(args) -> int:
     periods = args.periods if args.periods is not None else scenario.periods
     reports = []
     for seed in seeds:
-        try:
-            report, _cluster = chaos.run(scenario, seed, periods=periods)
-        except ConfigError as err:
-            print(err, file=sys.stderr)
-            return 2
+        report, _cluster = chaos.run(scenario, seed, periods=periods)
         reports.append(report)
         for violation in report.violations:
             print(f"seed {seed}: {violation}", file=sys.stderr)
@@ -617,9 +607,7 @@ def _cmd_telemetry(args) -> int:
         rows = write_metrics_jsonl(args.metrics, hub.period_rows)
         print(f"metrics snapshots: {args.metrics} ({rows} periods)")
     if args.ledger is not None and hub.ledger is not None:
-        for ctx in cluster.clients:
-            if ctx.engine is not None:
-                ctx.engine.ledger_flush()
+        cluster.flush_ledgers()
         lines = write_ledger_jsonl(args.ledger, hub.ledger)
         print(f"token ledger: {args.ledger} ({lines} events)")
         violations = hub.ledger.check_conservation()
@@ -666,7 +654,6 @@ _FIGURES = [
 
 
 def _cmd_figure(args) -> int:
-    from repro.common.errors import ConfigError
     from repro.cluster.presets import REGISTRY, get_preset
 
     if args.name == "--list" or args.name == "list":
@@ -676,12 +663,7 @@ def _cmd_figure(args) -> int:
         ):
             print(line)
         return 0
-    try:
-        preset = get_preset(args.name)
-    except ConfigError as err:
-        print(err, file=sys.stderr)
-        return 2
-    summary = preset.run(quick=args.quick)
+    summary = get_preset(args.name).run(quick=args.quick)
     print(summary["title"])
     for line in format_table(summary["header"], summary["rows"]):
         print(line)
@@ -728,14 +710,13 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_hunt(args) -> int:
-    from repro.common.errors import ConfigError
     from repro.hunt import HuntConfig, replay_file, run_hunt
     from repro.hunt.reproducer import write_reproducers
 
     if args.replay is not None:
         try:
             outcome = replay_file(args.replay)
-        except (ConfigError, FileNotFoundError, json.JSONDecodeError) as err:
+        except (FileNotFoundError, json.JSONDecodeError) as err:
             print(err, file=sys.stderr)
             return 2
         if outcome.reproduced:
@@ -799,24 +780,19 @@ def _cmd_hunt(args) -> int:
 def _cmd_scale(args) -> int:
     import time
 
-    from repro.common.errors import ConfigError
     from repro.fluid.scenario import run_fluid_scale
     from repro.fluid.validate import run_equivalence
 
     started = time.perf_counter()
-    try:
-        report = run_fluid_scale(
-            num_clients=args.clients,
-            tenants=args.tenants,
-            groups_per_tenant=args.groups_per_tenant,
-            periods=args.periods,
-            seed=args.seed,
-            brownout=args.brownout,
-            resize=args.resize,
-        )
-    except ConfigError as err:
-        print(err, file=sys.stderr)
-        return 2
+    report = run_fluid_scale(
+        num_clients=args.clients,
+        tenants=args.tenants,
+        groups_per_tenant=args.groups_per_tenant,
+        periods=args.periods,
+        seed=args.seed,
+        brownout=args.brownout,
+        resize=args.resize,
+    )
     wall = time.perf_counter() - started
 
     problems = list(report["hierarchy_violations"])
@@ -886,25 +862,19 @@ def _cmd_figures(_args) -> int:
 
 def _cmd_fabric(args) -> int:
     from repro.cluster.fabric_scenarios import run_incast
-    from repro.common.errors import ConfigError
 
     rows = []
     runs = {}
-    try:
-        for label, cc in (("DCQCN on", True), ("DCQCN off", False)):
-            r = run_incast(args.seed, cc_enabled=cc,
-                           ops_per_client=args.ops)
-            runs["cc_on" if cc else "cc_off"] = r
-            port = r["cc"]["ports"]["server"]
-            rows.append([
-                label, "yes" if r["all_finished"] else "NO",
-                round(r["makespan"] * 1e3, 3) if r["makespan"] else "-",
-                port["ecn_marks"], r["cc"]["qps"]["cnps_sent"],
-                port["pfc_pause_events"],
-            ])
-    except ConfigError as err:
-        print(err, file=sys.stderr)
-        return 2
+    for label, cc in (("DCQCN on", True), ("DCQCN off", False)):
+        r = run_incast(args.seed, cc_enabled=cc, ops_per_client=args.ops)
+        runs["cc_on" if cc else "cc_off"] = r
+        port = r["cc"]["ports"]["server"]
+        rows.append([
+            label, "yes" if r["all_finished"] else "NO",
+            round(r["makespan"] * 1e3, 3) if r["makespan"] else "-",
+            port["ecn_marks"], r["cc"]["qps"]["cnps_sent"],
+            port["pfc_pause_events"],
+        ])
     print(f"{runs['cc_on']['num_clients']}:1 incast, 4 KB READs, "
           f"{args.ops} ops/client, seed {args.seed}")
     for line in format_table(
@@ -935,7 +905,6 @@ def _cmd_fabric(args) -> int:
 
 
 def _cmd_policy(args) -> int:
-    from repro.common.errors import ConfigError
     from repro.policy import (
         SUPPORTED_SCHEMA_VERSIONS,
         QoSPolicy,
@@ -943,116 +912,110 @@ def _cmd_policy(args) -> int:
         load_policy,
     )
 
-    try:
-        if args.policy_command == "list":
-            rows = []
-            for name in list_builtin():
-                doc = load_policy(name)
-                rows.append([
-                    name, doc.name, str(doc.version),
-                    str(doc.schema_version), str(len(doc.classes)),
-                    str(doc.num_clients()) if doc.classes else "-",
-                ])
-            for line in format_table(
-                ["file", "policy", "revision", "schema", "classes",
-                 "clients"], rows,
-            ):
-                print(line)
-            return 0
+    if args.policy_command == "list":
+        rows = []
+        for name in list_builtin():
+            doc = load_policy(name)
+            rows.append([
+                name, doc.name, str(doc.version),
+                str(doc.schema_version), str(len(doc.classes)),
+                str(doc.num_clients()) if doc.classes else "-",
+            ])
+        for line in format_table(
+            ["file", "policy", "revision", "schema", "classes",
+             "clients"], rows,
+        ):
+            print(line)
+        return 0
 
-        if args.policy_command == "show":
-            doc = load_policy(args.name)
-            if args.schema is not None:
-                doc = doc.downconvert(args.schema)
-            print(doc.to_json(indent=2))
-            return 0
+    if args.policy_command == "show":
+        doc = load_policy(args.name)
+        if args.schema is not None:
+            doc = doc.downconvert(args.schema)
+        print(doc.to_json(indent=2))
+        return 0
 
-        if args.policy_command == "diff":
-            old = load_policy(args.old)
-            new = load_policy(args.new)
-            lines = old.diff(new)
-            if not lines:
-                print("documents are identical")
-                return 0
-            for line in lines:
-                print(line)
+    if args.policy_command == "diff":
+        old = load_policy(args.old)
+        new = load_policy(args.new)
+        lines = old.diff(new)
+        if not lines:
+            print("documents are identical")
             return 0
+        for line in lines:
+            print(line)
+        return 0
 
-        if args.policy_command == "validate":
-            names = args.names or list_builtin()
-            if not names:
-                print("no policy documents to validate", file=sys.stderr)
-                return 2
-            rows = []
-            for name in names:
-                doc = load_policy(name)
-                # The committed form must survive a canonical
-                # round-trip: what a consumer parses is what the
-                # author validated.
-                if QoSPolicy.from_json(doc.to_json()) != doc:
-                    raise ConfigError(
-                        f"{name}: document does not round-trip through "
-                        "its own canonical JSON"
-                    )
-                floors = sorted(
-                    v for v in SUPPORTED_SCHEMA_VERSIONS
-                    if v <= doc.schema_version
+    if args.policy_command == "validate":
+        names = args.names or list_builtin()
+        if not names:
+            print("no policy documents to validate", file=sys.stderr)
+            return 2
+        rows = []
+        for name in names:
+            doc = load_policy(name)
+            # The committed form must survive a canonical
+            # round-trip: what a consumer parses is what the
+            # author validated.
+            if QoSPolicy.from_json(doc.to_json()) != doc:
+                raise ConfigError(
+                    f"{name}: document does not round-trip through "
+                    "its own canonical JSON"
                 )
-                downconverts = []
-                for target in floors[:-1]:
-                    try:
-                        doc.downconvert(target)
-                        downconverts.append(f"v{target}:ok")
-                    except ConfigError:
-                        downconverts.append(f"v{target}:rejected")
-                rows.append([
-                    name, str(doc.version), str(doc.schema_version),
-                    ", ".join(downconverts) or "-", "PASS",
-                ])
-            for line in format_table(
-                ["document", "revision", "schema", "down-convert",
-                 "verdict"], rows,
-            ):
-                print(line)
-            print(f"{len(rows)} document(s) validated")
-            return 0
-    except ConfigError as err:
-        print(err, file=sys.stderr)
-        return 2
-
+            floors = sorted(
+                v for v in SUPPORTED_SCHEMA_VERSIONS
+                if v <= doc.schema_version
+            )
+            downconverts = []
+            for target in floors[:-1]:
+                try:
+                    doc.downconvert(target)
+                    downconverts.append(f"v{target}:ok")
+                except ConfigError:
+                    downconverts.append(f"v{target}:rejected")
+            rows.append([
+                name, str(doc.version), str(doc.schema_version),
+                ", ".join(downconverts) or "-", "PASS",
+            ])
+        for line in format_table(
+            ["document", "revision", "schema", "down-convert",
+             "verdict"], rows,
+        ):
+            print(line)
+        print(f"{len(rows)} document(s) validated")
+        return 0
     raise AssertionError(f"unhandled policy command {args.policy_command!r}")
 
 
+_COMMANDS = {
+    "profile": _cmd_profile,
+    "run": _cmd_run,
+    "faults": _cmd_faults,
+    "chaos": _cmd_chaos,
+    "globalqos": _cmd_globalqos,
+    "telemetry": _cmd_telemetry,
+    "figures": _cmd_figures,
+    "figure": _cmd_figure,
+    "bench": _cmd_bench,
+    "hunt": _cmd_hunt,
+    "scale": _cmd_scale,
+    "fabric": _cmd_fabric,
+    "policy": _cmd_policy,
+}
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    A semantic error in the request (:class:`ConfigError` from any
+    layer) is one line on stderr and exit code 2, never a traceback.
+    """
     args = _build_parser().parse_args(argv)
-    if args.command == "profile":
-        return _cmd_profile(args)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "faults":
-        return _cmd_faults(args)
-    if args.command == "chaos":
-        return _cmd_chaos(args)
-    if args.command == "globalqos":
-        return _cmd_globalqos(args)
-    if args.command == "telemetry":
-        return _cmd_telemetry(args)
-    if args.command == "figures":
-        return _cmd_figures(args)
-    if args.command == "figure":
-        return _cmd_figure(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
-    if args.command == "hunt":
-        return _cmd_hunt(args)
-    if args.command == "scale":
-        return _cmd_scale(args)
-    if args.command == "fabric":
-        return _cmd_fabric(args)
-    if args.command == "policy":
-        return _cmd_policy(args)
-    raise AssertionError(f"unhandled command {args.command!r}")
+    try:
+        return _COMMANDS[args.command](args)
+    except ConfigError as err:
+        print(err, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

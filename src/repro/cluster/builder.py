@@ -1,10 +1,14 @@
-"""Cluster assembly: the paper's 1-data-node / N-client testbed shape.
+"""Testbed assembly: one wiring for every deployment shape.
 
-``build_cluster`` wires the full simulated deployment: fabric, data
-node (KV store + two-sided RPC service), client hosts with KV clients,
-and — for the QoS modes — the Haechi monitor with admission control
-plus one QoS engine per client.  Apps and background jobs are attached
-afterwards by the scenario code.
+A client joins a data node exactly one way — a QP pair, a report slot
+in the monitor's registered memory, an admission check, a reservation
+(paper Sec. II, Fig. 4) — whatever the topology.  :class:`Assembly`
+writes the three steps once (*deploy a data node*, *connect a client
+host to it*, *enrol the client with its monitor*); ``build_cluster``
+(the paper's 1-node / N-client testbed), ``build_multinode_cluster``
+and ``build_replicated_cluster`` are loops over them, and every built
+deployment is a :class:`Deployment`.  Apps and background jobs are
+attached afterwards by the scenario code.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from repro.core.monitor import QoSMonitor
 from repro.cluster.calibration import CHAMELEON, DEFAULT_PROFILE_RSD, TestbedCalibration
 from repro.cluster.metrics import MetricsCollector
 from repro.cluster.scale import SimScale
+from repro.faults.injector import FaultInjector
 from repro.kvstore.client import KVClient
 from repro.kvstore.server import DataNode
 from repro.rdma.cpu import CPUProfile
@@ -32,6 +37,16 @@ from repro.rdma.node import Host
 from repro.sim.core import Simulator
 from repro.sim.trace import NULL_TRACER
 from repro.workloads.background import BackgroundJob
+
+
+@dataclasses.dataclass
+class NodeDeployment:
+    """One data node with its QoS machinery (no monitor in bare mode)."""
+
+    index: int
+    host: Host
+    data_node: DataNode
+    monitor: Optional[QoSMonitor]
 
 
 @dataclasses.dataclass
@@ -54,6 +69,15 @@ class ClientContext:
     tenant: Optional[str] = None
     group: Optional[str] = None
 
+    @property
+    def engines(self) -> List[QoSEngine]:
+        """This client's engines (none in bare mode)."""
+        return [] if self.engine is None else [self.engine]
+
+    def engine_labels(self, engine: QoSEngine) -> dict:
+        """Gauge labels: the engine follows its client across nodes."""
+        return {"client": self.name}
+
     def submitter(self, access: AccessMode = AccessMode.ONE_SIDED,
                   touch_memory: bool = False):
         """The submit(key, cb) callable apps should drive.
@@ -70,37 +94,143 @@ class ClientContext:
         return self.kv.get_twosided
 
 
-class Cluster:
-    """A built deployment, ready for apps and :func:`run_experiment`."""
+class Assembly:
+    """One build's shared state and the three steps every builder
+    repeats: :meth:`deploy_node`, :meth:`connect`, :meth:`enrol`.
 
-    def __init__(
-        self,
-        sim: Simulator,
-        fabric: Fabric,
-        scale: SimScale,
-        config: HaechiConfig,
-        server_host: Host,
-        data_node: DataNode,
-        clients: List[ClientContext],
-        monitor: Optional[QoSMonitor],
-        admission: Optional[AdmissionController],
-        touch_memory: bool,
-    ):
-        self.sim = sim
-        self.fabric = fabric
-        self.scale = scale
+    Host-add order, ``connect`` order and ``enrol`` order are behaviour
+    (they fix QP numbering, slot indices and event tie-breaks, which
+    the digest families pin); the builders choose them, the steps only
+    do the wiring.
+    """
+
+    def __init__(self, config: HaechiConfig, num_clients: int,
+                 touch_memory: bool = False, tracer=NULL_TRACER,
+                 master_seed: int = 0, fabric_model=None):
         self.config = config
-        self.server_host = server_host
-        self.data_node = data_node
-        self.clients = clients
-        self.monitor = monitor
-        self.admission = admission
+        self.max_clients = max(64, num_clients)
         self.touch_memory = touch_memory
-        self.metrics = MetricsCollector(sim, config.period)
+        self.tracer = tracer
+        self.master_seed = master_seed
+        self.sim = Simulator()
+        self.fabric = Fabric(self.sim, model=fabric_model, seed=master_seed)
+        # One profile pair per build, shared by every host.
+        self.nic_profile = NICProfile.chameleon()
+        self.cpu_profile = CPUProfile()
+        self.nodes: List[NodeDeployment] = []
+
+    def add_host(self, name: str) -> Host:
+        """A host on the build's fabric with the shared profiles."""
+        return self.fabric.add_host(
+            Host(self.sim, name, self.nic_profile, self.cpu_profile)
+        )
+
+    def deploy_node(
+        self,
+        name: str,
+        qos: bool,
+        num_slots: int,
+        materialize: bool = False,
+        profiled: Optional[ProfiledCapacity] = None,
+        calibration: TestbedCalibration = CHAMELEON,
+        admission_enabled: bool = True,
+    ) -> NodeDeployment:
+        """Host + KV store and, with ``qos``, the capacity estimator,
+        admission controller (C_G / C_L from ``calibration``) and
+        monitor.  Haechi manages one-sided I/O only, so the one-sided
+        capacities apply."""
+        host = self.add_host(name)
+        data_node = DataNode(host, num_slots=num_slots, materialize=materialize)
+        monitor = None
+        if qos:
+            period = self.config.period
+            capacity = calibration.one_sided_system * period
+            if profiled is None:
+                profiled = ProfiledCapacity(
+                    mean=capacity, stddev=capacity * DEFAULT_PROFILE_RSD
+                )
+            admission = None
+            if admission_enabled:
+                admission = AdmissionController(
+                    global_tokens_per_period=int(capacity),
+                    local_tokens_per_period=int(
+                        calibration.one_sided_client * period
+                    ),
+                )
+            monitor = QoSMonitor(
+                host, self.config,
+                AdaptiveCapacityEstimator.from_config(profiled, self.config),
+                admission=admission, max_clients=self.max_clients,
+                tracer=self.tracer,
+            )
+        node = NodeDeployment(len(self.nodes), host, data_node, monitor)
+        self.nodes.append(node)
+        return node
+
+    def connect(self, host: Host, node: NodeDeployment, name: str,
+                rpc_deadline: Optional[float] = None, router=None):
+        """QP pair to ``node`` + the connection's dispatcher + a KV
+        client named ``name``: ``(kv, dispatcher, node-side qp)``.
+
+        A host with one connection takes the dispatcher as its RPC
+        handler; a host with several passes the ``router``
+        (:class:`~repro.rdma.dispatch.ConnectionDispatcher`) it already
+        installed.  Two-sided RPCs whose response never arrives fail at
+        ``rpc_deadline`` instead of leaking the pending entry.
+        """
+        qp, qp_back = self.fabric.connect(host, node.host)
+        if router is None:
+            dispatcher = TypeDispatcher()
+            host.set_rpc_handler(dispatcher)
+        else:
+            dispatcher = router.register_connection(qp)
+        kv = KVClient(
+            name, qp, dispatcher,
+            layout=node.data_node.store.layout,
+            data_rkey=node.data_node.store.region.rkey,
+            rpc_deadline=rpc_deadline,
+        )
+        return kv, dispatcher, qp_back
+
+    def enrol(self, node: NodeDeployment, client_id: int, tokens: int,
+              qp_back, kv: KVClient, dispatcher,
+              limit: Optional[int] = None) -> QoSEngine:
+        """Admit ``client_id`` at the node's monitor (admission check,
+        report slot, reservation) and build its engine over that slot,
+        taking control messages from ``dispatcher``."""
+        layout = node.monitor.add_client(client_id, tokens, qp_back)
+        return QoSEngine(
+            client_id=client_id, kv=kv, layout=layout, config=self.config,
+            reservation=tokens, limit=limit, dispatcher=dispatcher,
+            touch_memory=self.touch_memory, tracer=self.tracer,
+            seed=self.master_seed,
+        )
+
+
+class Deployment:
+    """What every built deployment has, whatever its topology."""
+
+    def __init__(self, assembly: Assembly, scale: SimScale, clients: list):
+        self._assembly = assembly
+        self.sim = assembly.sim
+        self.fabric = assembly.fabric
+        self.scale = scale
+        self.config = assembly.config
+        self.nodes = assembly.nodes
+        self.clients = clients
+        self.metrics = MetricsCollector(self.sim, self.config.period)
         self.background_jobs: List[BackgroundJob] = []
         self.fault_injector = None
-        self._background_count = 0
         self._started = False
+
+    def engines(self) -> List[QoSEngine]:
+        """Every QoS engine, in client then node order."""
+        return [e for client in self.clients for e in client.engines]
+
+    def flush_ledgers(self) -> None:
+        """Close every engine's open ledger account (before an audit)."""
+        for engine in self.engines():
+            engine.ledger_flush()
 
     def inject_faults(self, plan, seed: int = 0, tracer=NULL_TRACER):
         """Install a :class:`~repro.faults.plan.FaultPlan` on the fabric.
@@ -108,45 +238,55 @@ class Cluster:
         Call before :meth:`start`; returns the installed injector (also
         kept as ``self.fault_injector`` for metrics collection).
         """
-        from repro.faults.injector import FaultInjector
-
-        injector = FaultInjector(plan, seed=seed, tracer=tracer)
-        injector.install(self.fabric)
-        self.fault_injector = injector
-        return injector
+        self.fault_injector = FaultInjector(
+            plan, seed=seed, tracer=tracer
+        ).install(self.fabric)
+        return self.fault_injector
 
     def start(self) -> None:
-        """Begin QoS periods (no-op for bare clusters)."""
+        """Begin QoS periods on every node (no-op for bare clusters)."""
         if self._started:
             raise ConfigError("cluster already started")
         self._started = True
-        if self.monitor is not None:
-            self.monitor.start()
+        for node in self.nodes:
+            if node.monitor is not None:
+                node.monitor.start()
 
-    def add_background_job(
-        self, schedule, window: int = 64, rate_ops: float = None
-    ) -> BackgroundJob:
-        """Attach an unmanaged congestion source (its own host + QP)."""
-        self._background_count += 1
-        name = f"bg{self._background_count}"
-        host = self.fabric.add_host(
-            Host(self.sim, name, self.server_host.nic.profile, CPUProfile())
-        )
-        qp, _ = self.fabric.connect(host, self.server_host)
-        dispatcher = TypeDispatcher()
-        host.set_rpc_handler(dispatcher)
-        kv = KVClient(
-            name,
-            qp,
-            dispatcher,
-            layout=self.data_node.store.layout,
-            data_rkey=self.data_node.store.region.rkey,
-        )
+    def _background_job(self, node: NodeDeployment, schedule, window: int,
+                        rate_ops: Optional[float]) -> BackgroundJob:
+        """An unmanaged congestion source against ``node`` (its own
+        host + QP, outside admission and the token scheme)."""
+        name = f"bg{len(self.background_jobs) + 1}"
+        host = self._assembly.add_host(name)
+        kv, _dispatcher, _qp = self._assembly.connect(host, node, name)
         job = BackgroundJob(
             self.sim, kv, schedule=schedule, window=window, rate_ops=rate_ops
         )
         self.background_jobs.append(job)
         return job
+
+
+class Cluster(Deployment):
+    """One data node, N clients: the paper's testbed, ready for apps
+    and :func:`run_experiment`.  ``server_host`` / ``data_node`` /
+    ``monitor`` / ``admission`` are views of ``nodes[0]``."""
+
+    def __init__(self, assembly: Assembly, scale: SimScale, clients: list):
+        super().__init__(assembly, scale, clients)
+        primary = self.nodes[0]
+        self.server_host = primary.host
+        self.data_node = primary.data_node
+        self.monitor = primary.monitor
+        self.admission = (
+            None if primary.monitor is None else primary.monitor.admission
+        )
+        self.touch_memory = assembly.touch_memory
+
+    def add_background_job(
+        self, schedule, window: int = 64, rate_ops: float = None
+    ) -> BackgroundJob:
+        """Attach an unmanaged congestion source (its own host + QP)."""
+        return self._background_job(self.nodes[0], schedule, window, rate_ops)
 
 
 def build_cluster(
@@ -202,92 +342,33 @@ def build_cluster(
         if limits_ops is not None and len(limits_ops) != num_clients:
             raise ConfigError("limits_ops must match num_clients")
 
-    sim = Simulator()
-    fabric = Fabric(sim, model=fabric_model, seed=master_seed)
-    nic_profile = NICProfile.chameleon()
-    cpu_profile = CPUProfile()
-    server_host = fabric.add_host(Host(sim, "server", nic_profile, cpu_profile))
-    data_node = DataNode(server_host, num_slots=num_slots, materialize=materialize)
-
-    monitor = None
-    admission = None
-    if qos:
-        one_sided = access is AccessMode.ONE_SIDED
-        if profiled is None:
-            mean = calibration.system_limit(one_sided) * config.period
-            profiled = ProfiledCapacity(
-                mean=mean, stddev=mean * DEFAULT_PROFILE_RSD
-            )
-        estimator = AdaptiveCapacityEstimator(
-            profiled=profiled,
-            eta=config.eta,
-            history_window=config.history_window,
-            saturation_tolerance=config.saturation_tolerance,
-        )
-        if admission_enabled:
-            admission = AdmissionController(
-                global_tokens_per_period=int(
-                    calibration.system_limit(one_sided) * config.period
-                ),
-                local_tokens_per_period=int(
-                    calibration.client_limit(one_sided) * config.period
-                ),
-            )
-        monitor = QoSMonitor(
-            server_host, config, estimator, admission=admission,
-            max_clients=max(64, num_clients), tracer=tracer,
-        )
-
+    bed = Assembly(config, num_clients, touch_memory=touch_memory,
+                   tracer=tracer, master_seed=master_seed,
+                   fabric_model=fabric_model)
+    node = bed.deploy_node(
+        "server", qos, num_slots, materialize=materialize,
+        profiled=profiled, calibration=calibration,
+        admission_enabled=admission_enabled,
+    )
     clients: List[ClientContext] = []
     for i in range(num_clients):
         name = f"C{i + 1}"  # paper numbering
-        host = fabric.add_host(Host(sim, name, nic_profile, cpu_profile))
-        qp_cs, qp_sc = fabric.connect(host, server_host)
-        dispatcher = TypeDispatcher()
-        host.set_rpc_handler(dispatcher)
-        kv = KVClient(
-            name,
-            qp_cs,
-            dispatcher,
-            layout=data_node.store.layout,
-            data_rkey=data_node.store.region.rkey,
-            # Two-sided RPCs whose response never arrives fail at this
-            # deadline instead of leaking the pending entry (generous:
-            # a full period, far above any healthy RTT).
-            rpc_deadline=config.period,
+        host = bed.add_host(name)
+        # RPC deadline: generous — a full period, far above any
+        # healthy RTT.
+        kv, dispatcher, qp_back = bed.connect(
+            host, node, name, rpc_deadline=config.period
         )
         context = ClientContext(
             index=i, name=name, host=host, kv=kv, dispatcher=dispatcher
         )
         if qos:
-            tokens = config.tokens_per_period(reservations_ops[i])
-            layout = monitor.add_client(i, tokens, qp_sc)
             limit = None
             if limits_ops is not None and limits_ops[i] is not None:
                 limit = config.tokens_per_period(limits_ops[i])
-            context.engine = QoSEngine(
-                client_id=i,
-                kv=kv,
-                layout=layout,
-                config=config,
-                reservation=tokens,
-                limit=limit,
-                dispatcher=dispatcher,
-                touch_memory=touch_memory,
-                tracer=tracer,
-                seed=master_seed,
+            context.engine = bed.enrol(
+                node, i, config.tokens_per_period(reservations_ops[i]),
+                qp_back, kv, dispatcher, limit=limit,
             )
         clients.append(context)
-
-    return Cluster(
-        sim=sim,
-        fabric=fabric,
-        scale=scale,
-        config=config,
-        server_host=server_host,
-        data_node=data_node,
-        clients=clients,
-        monitor=monitor,
-        admission=admission,
-        touch_memory=touch_memory,
-    )
+    return Cluster(bed, scale, clients)

@@ -90,9 +90,6 @@ class ClusterKind:
     #: ``(cluster, seed, stop_time) -> drivers``: start the paced PUT
     #: streams (and any GET load the builder left out).
     drive: Callable[[Any, int, float], Any]
-    #: Every engine whose open ledger account must be closed before
-    #: the audit.
-    engines: Callable[[Any], Iterable[Any]]
     #: Oracle name -> ``run -> positional args`` for that oracle.
     evidence: Dict[str, Callable[[ChaosRun], tuple]]
 
@@ -197,8 +194,7 @@ def run(
     cluster.sim.run(until=periods * T + T * 1e-6)
 
     # Close every engine's open ledger account before auditing.
-    for engine in scenario.kind.engines(cluster):
-        engine.ledger_flush()
+    cluster.flush_ledgers()
 
     chaos_run = ChaosRun(cluster=cluster, plan=plan, armed=armed,
                          drivers=drivers, ledger=hub.ledger)

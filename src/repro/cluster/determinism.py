@@ -131,8 +131,7 @@ def _seeds(seed: int):
     result = run_experiment(
         cluster, warmup_periods=_WARMUP, measure_periods=_MEASURE
     )
-    for ctx in cluster.clients:
-        ctx.engine.ledger_flush()
+    cluster.flush_ledgers()
     return kind, _hub_parts(hub, {
         "client_period_counts": result.client_period_counts,
         "client_latency": result.client_latency,

@@ -103,36 +103,26 @@ def register_cluster_metrics(cluster, registry) -> None:
     time, so this costs the instrumented code nothing per operation.
     Idempotent — re-registering after a topology change (failover
     rebind) rebinds the callbacks.
+
+    One walk for every topology — clients, then nodes, then whatever
+    optional machinery is attached; the registration order feeds the
+    metrics JSONL the digest families hash.
     """
-    if hasattr(cluster, "nodes"):  # MultiNodeCluster
-        _register_multinode_metrics(cluster, registry)
-        return
-    for ctx in cluster.clients:
-        if ctx.engine is not None:
-            for name, getter in ctx.engine.metrics_items():
-                registry.gauge(name, getter, client=ctx.name)
-        manager = getattr(ctx, "failover", None)
+    for client in cluster.clients:
+        for engine in client.engines:
+            for name, getter in engine.metrics_items():
+                registry.gauge(name, getter, **client.engine_labels(engine))
+        manager = getattr(client, "failover", None)
         if manager is not None:
             for name, getter in manager.metrics_items():
-                registry.gauge(name, getter, client=ctx.name)
-        for name, getter in ctx.host.nic.metrics_items():
-            registry.gauge(name, getter, node=ctx.host.name)
-    for name, getter in cluster.server_host.nic.metrics_items():
-        registry.gauge(name, getter, node=cluster.server_host.name)
-    for name, getter in cluster.data_node.metrics_items():
-        registry.gauge(name, getter, node=cluster.server_host.name)
-    if cluster.monitor is not None:
-        for name, getter in cluster.monitor.metrics_items():
-            registry.gauge(name, getter, node=cluster.server_host.name)
-    replica_host = getattr(cluster, "replica_host", None)
-    if replica_host is not None:
-        for name, getter in replica_host.nic.metrics_items():
-            registry.gauge(name, getter, node=replica_host.name)
-        for name, getter in cluster.replica_node.metrics_items():
-            registry.gauge(name, getter, node=replica_host.name)
-        if cluster.replica_monitor is not None:
-            for name, getter in cluster.replica_monitor.metrics_items():
-                registry.gauge(name, getter, node=replica_host.name)
+                registry.gauge(name, getter, client=client.name)
+        for name, getter in client.host.nic.metrics_items():
+            registry.gauge(name, getter, node=client.host.name)
+    for node in cluster.nodes:
+        for part in (node.host.nic, node.data_node, node.monitor):
+            if part is not None:
+                for name, getter in part.metrics_items():
+                    registry.gauge(name, getter, node=node.host.name)
     if cluster.fault_injector is not None:
         for name, getter in cluster.fault_injector.metrics_items():
             registry.gauge(name, getter)
@@ -146,8 +136,8 @@ def register_cluster_metrics(cluster, registry) -> None:
     # Fabric model: port + per-QP congestion gauges exist only when a
     # FabricModel is attached (same conditional idiom), so model-less
     # clusters keep their pinned metric-row digests byte-identical.
-    fabric = getattr(cluster, "fabric", None)
-    if fabric is not None and getattr(fabric, "model", None) is not None:
+    fabric = cluster.fabric
+    if fabric.model is not None:
         for port_name in sorted(fabric.ports):
             for name, getter in fabric.ports[port_name].metrics_items():
                 registry.gauge(name, getter, node=port_name)
@@ -156,29 +146,7 @@ def register_cluster_metrics(cluster, registry) -> None:
             if fab is not None:
                 for name, getter in fab.metrics_items():
                     registry.gauge(name, getter, client=ctx.name)
-
-
-def _register_multinode_metrics(cluster, registry) -> None:
-    """The multi-node topology: per-(client, node) engines, N monitors,
-    and — when attached — the global coordinator and its agents."""
-    for striped in cluster.clients:
-        for node, engine in zip(cluster.nodes, striped.engines):
-            for name, getter in engine.metrics_items():
-                registry.gauge(name, getter, client=striped.name,
-                               node=node.host.name)
-        for name, getter in striped.host.nic.metrics_items():
-            registry.gauge(name, getter, node=striped.host.name)
-    for node in cluster.nodes:
-        for name, getter in node.host.nic.metrics_items():
-            registry.gauge(name, getter, node=node.host.name)
-        for name, getter in node.data_node.metrics_items():
-            registry.gauge(name, getter, node=node.host.name)
-        if node.monitor is not None:
-            for name, getter in node.monitor.metrics_items():
-                registry.gauge(name, getter, node=node.host.name)
-    if cluster.fault_injector is not None:
-        for name, getter in cluster.fault_injector.metrics_items():
-            registry.gauge(name, getter)
+    # Global coordinator (multi-node deployments, when attached).
     coordinator = getattr(cluster, "coordinator", None)
     if coordinator is not None:
         for name, getter in coordinator.metrics_items():

@@ -15,38 +15,18 @@ on real hardware.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Callable, List, Optional
 
 from repro.common.errors import ConfigError
 from repro.common.types import QoSMode
-from repro.core.admission import AdmissionController
-from repro.core.capacity import AdaptiveCapacityEstimator, ProfiledCapacity
 from repro.core.engine import QoSEngine
-from repro.core.monitor import QoSMonitor
-from repro.cluster.calibration import CHAMELEON, DEFAULT_PROFILE_RSD
-from repro.cluster.metrics import MetricsCollector
+from repro.cluster.builder import Assembly, Deployment
 from repro.globalqos.waterfill import even_split
 from repro.cluster.scale import SimScale
 from repro.kvstore.client import KVClient
-from repro.kvstore.server import DataNode
-from repro.rdma.cpu import CPUProfile
 from repro.rdma.dispatch import ConnectionDispatcher
-from repro.rdma.fabric import Fabric
-from repro.rdma.nic import NICProfile
 from repro.rdma.node import Host
-from repro.sim.core import Simulator
 from repro.workloads.app import BurstApp, constant_demand
-
-
-@dataclasses.dataclass
-class NodeDeployment:
-    """One data node with its QoS machinery."""
-
-    index: int
-    host: Host
-    data_node: DataNode
-    monitor: Optional[QoSMonitor]
 
 
 class StripedClient:
@@ -85,28 +65,22 @@ class StripedClient:
                 node_key, on_complete, touch_memory=False
             )
 
+    def engine_labels(self, engine: QoSEngine) -> dict:
+        """Gauge labels: one engine per (client, node)."""
+        return {"client": self.name, "node": engine.kv.qp.dst.name}
+
     @property
     def total_completed(self) -> int:
         """Completions across all per-node engines."""
         return sum(engine.total_completed for engine in self.engines)
 
 
-class MultiNodeCluster:
+class MultiNodeCluster(Deployment):
     """N data nodes x M striped clients under Haechi."""
 
-    def __init__(self, sim: Simulator, scale: SimScale, config,
-                 fabric: Fabric, nodes: List[NodeDeployment],
+    def __init__(self, assembly: Assembly, scale: SimScale,
                  clients: List[StripedClient]):
-        self.sim = sim
-        self.scale = scale
-        self.config = config
-        self.fabric = fabric
-        self.nodes = nodes
-        self.clients = clients
-        self.metrics = MetricsCollector(sim, config.period)
-        self.background_jobs = []
-        self._started = False
-        self.fault_injector = None
+        super().__init__(assembly, scale, clients)
         # Populated by repro.globalqos.attach_coordinator; ``standby``
         # by repro.globalqos.attach_standby (HA failover wiring).
         self.coordinator = None
@@ -114,48 +88,12 @@ class MultiNodeCluster:
         self.client_agents = []
         self.node_agents = []
 
-    def inject_faults(self, plan, seed: int = 0, tracer=None):
-        """Install a seeded fault plan on the fabric (see repro.faults)."""
-        from repro.faults.injector import FaultInjector
-        from repro.sim.trace import NULL_TRACER
-
-        self.fault_injector = FaultInjector(
-            plan, seed=seed, tracer=tracer or NULL_TRACER
-        ).install(self.fabric)
-        return self.fault_injector
-
     def add_background_job(self, node_index: int, schedule,
                            rate_ops: float = None, window: int = 64):
         """Attach an unmanaged congestion source against one data node."""
-        from repro.rdma.dispatch import TypeDispatcher
-        from repro.workloads.background import BackgroundJob
-
-        node = self.nodes[node_index]
-        name = f"bg{len(self.background_jobs) + 1}"
-        host = self.fabric.add_host(
-            Host(self.sim, name, node.host.nic.profile, CPUProfile())
+        return self._background_job(
+            self.nodes[node_index], schedule, window, rate_ops
         )
-        qp, _ = self.fabric.connect(host, node.host)
-        dispatcher = TypeDispatcher()
-        host.set_rpc_handler(dispatcher)
-        kv = KVClient(
-            name, qp, dispatcher,
-            layout=node.data_node.store.layout,
-            data_rkey=node.data_node.store.region.rkey,
-        )
-        job = BackgroundJob(self.sim, kv, schedule=schedule,
-                            window=window, rate_ops=rate_ops)
-        self.background_jobs.append(job)
-        return job
-
-    def start(self) -> None:
-        """Start every node's QoS periods."""
-        if self._started:
-            raise ConfigError("cluster already started")
-        self._started = True
-        for node in self.nodes:
-            if node.monitor is not None:
-                node.monitor.start()
 
     def attach_burst_app(self, client: StripedClient, demand_ops: float,
                          window: Optional[int] = None,
@@ -223,40 +161,16 @@ def build_multinode_cluster(
 
     scale = scale or SimScale()
     config = scale.config()
-    sim = Simulator()
-    fabric = Fabric(sim)
-    nic_profile = NICProfile.chameleon()
-    cpu_profile = CPUProfile()
-
-    nodes: List[NodeDeployment] = []
+    bed = Assembly(config, num_clients)
     for n in range(num_nodes):
-        host = fabric.add_host(
-            Host(sim, f"server{n + 1}", nic_profile, cpu_profile)
+        bed.deploy_node(
+            f"server{n + 1}", qos_mode is QoSMode.HAECHI, num_slots
         )
-        data_node = DataNode(host, num_slots=num_slots)
-        monitor = None
-        if qos_mode is QoSMode.HAECHI:
-            mean = CHAMELEON.one_sided_system * config.period
-            estimator = AdaptiveCapacityEstimator(
-                ProfiledCapacity(mean=mean, stddev=mean * DEFAULT_PROFILE_RSD),
-                eta=config.eta,
-                history_window=config.history_window,
-                saturation_tolerance=config.saturation_tolerance,
-            )
-            admission = AdmissionController(
-                global_tokens_per_period=int(mean),
-                local_tokens_per_period=int(
-                    CHAMELEON.one_sided_client * config.period
-                ),
-            )
-            monitor = QoSMonitor(host, config, estimator, admission=admission,
-                                 max_clients=max(64, num_clients))
-        nodes.append(NodeDeployment(n, host, data_node, monitor))
 
     clients: List[StripedClient] = []
     for i in range(num_clients):
         name = f"C{i + 1}"
-        host = fabric.add_host(Host(sim, name, nic_profile, cpu_profile))
+        host = bed.add_host(name)
         router = ConnectionDispatcher()
         host.set_rpc_handler(router)
         striped = StripedClient(i, name, host)
@@ -271,30 +185,16 @@ def build_multinode_cluster(
         striped.aggregate_reservation = aggregate_tokens
         striped.splits = list(node_tokens)
         striped.node_submitted = [0] * num_nodes
-        for node in nodes:
-            qp_cs, qp_sc = fabric.connect(host, node.host)
-            dispatcher = router.register_connection(qp_cs)
-            striped.dispatchers.append(dispatcher)
-            kv = KVClient(
-                f"{name}->server{node.index + 1}",
-                qp_cs,
-                dispatcher,
-                layout=node.data_node.store.layout,
-                data_rkey=node.data_node.store.region.rkey,
+        for node in bed.nodes:
+            kv, dispatcher, qp_back = bed.connect(
+                host, node, f"{name}->{node.host.name}", router=router
             )
+            striped.dispatchers.append(dispatcher)
             striped.kv_clients.append(kv)
             if node.monitor is not None:
-                per_node_tokens = node_tokens[node.index]
-                layout = node.monitor.add_client(i, per_node_tokens, qp_sc)
-                striped.engines.append(QoSEngine(
-                    client_id=i,
-                    kv=kv,
-                    layout=layout,
-                    config=config,
-                    reservation=per_node_tokens,
-                    dispatcher=dispatcher,
-                    touch_memory=False,
+                striped.engines.append(bed.enrol(
+                    node, i, node_tokens[node.index], qp_back, kv, dispatcher
                 ))
         clients.append(striped)
 
-    return MultiNodeCluster(sim, scale, config, fabric, nodes, clients)
+    return MultiNodeCluster(bed, scale, clients)

@@ -62,6 +62,12 @@ class AdaptiveCapacityEstimator:
         self.history: List[float] = [self._current]
         self.decisions: List[str] = []
 
+    @classmethod
+    def from_config(cls, profiled: ProfiledCapacity, config):
+        """Algorithm 1 with a :class:`HaechiConfig`'s tunables."""
+        return cls(profiled, config.eta, config.history_window,
+                   config.saturation_tolerance)
+
     @property
     def current(self) -> int:
         """The capacity estimate for the upcoming period (tokens)."""

@@ -122,6 +122,29 @@ def build_scale_hierarchy(
     return hierarchy, demand_of
 
 
+def fluid_engine(hierarchy: TenantHierarchy, demand_map: dict,
+                 config: HaechiConfig, plan: Optional[FaultPlan] = None):
+    """A ledgered fluid engine over ``hierarchy``: one flow per group
+    demanding ``demand_map["tenant/group"]`` tokens a period, the
+    estimator profiled at the hierarchy's capacity."""
+    capacity_tokens = hierarchy.capacity
+    flows = flows_from_hierarchy(
+        hierarchy,
+        demand_of=lambda t, g: demand_map[f"{t.name}/{g.name}"],
+    )
+    estimator = AdaptiveCapacityEstimator.from_config(
+        ProfiledCapacity(
+            mean=float(capacity_tokens),
+            stddev=PROFILE_RSD * capacity_tokens,
+        ),
+        config,
+    )
+    return FluidEngine(
+        flows, config, estimator,
+        physical_capacity=capacity_tokens, plan=plan, ledger=TokenLedger(),
+    )
+
+
 def build_fluid_scale(
     num_clients: int,
     tenants: int,
@@ -142,19 +165,6 @@ def build_fluid_scale(
         groups_per_tenant=groups_per_tenant,
         config=config, capacity_tokens=capacity_tokens, seed=seed,
     )
-    flows = flows_from_hierarchy(
-        hierarchy,
-        demand_of=lambda t, g: demand_map[f"{t.name}/{g.name}"],
-    )
-    estimator = AdaptiveCapacityEstimator(
-        profiled=ProfiledCapacity(
-            mean=float(capacity_tokens),
-            stddev=PROFILE_RSD * capacity_tokens,
-        ),
-        eta=config.eta,
-        history_window=config.history_window,
-        saturation_tolerance=config.saturation_tolerance,
-    )
     plan = None
     if brownout:
         T = config.period
@@ -162,12 +172,8 @@ def build_fluid_scale(
         plan = FaultPlan(
             brownouts=(Brownout("server", start, start + 3 * T, 0.6),)
         )
-    ledger = TokenLedger()
-    engine = FluidEngine(
-        flows, config, estimator,
-        physical_capacity=capacity_tokens, plan=plan, ledger=ledger,
-    )
-    return hierarchy, engine, ledger, capacity_tokens
+    engine = fluid_engine(hierarchy, demand_map, config, plan)
+    return hierarchy, engine, engine.ledger, capacity_tokens
 
 
 def run_fluid_scale(

@@ -170,14 +170,12 @@ def run_equivalence(
 
     # --- fluid -------------------------------------------------------
     profiled_mean = CHAMELEON.system_limit(True) * config.period
-    estimator = AdaptiveCapacityEstimator(
-        profiled=ProfiledCapacity(
+    estimator = AdaptiveCapacityEstimator.from_config(
+        ProfiledCapacity(
             mean=profiled_mean,
             stddev=profiled_mean * DEFAULT_PROFILE_RSD,
         ),
-        eta=config.eta,
-        history_window=config.history_window,
-        saturation_tolerance=config.saturation_tolerance,
+        config,
     )
     flows = flows_from_hierarchy(
         hierarchy,

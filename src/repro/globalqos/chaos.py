@@ -162,12 +162,6 @@ def _drive(cluster, seed: int, stop_time: float):
     ]
 
 
-def _engines(cluster):
-    return [
-        engine for striped in cluster.clients for engine in striped.engines
-    ]
-
-
 def _acked_put_rows(run: ChaosRun):
     # Durable on the owning node's store, mid-stream rebinds
     # notwithstanding.
@@ -205,7 +199,6 @@ def _ledger(run: ChaosRun):
 MULTINODE = ClusterKind(
     name="multinode",
     drive=_drive,
-    engines=_engines,
     evidence={
         "no-lost-acked-put": _acked_put_rows,
         "reservations-met": _reservation_rows,
@@ -266,7 +259,7 @@ def _coord_counters(run: ChaosRun) -> dict:
         "epochs_skipped": coordinator.epochs_skipped_no_quorum,
         "puts_acked": sum(d.puts_acked for d in run.drivers),
         "rebinds": sum(
-            engine.re_registrations for engine in _engines(run.cluster)
+            engine.re_registrations for engine in run.cluster.engines()
         ),
     }
 

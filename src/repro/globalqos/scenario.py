@@ -218,9 +218,7 @@ def run_skewed(seed: int, coordinated: bool,
     )
     cluster.start()
     cluster.sim.run(until=duration * cluster.config.period)
-    for client in cluster.clients:
-        for engine in client.engines:
-            engine.ledger_flush()
+    cluster.flush_ledgers()
     attainment = measure_attainment(cluster, warmup_periods)
     entitled = {
         name: value for name, value in attainment.items()

@@ -234,9 +234,7 @@ def run_spec(spec: ScenarioSpec, seed: int) -> dict:
     cluster.start()
     T = config.period
     cluster.sim.run(until=spec.periods * T + T * 1e-6)
-    for ctx in cluster.clients:
-        if ctx.engine is not None:
-            ctx.engine.ledger_flush()
+    cluster.flush_ledgers()
 
     violations = _evaluate_oracles(cluster, spec, checker, hub, demands,
                                    policy_keys)
@@ -334,54 +332,28 @@ def _run_fluid_spec(spec: ScenarioSpec, seed: int) -> dict:
     drop/delay genes have no fluid analogue (the engine has no per-op
     control messages) and are inert here by design.
     """
-    from repro.core.capacity import (
-        AdaptiveCapacityEstimator,
-        ProfiledCapacity,
-    )
-    from repro.fluid.engine import FluidEngine
-    from repro.fluid.flows import flows_from_hierarchy
-    from repro.fluid.scenario import PROFILE_RSD, build_scale_hierarchy
-    from repro.rdma.nic import NICProfile
-    from repro.telemetry.ledger import TokenLedger
+    from repro.fluid.scenario import build_scale_hierarchy, fluid_engine
 
     config = HUNT_SCALE.config()
-    rate = NICProfile.chameleon().onesided_saturation_rate()
-    capacity_tokens = config.tokens_per_period(rate)
     hierarchy, demand_map = build_scale_hierarchy(
         spec.num_clients,
         tenants=spec.tenant_count,
         groups_per_tenant=FLUID_GROUPS_PER_TENANT,
         config=config,
-        capacity_tokens=capacity_tokens,
         seed=seed,
         reserved_fraction=spec.reserved_fraction,
     )
-    flows = flows_from_hierarchy(
+    engine = fluid_engine(
         hierarchy,
-        demand_of=lambda t, g: int(round(
-            demand_map[f"{t.name}/{g.name}"] * spec.demand_factor
-        )),
-    )
-    estimator = AdaptiveCapacityEstimator(
-        profiled=ProfiledCapacity(
-            mean=float(capacity_tokens),
-            stddev=PROFILE_RSD * capacity_tokens,
-        ),
-        eta=config.eta,
-        history_window=config.history_window,
-        saturation_tolerance=config.saturation_tolerance,
-    )
-    ledger = TokenLedger()
-    engine = FluidEngine(
-        flows, config, estimator,
-        physical_capacity=capacity_tokens,
+        {name: int(round(demand * spec.demand_factor))
+         for name, demand in demand_map.items()},
+        config,
         plan=spec.compile_plan(config),
-        ledger=ledger,
     )
     engine.run(spec.periods)
 
     violations: List[Violation] = []
-    violations.extend(check_ledger_conservation(ledger))
+    violations.extend(check_ledger_conservation(engine.ledger))
     violations.extend(check_hierarchy_conservation(
         hierarchy.conservation_violations()
     ))

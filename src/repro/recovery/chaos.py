@@ -131,10 +131,6 @@ def _drive(cluster: ReplicatedCluster, seed: int, stop_time: float) -> None:
         _attach_put_driver(cluster, ctx.failover, i, stop_time)
 
 
-def _engines(cluster: ReplicatedCluster):
-    return [ctx.engine for ctx in cluster.clients if ctx.engine is not None]
-
-
 def _failover_windows(cluster: ReplicatedCluster):
     return [
         (ctx.name, end - start)
@@ -183,7 +179,6 @@ def _reservation_rows(run: ChaosRun):
 REPLICATED = ClusterKind(
     name="replicated",
     drive=_drive,
-    engines=_engines,
     evidence={
         "no-lost-acked-put": _acked_put_rows,
         "no-duplicate-apply": _apply_rows,

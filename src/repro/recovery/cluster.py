@@ -17,81 +17,47 @@ import math
 from typing import List, Optional
 
 from repro.common.errors import ConfigError
-from repro.core.admission import AdmissionController
-from repro.core.capacity import AdaptiveCapacityEstimator, ProfiledCapacity
 from repro.core.config import HaechiConfig
-from repro.core.engine import QoSEngine
-from repro.core.monitor import QoSMonitor
-from repro.cluster.builder import ClientContext, Cluster
-from repro.cluster.calibration import CHAMELEON, DEFAULT_PROFILE_RSD
+from repro.cluster.builder import Assembly, ClientContext, Cluster
 from repro.cluster.scale import SimScale
-from repro.kvstore.client import KVClient
-from repro.kvstore.server import DataNode
 from repro.recovery.config import RecoveryConfig
 from repro.recovery.failover import FailoverManager
-from repro.rdma.cpu import CPUProfile
 from repro.rdma.dispatch import ConnectionDispatcher
-from repro.rdma.fabric import Fabric
-from repro.rdma.nic import NICProfile
-from repro.rdma.node import Host
-from repro.sim.core import Simulator
 from repro.sim.trace import NULL_TRACER
 
-PRIMARY_SOURCE = 0
+# Control source 0 is the engine's own dispatcher: the primary.
 REPLICA_SOURCE = 1
 
 
 class ReplicatedCluster(Cluster):
-    """A :class:`~repro.cluster.builder.Cluster` with a standby node."""
+    """A :class:`~repro.cluster.builder.Cluster` with a standby node:
+    ``replica_host`` / ``replica_node`` / ``replica_monitor`` are views
+    of ``nodes[1]``."""
 
-    def __init__(self, *, replica_host: Host, replica_node: DataNode,
-                 replica_monitor: QoSMonitor, recovery: RecoveryConfig,
-                 **kwargs):
-        super().__init__(**kwargs)
-        self.replica_host = replica_host
-        self.replica_node = replica_node
-        self.replica_monitor = replica_monitor
+    def __init__(self, assembly: Assembly, scale: SimScale,
+                 clients: List[ClientContext], recovery: RecoveryConfig):
+        super().__init__(assembly, scale, clients)
+        replica = self.nodes[1]
+        self.replica_host = replica.host
+        self.replica_node = replica.data_node
+        self.replica_monitor = replica.monitor
         self.recovery = recovery
-
-    def start(self) -> None:
-        super().start()
-        self.replica_monitor.start()
 
     def inject_faults(self, plan, seed: int = 0, tracer=NULL_TRACER):
         """Install the plan; a finite primary crash window additionally
         schedules the monitor's control-word re-initialization at the
         restart edge (the node's memory does not survive the crash)."""
         injector = super().inject_faults(plan, seed=seed, tracer=tracer)
-        if self.monitor is not None:
-            for crash in plan.crashes:
-                if (crash.host == self.server_host.name
-                        and math.isfinite(crash.end)):
-                    self.sim.schedule_at(crash.end, self.monitor.reinitialize)
+        for crash in plan.crashes:
+            if (crash.host == self.server_host.name
+                    and math.isfinite(crash.end)):
+                self.sim.schedule_at(crash.end, self.monitor.reinitialize)
         return injector
 
     @property
     def stores(self):
         """Both KV stores, primary first (for invariant checks)."""
         return (self.data_node.store, self.replica_node.store)
-
-
-def _monitor_for(host: Host, config: HaechiConfig, num_clients: int,
-                 tracer) -> QoSMonitor:
-    mean = CHAMELEON.system_limit(True) * config.period
-    estimator = AdaptiveCapacityEstimator(
-        profiled=ProfiledCapacity(mean=mean, stddev=mean * DEFAULT_PROFILE_RSD),
-        eta=config.eta,
-        history_window=config.history_window,
-        saturation_tolerance=config.saturation_tolerance,
-    )
-    admission = AdmissionController(
-        global_tokens_per_period=int(mean),
-        local_tokens_per_period=int(
-            CHAMELEON.client_limit(True) * config.period
-        ),
-    )
-    return QoSMonitor(host, config, estimator, admission=admission,
-                      max_clients=max(64, num_clients), tracer=tracer)
 
 
 def build_replicated_cluster(
@@ -115,69 +81,39 @@ def build_replicated_cluster(
     config = config or scale.config()
     recovery = recovery or RecoveryConfig.from_config(config)
 
-    sim = Simulator()
-    fabric = Fabric(sim)
-    nic_profile = NICProfile.chameleon()
-    cpu_profile = CPUProfile()
-
-    server_host = fabric.add_host(Host(sim, "server", nic_profile, cpu_profile))
-    data_node = DataNode(server_host, num_slots=num_slots,
-                         materialize=materialize)
-    replica_host = fabric.add_host(
-        Host(sim, "replica", nic_profile, cpu_profile)
+    bed = Assembly(config, num_clients, touch_memory=touch_memory,
+                   tracer=tracer, master_seed=master_seed)
+    primary = bed.deploy_node("server", True, num_slots, materialize)
+    replica = bed.deploy_node("replica", True, num_slots, materialize)
+    qp_pr, _qp_rp = bed.fabric.connect(primary.host, replica.host)
+    primary.data_node.set_replica(
+        qp_pr, ack_deadline=recovery.replication_deadline,
+        attempts=recovery.replication_attempts,
     )
-    replica_node = DataNode(replica_host, num_slots=num_slots,
-                            materialize=materialize)
-    qp_pr, _qp_rp = fabric.connect(server_host, replica_host)
-    data_node.set_replica(qp_pr, ack_deadline=recovery.replication_deadline,
-                          attempts=recovery.replication_attempts)
-
-    monitor = _monitor_for(server_host, config, num_clients, tracer)
-    replica_monitor = _monitor_for(replica_host, config, num_clients, tracer)
     # Rejoin handshakes ride the data nodes' RPC dispatchers (they are
     # two-sided control SENDs, like the handshake in Fig. 4's step T1).
-    monitor.attach_rejoin_handler(data_node.dispatcher)
-    replica_monitor.attach_rejoin_handler(replica_node.dispatcher)
+    for node in bed.nodes:
+        node.monitor.attach_rejoin_handler(node.data_node.dispatcher)
 
     clients: List[ClientContext] = []
     for i in range(num_clients):
         name = f"C{i + 1}"
-        host = fabric.add_host(Host(sim, name, nic_profile, cpu_profile))
+        host = bed.add_host(name)
         router = ConnectionDispatcher()
         host.set_rpc_handler(router)
-        qp_cp, qp_pc = fabric.connect(host, server_host)
-        qp_cr, _qp_rc = fabric.connect(host, replica_host)
-        disp_primary = router.register_connection(qp_cp)
-        disp_replica = router.register_connection(qp_cr)
         # Both KV clients carry the same *logical* client name: the
         # store's idempotency index is keyed on it, so a PUT replayed
         # via the replica after failover dedups against the copy the
         # primary already forwarded.
-        kv_primary = KVClient(
-            name, qp_cp, disp_primary,
-            layout=data_node.store.layout,
-            data_rkey=data_node.store.region.rkey,
-            rpc_deadline=config.resolved_control_deadline,
+        kv_primary, disp_primary, qp_back = bed.connect(
+            host, primary, name, config.resolved_control_deadline, router
         )
-        kv_replica = KVClient(
-            name, qp_cr, disp_replica,
-            layout=replica_node.store.layout,
-            data_rkey=replica_node.store.region.rkey,
-            rpc_deadline=config.resolved_control_deadline,
+        kv_replica, disp_replica, _qp_rc = bed.connect(
+            host, replica, name, config.resolved_control_deadline, router
         )
         tokens = config.tokens_per_period(reservations_ops[i])
-        layout = monitor.add_client(i, tokens, qp_pc)
-        engine = QoSEngine(
-            client_id=i,
-            kv=kv_primary,
-            layout=layout,
-            config=config,
-            reservation=tokens,
-            touch_memory=touch_memory,
-            tracer=tracer,
-            seed=master_seed,
-        )
-        engine.bind_control_source(disp_primary, PRIMARY_SOURCE)
+        engine = bed.enrol(primary, i, tokens, qp_back, kv_primary,
+                           disp_primary)
         engine.bind_control_source(disp_replica, REPLICA_SOURCE)
         manager = FailoverManager(
             client_index=i,
@@ -191,26 +127,10 @@ def build_replicated_cluster(
             replica_source=REPLICA_SOURCE,
             tracer=tracer,
         )
-        context = ClientContext(
+        clients.append(ClientContext(
             index=i, name=name, host=host, kv=kv_primary,
             dispatcher=disp_primary, engine=engine,
             kv_replica=kv_replica, failover=manager,
-        )
-        clients.append(context)
+        ))
 
-    return ReplicatedCluster(
-        sim=sim,
-        fabric=fabric,
-        scale=scale,
-        config=config,
-        server_host=server_host,
-        data_node=data_node,
-        clients=clients,
-        monitor=monitor,
-        admission=monitor.admission,
-        touch_memory=touch_memory,
-        replica_host=replica_host,
-        replica_node=replica_node,
-        replica_monitor=replica_monitor,
-        recovery=recovery,
-    )
+    return ReplicatedCluster(bed, scale, clients, recovery)

@@ -2,8 +2,7 @@
 
 An :class:`Event` is a one-shot waitable: callbacks registered before it
 triggers run (in registration order) when it does.  :class:`Timeout` is an
-event pre-scheduled to succeed at ``now + delay``.  :class:`AnyOf`
-triggers when the first of its children triggers.
+event pre-scheduled to succeed at ``now + delay``.
 
 Events deliberately carry very little state (``__slots__``) because the
 RDMA hot path allocates one per posted work request.
@@ -94,31 +93,6 @@ class Timeout(Event):
     def _expire(self, value: Any) -> None:
         if not self.triggered:
             self.succeed(value)
-
-
-class AnyOf(Event):
-    """Triggers (successfully) when the first child event triggers.
-
-    The value is the child event that fired first.  A failing child fails
-    the AnyOf with the child's exception.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, sim: "Simulator", events: List[Event]):  # noqa: F821
-        super().__init__(sim)
-        if not events:
-            raise ValueError("AnyOf requires at least one event")
-        for ev in events:
-            ev.add_callback(self._child_fired)
-
-    def _child_fired(self, child: Event) -> None:
-        if self.triggered:
-            return
-        if child.ok:
-            self.succeed(child)
-        else:
-            self.fail(child.exception)
 
 
 class AllOf(Event):

@@ -41,6 +41,8 @@ def zipf_group_distribution(
     between its members.  With the paper's 10 clients / 5 groups /
     exponent 0.6, the first group's clients get the largest reservation.
     """
+    if num_clients < 1:
+        raise ConfigError(f"num_clients must be >= 1, got {num_clients}")
     if num_groups < 1:
         raise ConfigError(f"num_groups must be >= 1, got {num_groups}")
     if num_clients % num_groups != 0:

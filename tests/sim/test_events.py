@@ -1,8 +1,8 @@
-"""Event, Timeout and AnyOf semantics."""
+"""Event, Timeout and AllOf semantics."""
 
 import pytest
 
-from repro.sim import AnyOf, Event, Timeout
+from repro.sim import Event, Timeout
 
 
 def test_succeed_delivers_value_to_callbacks(sim):
@@ -69,39 +69,6 @@ def test_zero_timeout_fires(sim):
     ev = sim.timeout(0.0)
     sim.run()
     assert ev.triggered
-
-
-def test_anyof_triggers_on_first_child(sim):
-    slow = sim.timeout(5.0)
-    fast = sim.timeout(1.0)
-    any_ev = sim.any_of([slow, fast])
-    got = []
-    any_ev.add_callback(lambda e: got.append(e.value))
-    sim.run()
-    assert got[0] is fast
-
-
-def test_anyof_only_triggers_once(sim):
-    a = sim.timeout(1.0)
-    b = sim.timeout(2.0)
-    any_ev = sim.any_of([a, b])
-    count = []
-    any_ev.add_callback(lambda e: count.append(1))
-    sim.run()
-    assert count == [1]
-
-
-def test_anyof_requires_events(sim):
-    with pytest.raises(ValueError):
-        AnyOf(sim, [])
-
-
-def test_anyof_propagates_child_failure(sim):
-    child = sim.event()
-    any_ev = sim.any_of([child])
-    child.fail(ValueError("bad"))
-    assert not any_ev.ok
-    assert isinstance(any_ev.exception, ValueError)
 
 
 def test_allof_collects_values_in_order(sim):

@@ -54,6 +54,24 @@ def test_run_rejects_bad_fraction(capsys):
     assert main(["run", "--reserved-fraction", "1.5"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--clients", "3"],  # zipf cannot split 3 clients into 5 groups
+    ["run", "--clients", "0"],
+    ["profile", "--clients", "0"],
+    ["telemetry", "--clients", "0"],
+    ["globalqos", "--rebalance-periods", "0"],
+    ["scale", "--clients", "0"],
+], ids=" ".join)
+def test_bad_input_is_one_line_and_exit_2(argv, capsys):
+    """A ConfigError from any layer leaves through main()'s one handler:
+    a one-line message on stderr, exit code 2, no traceback."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "Traceback" not in captured.err
+
+
 def test_run_basic_mode(capsys):
     assert main(["run", "--mode", "basic", "--distribution", "uniform",
                  "--periods", "3", "--warmup", "2", "--scale", "1000"]) == 0
