@@ -1,10 +1,13 @@
 """The CI exact-budget gate: catch work coming back, on any runner.
 
-The gate holds three counts that repeat exactly for a fixed seed, so
+The gate holds four counts that repeat exactly for a fixed seed, so
 they are compared against committed ceilings with no tolerance and no
 clock: the scheduled-event count (``Simulator._seq``) of one Fig. 12
 cell and its events per completed op — a change that reintroduces a
-per-op or per-tick timer fails here however noisy the runner — and,
+per-op or per-tick timer fails here however noisy the runner — the
+**backlog records** the cell's engines hold at run end (one per run of
+queued ops; a container per queued op is what the cyclic collector
+walks, which no profiler attributes) — and,
 because the fluid path has no events, its **calls per period**:
 Python-level calls into ``src/repro`` while a 512-flow engine runs,
 counted with ``sys.setprofile`` — a per-flow Python loop coming back
@@ -38,17 +41,22 @@ _FLUID_CELL = dict(num_clients=1_000_000, tenants=32, groups_per_tenant=16,
 _CEILINGS = {
     "events": "a timer or completion came back onto the heap?",
     "events_per_op": "a timer or completion came back onto the heap?",
+    "backlog_records": "a per-op record came back into the engine "
+                       "backlog?",
     "fluid_calls_per_period": "a per-flow Python loop came back into "
                               "the fluid period step?",
 }
 
 
 def _workload_counts() -> tuple:
-    """``(events scheduled, ops completed)`` for one gate-workload run.
+    """``(events scheduled, ops completed, backlog records)`` for one
+    gate-workload run.
 
     The workload is one cell of the pinned Fig. 12 sweep (uniform
     reservations at 70%, K=500), run through the same scenario the
-    parallel runner uses.
+    parallel runner uses.  Its clients ask for more than they are
+    granted, so most of every burst is still queued at run end; the
+    records are what the engines hold that backlog in.
     """
     from repro.cluster.runner import run_fig12_point
 
@@ -56,7 +64,8 @@ def _workload_counts() -> tuple:
         {"distribution": "uniform", "fraction": 0.7}, 0)
     completed = sum(m.completed.total
                     for m in cluster.metrics.clients.values())
-    return cluster.sim._seq, completed
+    records = sum(len(ctx.engine._queue) for ctx in cluster.clients)
+    return cluster.sim._seq, completed, records
 
 
 def _fluid_calls_per_period() -> float:
@@ -86,11 +95,12 @@ def _fluid_calls_per_period() -> float:
 
 
 def measure() -> dict:
-    """The three gated counts, each exact for the seed."""
-    events, completed = _workload_counts()
+    """The four gated counts, each exact for the seed."""
+    events, completed, records = _workload_counts()
     return {
         "events": events,
         "events_per_op": round(events / completed, 4),
+        "backlog_records": records,
         "fluid_calls_per_period": round(_fluid_calls_per_period(), 4),
     }
 
@@ -114,6 +124,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     current = measure()
     print(f"events: {current['events']}  "
           f"events_per_op: {current['events_per_op']:.4f}  "
+          f"backlog_records: {current['backlog_records']}  "
           f"fluid_calls_per_period: {current['fluid_calls_per_period']:.4f}")
 
     if args.write:

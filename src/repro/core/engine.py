@@ -23,7 +23,8 @@ work on the data-node CPU.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Optional, Tuple
+from functools import cached_property
+from typing import Callable, Deque, Optional
 
 from repro.common.errors import QoSError, QPError
 from repro.common.rng import make_rng
@@ -39,6 +40,27 @@ from repro.sim.trace import NULL_TRACER
 _NEVER = float("inf")
 
 IOCallback = Callable[[bool, object, float], None]
+
+
+class _KeyRun:
+    """Consecutive queued reads that share a completion callback.
+
+    The backlog of a token-paced burst client grows by most of a
+    period's demand every period (paper Fig. 12: each client asks for
+    ``R_i + pool``), so it is stored by column — one of these per run of
+    submissions, not one container per op: the cyclic collector walks
+    every tracked object that outlives a young generation, and a
+    per-op record made it walk the whole backlog.
+    """
+
+    __slots__ = ("keys", "on_complete", "spans")
+
+    def __init__(self, on_complete: IOCallback, traced: bool):
+        self.keys: Deque[int] = deque()  # still queued, in submit order
+        self.on_complete = on_complete
+        # One entry per key (None = unsampled), kept only while a
+        # telemetry hub is attached.
+        self.spans: Optional[Deque] = deque() if traced else None
 
 
 class QoSEngine:
@@ -81,7 +103,14 @@ class QoSEngine:
         # the first PeriodStart or rebind starts the clock.
         self._next_tick_at = _NEVER
 
-        self._queue: Deque[Tuple[int, IOCallback]] = deque()
+        # The backlog: runs in submit order, ops in order within a run.
+        # Every run but the last has queued keys; the last stays, even
+        # exhausted, as the run the next submit joins.  ``_backlog`` is
+        # the number of queued ops over all runs.  Invariant the submit
+        # fast path relies on: ``_backlog > 0`` means the last drain
+        # ended throttled, suspended or token-starved.
+        self._queue: Deque[_KeyRun] = deque()
+        self._backlog = 0
         self.period_id = 0
         self._period_end = 0.0
         self.completed_this_period = 0  # N_i
@@ -104,7 +133,7 @@ class QoSEngine:
         # the epoch discards late completions);
         # K consecutive periods without a usable pool flip the engine
         # into degraded local-only mode, probed once per period.
-        self._backoff_rng = make_rng(seed, "engine-backoff", client_id)
+        self._seed = seed  # for the back-off RNG, built on first use
         self._retry_attempt = 0
         self._faa_epoch = 0
         self._deadline_at = 0.0  # deadline of the newest control FAA
@@ -261,23 +290,23 @@ class QoSEngine:
     def submit(self, key: int, on_complete: IOCallback) -> None:
         """Request one read I/O for ``key``; runs when a token backs it."""
         self.total_submitted += 1
-        span = None
         telemetry = self.sim.telemetry
+        run = self._tail_run(on_complete, telemetry is not None)
+        run.keys.append(key)
         if telemetry is not None:
             # The span starts at submit so the engine's token-queueing
             # stage is part of the op's latency decomposition.
-            span = telemetry.data_span("onesided_read", self.kv.name, key)
-        queue = self._queue
-        if queue:
-            # Fast path: a backlogged queue means the last drain ended
-            # throttled or token-starved (with the FAA machinery already
-            # armed if it could be), and no tokens can have arrived
-            # since — token grants come via simulator events, and every
-            # one of those handlers drains.  Draining again would be a
-            # no-op, so skip it; the new request queues behind the head.
-            queue.append((key, on_complete, span))
+            run.spans.append(
+                telemetry.data_span("onesided_read", self.kv.name, key))
+        self._backlog += 1
+        if self._backlog > 1:
+            # Fast path: ops were already waiting, so the last drain
+            # ended throttled or token-starved (with the FAA machinery
+            # already armed if it could be), and no tokens can have
+            # arrived since — token grants come via simulator events,
+            # and every one of those handlers drains.  Draining again
+            # would be a no-op, so skip it; the new key waits its turn.
             return
-        queue.append((key, on_complete, span))
         self._drain()
 
     def submit_burst(self, count: int, key_fn, on_complete: IOCallback) -> None:
@@ -289,28 +318,53 @@ class QoSEngine:
         synchronous submits, draining once at the end issues exactly
         the ops the one-drain-per-submit form would have.  Exists so
         burst-pattern apps can hand a period's demand over without a
-        Python call pair per op.
+        Python call pair per op; the burst joins the backlog as one
+        run (its keys extend the open run when the callback matches).
         """
         if count <= 0:
             return
         self.total_submitted += count
-        queue = self._queue
         telemetry = self.sim.telemetry
+        run = self._tail_run(on_complete, telemetry is not None)
         if telemetry is None:
-            for _ in range(count):
-                queue.append((key_fn(), on_complete, None))
+            run.keys.extend([key_fn() for _ in range(count)])
         else:
             name = self.kv.name
+            add_key = run.keys.append
+            add_span = run.spans.append
             for _ in range(count):
                 key = key_fn()
-                span = telemetry.data_span("onesided_read", name, key)
-                queue.append((key, on_complete, span))
+                add_key(key)
+                add_span(telemetry.data_span("onesided_read", name, key))
+        self._backlog += count
         self._drain()
+
+    def _tail_run(self, on_complete: IOCallback, traced: bool) -> _KeyRun:
+        """The run a new submission joins: the last one when it shares
+        the callback and span-presence, else a fresh one behind it.
+
+        Callbacks are matched with ``==``, not ``is``: ``app.method``
+        is a new bound-method object at every evaluation, equal to the
+        previous one, and a per-op submitter must not open a run per op.
+        (A caller that builds a fresh closure per op does get a run per
+        op: correct, but it pays the per-op record runs exist to avoid.)
+        """
+        queue = self._queue
+        if queue:
+            run = queue[-1]
+            if (run.on_complete == on_complete
+                    and (run.spans is not None) is traced):
+                return run
+            if not self._backlog:
+                queue.clear()  # the kept run is exhausted: replace it
+        run = _KeyRun(on_complete, traced)
+        queue.append(run)
+        return run
 
     @property
     def queue_depth(self) -> int:
         """Requests waiting inside the engine for a token."""
-        return len(self._queue)
+        return self._backlog
 
     # ------------------------------------------------------------------
     # Control-plane message handlers
@@ -405,15 +459,22 @@ class QoSEngine:
         # no posting cost to amortize, and every data post precedes the
         # FAA post.  Both orders are pinned by the determinism digests.
         chain = None if qp.fab is None else []
-        while queue:
+        while self._backlog:
             if limit is not None and self.issued_this_period >= limit:
                 if not self._throttled_this_period:
                     self._throttled_this_period = True
                     self.limit_throttle_events += 1
                 break  # throttled until the next period
             if tokens.try_consume():
-                key, on_complete, span = queue.popleft()
-                wr = self._token_backed_wr(key, on_complete, span)
+                # Take the next key off the head run.
+                run = queue[0]
+                key = run.keys.popleft()
+                spans = run.spans
+                span = None if spans is None else spans.popleft()
+                self._backlog -= 1
+                if not run.keys and len(queue) > 1:
+                    queue.popleft()  # exhausted, and not the open run
+                wr = self._token_backed_wr(key, run.on_complete, span)
                 if chain is not None:
                     chain.append(wr)
                     continue
@@ -660,6 +721,13 @@ class QoSEngine:
         self._retry_scheduled = True
         self.sim.schedule(delay, self._retry_fetch)
 
+    @cached_property
+    def _backoff_rng(self):
+        """Jitter stream for retry back-off.  Only a transport failure
+        reads it, so the Mersenne state (2.5 KB and a SHA-256 to seed)
+        is built on first use; same ``(seed, path)``, same stream."""
+        return make_rng(self._seed, "engine-backoff", self.client_id)
+
     def _retry_fetch(self) -> None:
         self._retry_scheduled = False
         self._drain()
@@ -800,7 +868,7 @@ class QoSEngine:
         items.extend([
             ("engine_total_submitted", lambda: self.total_submitted),
             ("engine_total_completed", lambda: self.total_completed),
-            ("engine_queue_depth", lambda: len(self._queue)),
+            ("engine_queue_depth", lambda: self.queue_depth),
             ("engine_inflight_tokened", lambda: self.inflight_tokened),
             ("engine_faa_issued", lambda: self.faa_issued),
             ("engine_faa_granted_tokens", lambda: self.faa_granted_tokens),

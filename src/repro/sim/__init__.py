@@ -8,7 +8,7 @@ A small, fast, from-scratch DES engine in the style of simpy:
   one-shot waitables.
 - :class:`~repro.sim.process.Process` — generator-based cooperative
   processes.
-- :mod:`~repro.sim.resources` — semaphores, FIFO stores, and the O(1)
+- :mod:`~repro.sim.resources` — semaphores, token buckets, and the O(1)
   "next-free-time" :class:`~repro.sim.resources.Pipeline` used to model
   NIC and CPU service stages.
 - :mod:`~repro.sim.stats` — counters and latency reservoirs.
@@ -22,7 +22,7 @@ code spawns a :class:`~repro.sim.process.Process`.
 from repro.sim.core import Simulator
 from repro.sim.events import AllOf, Event, Timeout
 from repro.sim.process import Process
-from repro.sim.resources import Pipeline, Semaphore, Store, TokenBucket
+from repro.sim.resources import Pipeline, Semaphore, TokenBucket
 from repro.sim.stats import Counter, LatencyHistogram, LatencyReservoir
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "Process",
     "Semaphore",
     "Simulator",
-    "Store",
     "Timeout",
     "TokenBucket",
 ]

@@ -9,7 +9,10 @@ import pytest
 
 from repro.cluster import perfgate
 
-KEYS = {"events", "events_per_op", "fluid_calls_per_period"}
+from tests.core.reference_engine import per_op_backlog_engines
+
+KEYS = {"events", "events_per_op", "backlog_records",
+        "fluid_calls_per_period"}
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +73,7 @@ def test_event_budget_is_exact_and_gated(tmp_path, gate, measured, capsys):
     """The counts are deterministic, so the gate holds them with no
     tolerance: a second run repeats the first exactly, a ceiling equal
     to it passes, and one event under it fails."""
-    events, completed = perfgate._workload_counts()
+    events, completed, _records = perfgate._workload_counts()
     assert events == measured["events"]
     assert round(events / completed, 4) == measured["events_per_op"]
     payload = {"events": measured["events"],
@@ -80,6 +83,24 @@ def test_event_budget_is_exact_and_gated(tmp_path, gate, measured, capsys):
     payload["events"] -= 1
     assert gate(["--baseline", _write(baseline, payload)]) == 1
     assert "events" in capsys.readouterr().err
+
+
+def test_backlog_record_budget_catches_a_per_op_backlog(tmp_path, gate,
+                                                       measured, capsys):
+    """The gate cell ends with most of its demand still queued; the
+    engines hold that in one record per run of submissions, and the
+    tuple-per-op backlog (kept as a test oracle) is three orders of
+    magnitude over the ceiling with every event count unchanged."""
+    clients = 10
+    assert measured["backlog_records"] <= clients
+    with per_op_backlog_engines():
+        events, _completed, records = perfgate._workload_counts()
+    assert events == measured["events"]
+    assert records > 1000 * clients
+    payload = {"backlog_records": measured["backlog_records"] - 1}
+    baseline = _write(tmp_path / "perf_baseline.json", payload)
+    assert gate(["--baseline", baseline]) == 1
+    assert "per-op record came back" in capsys.readouterr().err
 
 
 def test_fluid_call_budget_is_exact_and_gated(tmp_path, gate, measured,

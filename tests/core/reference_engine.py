@@ -1,18 +1,25 @@
-"""The eager token-decay engine, kept as the oracle for the lazy one.
+"""Retired engine mechanisms, kept as oracles for what replaced them.
 
-This is ``QoSEngine``'s token management as it was before the decay
-steps came off the simulator heap: a self-rescheduling timer
+``EagerDecayEngine`` is ``QoSEngine``'s token management as it was
+before the decay steps came off the simulator heap: a self-rescheduling
+timer
 (``start -> arm -> tick``) that calls ``ClientTokenState.decay`` once
 per ``mgmt_interval``.  The lazy replay is switched off by leaving
 ``_next_tick_at`` at "never", so the timer is the only thing that
 decays.  ``test_lazy_decay.py`` requires the two to agree exactly — the
 same token fields at every observation, the same reported words.
+
+``PerOpBacklogEngine`` is the backlog as it was before it became key
+runs: one ``(key, on_complete, span)`` tuple per queued op in a deque.
+``test_backlog_runs.py`` requires the two to issue the same ops at the
+same simulated times.
 """
 
 from __future__ import annotations
 
 from unittest import mock
 
+from repro.common.errors import QPError
 from repro.core.engine import QoSEngine
 
 
@@ -33,6 +40,83 @@ class EagerDecayEngine(QoSEngine):
         interval = self.config.mgmt_interval
         self._tokens.decay(interval)
         self.sim.schedule(interval, self._eager_tick)
+
+
+class PerOpBacklogEngine(QoSEngine):
+    """``QoSEngine`` with one tuple per queued op (``_queue`` holds the
+    tuples; the inherited ``_backlog`` counter is left at zero)."""
+
+    def submit(self, key, on_complete) -> None:
+        self.total_submitted += 1
+        span = None
+        telemetry = self.sim.telemetry
+        if telemetry is not None:
+            span = telemetry.data_span("onesided_read", self.kv.name, key)
+        queue = self._queue
+        if queue:
+            queue.append((key, on_complete, span))
+            return
+        queue.append((key, on_complete, span))
+        self._drain()
+
+    def submit_burst(self, count, key_fn, on_complete) -> None:
+        if count <= 0:
+            return
+        self.total_submitted += count
+        queue = self._queue
+        telemetry = self.sim.telemetry
+        for _ in range(count):
+            key = key_fn()
+            span = None
+            if telemetry is not None:
+                span = telemetry.data_span("onesided_read", self.kv.name, key)
+            queue.append((key, on_complete, span))
+        self._drain()
+
+    @property
+    def queue_depth(self) -> int:
+        return len(self._queue)
+
+    def _drain(self) -> None:
+        if self.suspended:
+            return
+        self._decay_to_now()
+        queue = self._queue
+        tokens = self._tokens
+        limit = self.limit
+        qp = self.kv.qp
+        chain = None if qp.fab is None else []
+        while queue:
+            if limit is not None and self.issued_this_period >= limit:
+                if not self._throttled_this_period:
+                    self._throttled_this_period = True
+                    self.limit_throttle_events += 1
+                break
+            if tokens.try_consume():
+                key, on_complete, span = queue.popleft()
+                wr = self._token_backed_wr(key, on_complete, span)
+                if chain is not None:
+                    chain.append(wr)
+                    continue
+                try:
+                    qp.post_send(wr)
+                except QPError as err:
+                    self._fail_unposted((wr,), err)
+                continue
+            if (not self._faa_inflight and not self._retry_scheduled
+                    and not self.degraded):
+                self._fetch_global_batch()
+            break
+        if chain:
+            try:
+                qp.post_chain(chain)
+            except QPError as err:
+                self._fail_unposted(chain, err)
+
+
+def per_op_backlog_engines():
+    """Context manager: clusters built inside get tuple-backlog engines."""
+    return mock.patch("repro.cluster.builder.QoSEngine", PerOpBacklogEngine)
 
 
 def eager_engines():

@@ -1,8 +1,8 @@
-"""Pipeline, Semaphore, Store and TokenBucket behaviour."""
+"""Pipeline, Semaphore and TokenBucket behaviour."""
 
 import pytest
 
-from repro.sim import Pipeline, Semaphore, Store, TokenBucket
+from repro.sim import Pipeline, Semaphore, TokenBucket
 
 
 class TestPipeline:
@@ -153,43 +153,3 @@ class TestSemaphore:
             sem.release()
 
 
-class TestStore:
-    def test_put_then_get(self, sim):
-        store = Store(sim)
-        store.put("a")
-        ev = store.get()
-        assert ev.triggered and ev.value == "a"
-
-    def test_get_blocks_until_put(self, sim):
-        store = Store(sim)
-        ev = store.get()
-        assert not ev.triggered
-        store.put("x")
-        assert ev.value == "x"
-
-    def test_fifo_order(self, sim):
-        store = Store(sim)
-        store.put(1)
-        store.put(2)
-        assert store.get().value == 1
-        assert store.get().value == 2
-
-    def test_blocked_getters_fifo(self, sim):
-        store = Store(sim)
-        first = store.get()
-        second = store.get()
-        store.put("a")
-        store.put("b")
-        assert first.value == "a" and second.value == "b"
-
-    def test_try_get_nonblocking(self, sim):
-        store = Store(sim)
-        assert store.try_get() is None
-        store.put(9)
-        assert store.try_get() == 9
-
-    def test_len_counts_buffered_items(self, sim):
-        store = Store(sim)
-        store.put(1)
-        store.put(2)
-        assert len(store) == 2
