@@ -197,14 +197,17 @@ class Assembly:
               limit: Optional[int] = None) -> QoSEngine:
         """Admit ``client_id`` at the node's monitor (admission check,
         report slot, reservation) and build its engine over that slot,
-        taking control messages from ``dispatcher``."""
+        taking control messages from ``dispatcher``.  The monitor settles
+        the engine's live reports before it touches the report words."""
         layout = node.monitor.add_client(client_id, tokens, qp_back)
-        return QoSEngine(
+        engine = QoSEngine(
             client_id=client_id, kv=kv, layout=layout, config=self.config,
             reservation=tokens, limit=limit, dispatcher=dispatcher,
             touch_memory=self.touch_memory, tracer=self.tracer,
             seed=self.master_seed,
         )
+        node.monitor.add_report_source(engine.settle_reports)
+        return engine
 
 
 class Deployment:

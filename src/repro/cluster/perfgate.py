@@ -122,10 +122,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 2
 
     current = measure()
-    print(f"events: {current['events']}  "
-          f"events_per_op: {current['events_per_op']:.4f}  "
-          f"backlog_records: {current['backlog_records']}  "
-          f"fluid_calls_per_period: {current['fluid_calls_per_period']:.4f}")
+    print("  ".join(f"{key}: {current[key]:g}" for key in _CEILINGS))
 
     if args.write:
         with open(args.baseline, "w") as fh:

@@ -11,9 +11,11 @@ three client-side duties:
   ``r_i`` in ``mgmt_interval`` steps and unbacked reservation tokens
   are yielded.  The steps are not timer events: the due ones are
   replayed whenever token state is observed (see ``_decay_to_now``).
-- **reporting** — once signalled by the monitor, a tick callback writes
-  the packed (residual, completed) word with a silent (unsignaled)
-  one-sided WRITE; a final statistics word is always written just
+- **reporting** — once signalled by the monitor, the packed (residual,
+  completed) word is written every report interval with a silent
+  (unsignaled) one-sided WRITE.  The ticks are not timer events either:
+  each due one is materialized at the next observation point (see
+  ``settle_reports``).  A final statistics word is always written just
   before period end so the monitor can run capacity estimation.
 
 Every remote interaction here is one-sided; the engine never causes
@@ -26,7 +28,7 @@ from collections import deque
 from functools import cached_property
 from typing import Callable, Deque, Optional
 
-from repro.common.errors import QoSError, QPError
+from repro.common.errors import MemoryAccessError, QoSError, QPError
 from repro.common.rng import make_rng
 from repro.common.types import OpType
 from repro.core.config import HaechiConfig
@@ -38,6 +40,12 @@ from repro.rdma.verbs import WCStatus, WorkCompletion, WorkRequest
 from repro.sim.trace import NULL_TRACER
 
 _NEVER = float("inf")
+
+# What the NIC cost model reads of a live report's WRITE (opcode, size,
+# control lane): a lazily materialized report is accounted against it,
+# so no WorkRequest is built per report.
+_REPORT_WR = WorkRequest(opcode=OpType.WRITE, size=8, control=True,
+                         signaled=False)
 
 IOCallback = Callable[[bool, object, float], None]
 
@@ -117,8 +125,17 @@ class QoSEngine:
         self.issued_this_period = 0
         self.inflight_tokened = 0  # token-backed I/Os posted, not completed
         self._faa_inflight = False
+        self._faa_wr_id = 0  # wr_id of the control FAA in flight
         self._retry_scheduled = False
         self._reporting_active = False
+        # The live-report schedule (see settle_reports): one
+        # [next due, period_id] per running chain of report ticks, the
+        # posted words not yet landed as (lands_at, word, qp, rkey,
+        # addr, posted_at) in landing order, and the earliest instant
+        # at which either needs settling.
+        self._report_chains: list = []
+        self._report_inflight: Deque[tuple] = deque()
+        self._report_due = _NEVER
         self._throttled_this_period = False
         # Completion-closure cache for _token_backed_wr: in practice
         # every op of a client carries the same app callback, so the
@@ -130,12 +147,11 @@ class QoSEngine:
         # after transport failures back off exponentially with
         # deterministic jitter; an FAA that never completes is failed at
         # the control-op deadline (one lazily re-armed timer per engine;
-        # the epoch discards late completions);
+        # a completion whose wr_id is not the in-flight FAA's is late);
         # K consecutive periods without a usable pool flip the engine
         # into degraded local-only mode, probed once per period.
         self._seed = seed  # for the back-off RNG, built on first use
         self._retry_attempt = 0
-        self._faa_epoch = 0
         self._deadline_at = 0.0  # deadline of the newest control FAA
         self._deadline_armed = False  # a _control_deadline timer is pending
         self._faa_failed_streak = 0
@@ -226,9 +242,9 @@ class QoSEngine:
         epoch-discarded, and *all* control sources are ignored until
         :meth:`rebind` installs the new one.
         """
+        self.settle_reports()
         self.suspended = True
         self._active_source = None
-        self._faa_epoch += 1
         self._faa_inflight = False
 
     def rebind(
@@ -266,7 +282,6 @@ class QoSEngine:
         self.issued_this_period = 0
         self._throttled_this_period = False
         self._reporting_active = False
-        self._faa_epoch += 1
         self._faa_inflight = False
         self._retry_attempt = 0
         self._faa_failed_streak = 0
@@ -370,6 +385,7 @@ class QoSEngine:
     # Control-plane message handlers
     # ------------------------------------------------------------------
     def _on_period_start(self, msg: PeriodStart, _reply_qp) -> None:
+        self.settle_reports()  # the due ticks read the outgoing period
         if self._generation is not None and msg.generation != self._generation:
             # The monitor re-initialized its token words (crash-window
             # restart): any pool tokens fetched before the stamp are
@@ -430,8 +446,16 @@ class QoSEngine:
     def _on_report_request(self, msg: ReportRequest, _reply_qp) -> None:
         if msg.period_id != self.period_id or self._reporting_active:
             return
+        # A chain due by now must still see reporting inactive.
+        self.settle_reports()
         self._reporting_active = True
-        self.sim.schedule(0.0, self._reporting_tick, msg.period_id)
+        if self._reports_lazy():
+            now = self.sim.now
+            self._report_chains.append([now, msg.period_id])
+            if now < self._report_due:
+                self._report_due = now
+        else:
+            self.sim.schedule(0.0, self._reporting_tick, msg.period_id)
 
     def _on_alert(self, msg: ReservationAlert, _reply_qp) -> None:
         self.alerts_received += 1
@@ -442,8 +466,9 @@ class QoSEngine:
     def _drain(self) -> None:
         if self.suspended:
             return  # failover in progress: submissions queue here
-        if self._next_tick_at <= self.sim.now:  # inlined no-op test
-            self._decay_to_now()
+        now = self.sim.now
+        if self._next_tick_at <= now or self._report_due <= now:
+            self._decay_to_now()  # (inlined no-op test)
         # Locals for the loop: neither the queue/token objects nor the
         # limit are replaced while draining (only at period boundaries),
         # so hoisting the attribute reads is safe.
@@ -510,6 +535,8 @@ class QoSEngine:
             finish = self._last_finish
         else:
             def finish(ok: bool, value: object, latency: float) -> None:
+                if self._report_due <= self.sim.now:
+                    self._settle_reports()
                 self.inflight_tokened -= 1
                 self.completed_this_period += 1
                 self.total_completed += 1
@@ -608,12 +635,12 @@ class QoSEngine:
 
     def _post_control_faa(self, add_value: int, span_kind: str,
                           on_complete) -> bool:
-        """Post a control FETCH_ADD on the pool word under a fresh epoch
-        and set its deadline; False when the QP rejected the post.
-        ``on_complete(wc, epoch)`` must discard a superseded epoch
-        (deadline fired, suspend, rebind)."""
-        self._faa_epoch += 1
-        epoch = self._faa_epoch
+        """Post a control FETCH_ADD on the pool word and set its
+        deadline; False when the QP rejected the post.  At most one is
+        in flight, so ``on_complete(wc)`` is a handler bound once, not a
+        closure per FAA: it must discard a completion that is not the
+        in-flight FAA's (deadline fired, suspend, rebind) — see
+        :meth:`_current_faa`."""
         wr = WorkRequest(
             opcode=OpType.FETCH_ADD,
             remote_addr=self.layout.pool_addr,
@@ -621,11 +648,11 @@ class QoSEngine:
             add_value=add_value,
             control=True,
             span=self._control_span(span_kind),
-            on_completion=lambda wc: on_complete(wc, epoch),
+            on_completion=on_complete,
         )
         self._faa_inflight = True
         try:
-            self.kv.qp.post_send(wr)
+            self._faa_wr_id = self.kv.qp.post_send(wr)
         except QPError as err:
             self._faa_inflight = False
             if wr.span is not None:
@@ -644,21 +671,39 @@ class QoSEngine:
     def _fetch_global_batch(self) -> None:
         self.faa_issued += 1
         if not self._post_control_faa(-self.config.batch_size, "control_faa",
-                                      self._on_faa_complete):
+                                      self._faa_handler):
             self._note_faa_failure()
 
-    def _on_faa_complete(self, wc: WorkCompletion, epoch: int) -> None:
-        if not self._faa_inflight or epoch != self._faa_epoch:
+    @cached_property
+    def _faa_handler(self):
+        """:meth:`_on_faa_complete`, bound once for every FAA's WR."""
+        return self._on_faa_complete
+
+    @cached_property
+    def _probe_handler(self):
+        """:meth:`_on_probe_complete`, bound once for every probe's WR."""
+        return self._on_probe_complete
+
+    def _current_faa(self, wc: WorkCompletion) -> bool:
+        """Claim ``wc`` if it completes the FAA in flight (clearing the
+        flag); False for one that was already superseded."""
+        if not self._faa_inflight or wc.wr_id != self._faa_wr_id:
+            return False
+        self._faa_inflight = False
+        return True
+
+    def _on_faa_complete(self, wc: WorkCompletion) -> None:
+        if not self._current_faa(wc):
             # Completed after its deadline already failed it.  Any
             # tokens the FAA did claim are abandoned; the monitor's
             # conversion overwrite re-absorbs them into the pool.
             return
-        self._faa_inflight = False
         if not wc.ok:
             # A transient fabric/NIC failure must not wedge the data
             # path: count it and retry with capped exponential backoff.
             self._note_faa_failure()
             return
+        self.settle_reports()  # the due ticks precede the grant
         self._period_faa_ok = True
         self._retry_attempt = 0
         self._notify_listener(True)
@@ -741,17 +786,17 @@ class QoSEngine:
             return
         self.probes_issued += 1
         if not self._post_control_faa(0, "control_probe",
-                                      self._on_probe_complete):
+                                      self._probe_handler):
             # No backoff retry: the next period's probe is the retry.
             self._note_control_failure()
 
-    def _on_probe_complete(self, wc: WorkCompletion, epoch: int) -> None:
-        if not self._faa_inflight or epoch != self._faa_epoch:
+    def _on_probe_complete(self, wc: WorkCompletion) -> None:
+        if not self._current_faa(wc):
             return
-        self._faa_inflight = False
         if not wc.ok:
             self._note_control_failure()
             return
+        self.settle_reports()
         # Fabric is back: leave degraded mode and resume pool fetches.
         self._notify_listener(True)
         self._period_faa_ok = True
@@ -783,14 +828,24 @@ class QoSEngine:
             self._next_tick_at = self.sim.now + self.config.mgmt_interval
 
     def _decay_to_now(self) -> None:
-        """Replay the token-management steps due by ``sim.now``."""
+        """Replay the token-management steps due by ``sim.now``.
+
+        The report ticks due by then go first: each one reads the state
+        decayed to its own instant, which a later replay would destroy.
+        """
         now = self.sim.now
+        if self._report_due <= now:
+            self._settle_reports()
+        self._decay_to(now)
+
+    def _decay_to(self, t: float) -> None:
+        """Replay the token-management steps due by ``t``."""
         due = self._next_tick_at
-        if due > now:
+        if due > t:
             return
         interval = self.config.mgmt_interval
         decay = self._tokens.decay
-        while due <= now:
+        while due <= t:
             decay(interval)
             due += interval
         self._next_tick_at = due
@@ -804,7 +859,131 @@ class QoSEngine:
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
+    # A ReportRequest starts a chain of live-report ticks at
+    # ``t0 + k * report_interval`` (accumulated by repeated addition, as
+    # the self-rescheduling timer form does).  Only the monitor's sweeps
+    # read the word a tick writes, so unless something observes the
+    # post itself (see _reports_lazy) no tick is a heap event: a due
+    # tick ``t_k`` is materialized at the engine's next settle point.
+    # Its word is packed from the state as of ``t_k`` (decay replayed to
+    # ``t_k`` only); its WRITE is accounted as posted at ``t_k`` (client
+    # NIC issue count and control cost, ``qp.outstanding``,
+    # ``reports_written``) and lands at ``t_k + issue + prop`` — written
+    # to the slot through the same access check and counted by the
+    # server NIC — at the first settle after that instant.
+    #
+    # Settle points are everything that changes or reads what a word
+    # encodes.  Engine side: _drain, a completion's finish, an FAA or
+    # probe completion, period start, the report request itself,
+    # rebind, suspend, and every token-state read (_decay_to_now, so
+    # the final report, ``tokens`` and ``token_obligations``).  Monitor
+    # side: every read or write of a report word (the monitor calls
+    # settle_reports of each engine enrolled with it).  And the end of
+    # run_experiment, whose caller reads the counters.
+    #
+    # Ties follow the timer form's order.  A tick due at exactly a
+    # settle instant is materialized before the observation (as for the
+    # decay steps: the tick was scheduled one interval ahead, an
+    # observer at the same instant less than that).  A word landing at
+    # exactly a settle instant lands after it: the reader's event was
+    # scheduled before the post was — except at a run's horizon, where
+    # every event due by ``until`` has run.  Posted words land in order
+    # (their issue cost and propagation delay are constant while the
+    # lazy form runs: only a fault injector closes QPs or changes NIC
+    # capacity, and it takes the eager form).
+    def _reports_lazy(self) -> bool:
+        """Whether live report ticks may be materialized lazily — the
+        one place that picks the eager tick event instead.  A tick stays
+        an event only where something observes the post itself:
+
+        - a fault injector draws a per-link verdict at post time (and is
+          the only thing that closes QPs or changes NIC capacity);
+        - a tracer records every report at its ``sim.now``;
+        - a telemetry hub gauges the server NIC's control target cost, a
+          float sum in arrival order across clients, in its metric
+          streams.
+        """
+        if self.tracer is not NULL_TRACER or self.sim.telemetry is not None:
+            return False
+        fabric = self.kv.qp.fabric
+        return fabric is None or fabric.injector is None
+
+    def settle_reports(self, horizon: bool = False) -> None:
+        """Materialize the live-report ticks due by ``sim.now`` and land
+        the words posted before it.  With ``horizon`` the run stops at
+        ``now``, so a word landing exactly then has landed too."""
+        if self._report_due <= self.sim.now:
+            self._settle_reports(horizon)
+
+    def _settle_reports(self, horizon: bool = False) -> None:
+        now = self.sim.now
+        chains = self._report_chains
+        while chains:
+            # Two chains run only when a request re-armed reporting in
+            # the same period before the old chain's next tick (the
+            # timer form then runs both).
+            chain = chains[0] if len(chains) == 1 else min(chains)
+            due = chain[0]
+            if due > now:
+                break
+            if not self._reporting_active or self.period_id != chain[1]:
+                chains.remove(chain)  # where the timer form's chain ends
+                continue
+            self._post_live_report(due)
+            chain[0] = due + self.config.report_interval
+        inflight = self._report_inflight
+        while inflight:
+            lands_at = inflight[0][0]
+            if lands_at > now or (lands_at == now and not horizon):
+                break
+            self._land_report(inflight.popleft())
+        if not chains:
+            due = _NEVER
+        elif len(chains) == 1:
+            due = chains[0][0]
+        else:
+            due = min(chains)[0]
+        if inflight and inflight[0][0] < due:
+            due = inflight[0][0]
+        self._report_due = due
+
+    def _post_live_report(self, t: float) -> None:
+        """The live report of the tick at ``t``, posted at ``t``."""
+        self._decay_to(t)
+        tokens = self._tokens
+        word = pack_report(
+            tokens.residual + tokens.local_global + self.inflight_tokened,
+            self.completed_this_period,
+        )
+        qp = self.kv.qp
+        if qp.closed or qp.outstanding >= qp.max_outstanding:
+            self.reports_failed += 1  # post_send would have raised
+            return
+        qp.outstanding += 1
+        self.reports_written += 1
+        lands_at = qp.src.nic.submit_issue(_REPORT_WR, t) + qp.prop_delay
+        layout = self.layout
+        self._report_inflight.append(
+            (lands_at, word, qp, layout.rkey, layout.report_live_addr, t))
+
+    @staticmethod
+    def _land_report(posted: tuple) -> None:
+        """The target side of a live report's WRITE (QueuePair._arrive
+        for an unsignaled control WRITE)."""
+        _lands_at, word, qp, rkey, addr, posted_at = posted
+        dst = qp.dst
+        try:
+            dst.memory.remote_write_u64(rkey, addr, word)
+        except MemoryAccessError as err:
+            wr = WorkRequest(opcode=OpType.WRITE, size=8, remote_addr=addr,
+                             rkey=rkey, control=True, signaled=False)
+            qp._fail(wr, posted_at, WCStatus.REMOTE_ACCESS_ERROR, str(err))
+            return
+        dst.nic.submit_target(_REPORT_WR)
+        qp.outstanding -= 1
+
     def _reporting_tick(self, period_id: int) -> None:
+        """The timer form of a live-report tick (see _reports_lazy)."""
         if not self._reporting_active or self.period_id != period_id:
             return
         self._write_report(self.layout.report_live_addr)

@@ -155,6 +155,10 @@ class QoSMonitor:
         # facade block, so unbound runs keep byte-stable metric streams.
         self.reservation_guard = None
         self.hierarchy_clamped = 0
+        # settle_reports of every engine writing report words here: an
+        # engine materializes its live reports lazily, so each access to
+        # the words first lands what was posted before it.
+        self._report_settlers: List = []
 
     # ------------------------------------------------------------------
     # Client admission / wiring (step T1 prerequisites)
@@ -209,6 +213,17 @@ class QoSMonitor:
         if self.admission is not None:
             self.admission.release(client_id)
 
+    def add_report_source(self, settle) -> None:
+        """Register an engine's ``settle_reports``: called before every
+        read or write of the report words, so that the live reports the
+        engine posted earlier have landed (see QoSEngine's Reporting
+        notes)."""
+        self._report_settlers.append(settle)
+
+    def _settle_reports(self) -> None:
+        for settle in self._report_settlers:
+            settle()
+
     @property
     def total_reserved(self) -> int:
         """Sum of admitted reservations (tokens/period)."""
@@ -231,6 +246,7 @@ class QoSMonitor:
         Returns a dict with the slot layout and period coordinates, or
         None if the monitor is out of slots.
         """
+        self._settle_reports()
         slot = self._clients.get(client_id)
         if slot is None:
             granted = reservation
@@ -298,6 +314,7 @@ class QoSMonitor:
         slot = self._clients.get(client_id)
         if slot is None:
             raise QoSError(f"client {client_id} is not registered")
+        self._settle_reports()
         granted = reservation
         if self.reservation_guard is not None:
             allowed = self.reservation_guard(client_id, granted)
@@ -391,6 +408,7 @@ class QoSMonitor:
         tokens fetched against the dead memory and resynchronize
         immediately instead of limping to the next boundary.
         """
+        self._settle_reports()
         self.generation += 1
         self.reinitializations += 1
         remaining = max(0.0, self._period_end - self.sim.now)
@@ -448,6 +466,7 @@ class QoSMonitor:
         self._open_period()
 
     def _begin_period(self) -> None:
+        self._settle_reports()
         self.period_id += 1
         self._period_end = self.sim.now + self.config.period
         self._reporting_triggered = False
@@ -488,6 +507,7 @@ class QoSMonitor:
     def _check_interval(self) -> None:
         # Step S1: probe the pool.  The monitor runs on the data node so
         # this is a local read (the paper uses a loopback CAS).
+        self._settle_reports()
         pool = self._read_pool()
         self.pool_history.append((self.sim.now, pool))
         if not self._reporting_triggered:
@@ -533,6 +553,7 @@ class QoSMonitor:
             )
 
     def _end_period(self) -> None:
+        self._settle_reports()
         memory = self.host.memory.backing
         total_completed = 0
         per_client = {}

@@ -186,6 +186,12 @@ class MemoryManager:
         self._check(rkey, addr, len(data), "remote_write")
         self.backing.write(addr, data)
 
+    def remote_write_u64(self, rkey: int, addr: int, value: int) -> None:
+        """Checked remote WRITE of one little-endian 64-bit word: the
+        same check and bytes as :meth:`remote_write` of its 8 bytes."""
+        self._check(rkey, addr, 8, "remote_write")
+        self.backing.write_u64(addr, value)
+
     def remote_fetch_add(self, rkey: int, addr: int, delta: int) -> int:
         """Checked remote fetch-and-add on an aligned 64-bit word.
 

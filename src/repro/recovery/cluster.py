@@ -115,6 +115,8 @@ def build_replicated_cluster(
         engine = bed.enrol(primary, i, tokens, qp_back, kv_primary,
                            disp_primary)
         engine.bind_control_source(disp_replica, REPLICA_SOURCE)
+        # After a failover the engine reports into the replica's words.
+        replica.monitor.add_report_source(engine.settle_reports)
         manager = FailoverManager(
             client_index=i,
             name=name,

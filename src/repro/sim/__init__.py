@@ -20,13 +20,12 @@ code spawns a :class:`~repro.sim.process.Process`.
 """
 
 from repro.sim.core import Simulator
-from repro.sim.events import AllOf, Event, Timeout
+from repro.sim.events import Event, Timeout
 from repro.sim.process import Process
 from repro.sim.resources import Pipeline, Semaphore, TokenBucket
 from repro.sim.stats import Counter, LatencyHistogram, LatencyReservoir
 
 __all__ = [
-    "AllOf",
     "Counter",
     "Event",
     "LatencyHistogram",

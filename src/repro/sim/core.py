@@ -21,7 +21,7 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable, Generator, Optional
 
-from repro.sim.events import AllOf, Event, Timeout
+from repro.sim.events import Event, Timeout
 from repro.sim.process import Process
 
 
@@ -84,10 +84,6 @@ class Simulator:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """An event that succeeds after ``delay`` seconds."""
         return Timeout(self, delay, value)
-
-    def all_of(self, events) -> AllOf:
-        """An event that succeeds when every one of ``events`` has."""
-        return AllOf(self, list(events))
 
     def process(self, gen: Generator) -> Process:
         """Spawn a cooperative process from generator ``gen``."""

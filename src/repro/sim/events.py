@@ -93,32 +93,3 @@ class Timeout(Event):
     def _expire(self, value: Any) -> None:
         if not self.triggered:
             self.succeed(value)
-
-
-class AllOf(Event):
-    """Triggers when every child has triggered.
-
-    Succeeds with the list of child values (in construction order)
-    once all children succeed; fails fast with the first child failure.
-    """
-
-    __slots__ = ("_children", "_remaining")
-
-    def __init__(self, sim: "Simulator", events: List[Event]):  # noqa: F821
-        super().__init__(sim)
-        if not events:
-            raise ValueError("AllOf requires at least one event")
-        self._children = list(events)
-        self._remaining = len(self._children)
-        for ev in self._children:
-            ev.add_callback(self._child_fired)
-
-    def _child_fired(self, child: Event) -> None:
-        if self.triggered:
-            return
-        if not child.ok:
-            self.fail(child.exception)
-            return
-        self._remaining -= 1
-        if self._remaining == 0:
-            self.succeed([ev.value for ev in self._children])

@@ -1,13 +1,23 @@
 """Retired engine mechanisms, kept as oracles for what replaced them.
 
+``EagerReportEngine`` is ``QoSEngine``'s live reporting as it was
+before the report ticks came off the simulator heap: a self-rescheduling
+``_reporting_tick`` event per report interval, each posting a real
+unsignaled WRITE whose arrival is another event.  It is the engine's own
+timer form, selected by the one predicate that picks it.
+``test_lazy_reports.py`` requires the two to agree: the same words at
+every monitor sweep, the same counters.
+
 ``EagerDecayEngine`` is ``QoSEngine``'s token management as it was
 before the decay steps came off the simulator heap: a self-rescheduling
 timer
 (``start -> arm -> tick``) that calls ``ClientTokenState.decay`` once
 per ``mgmt_interval``.  The lazy replay is switched off by leaving
 ``_next_tick_at`` at "never", so the timer is the only thing that
-decays.  ``test_lazy_decay.py`` requires the two to agree exactly — the
-same token fields at every observation, the same reported words.
+decays — and reports take the timer form too, since a lazily
+materialized report replays decay to its own instant.
+``test_lazy_decay.py`` requires the two to agree exactly — the same
+token fields at every observation, the same reported words.
 
 ``PerOpBacklogEngine`` is the backlog as it was before it became key
 runs: one ``(key, on_complete, span)`` tuple per queued op in a deque.
@@ -23,7 +33,14 @@ from repro.common.errors import QPError
 from repro.core.engine import QoSEngine
 
 
-class EagerDecayEngine(QoSEngine):
+class EagerReportEngine(QoSEngine):
+    """``QoSEngine`` with one heap event per live-report tick."""
+
+    def _reports_lazy(self) -> bool:
+        return False
+
+
+class EagerDecayEngine(EagerReportEngine):
     """``QoSEngine`` with one heap event per management tick."""
 
     _eager_started = False
@@ -117,6 +134,11 @@ class PerOpBacklogEngine(QoSEngine):
 def per_op_backlog_engines():
     """Context manager: clusters built inside get tuple-backlog engines."""
     return mock.patch("repro.cluster.builder.QoSEngine", PerOpBacklogEngine)
+
+
+def eager_report_engines():
+    """Context manager: clusters built inside get timer-form reporting."""
+    return mock.patch("repro.cluster.builder.QoSEngine", EagerReportEngine)
 
 
 def eager_engines():

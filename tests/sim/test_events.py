@@ -1,4 +1,4 @@
-"""Event, Timeout and AllOf semantics."""
+"""Event and Timeout semantics."""
 
 import pytest
 
@@ -69,35 +69,3 @@ def test_zero_timeout_fires(sim):
     ev = sim.timeout(0.0)
     sim.run()
     assert ev.triggered
-
-
-def test_allof_collects_values_in_order(sim):
-    slow = sim.timeout(2.0, value="slow")
-    fast = sim.timeout(1.0, value="fast")
-    both = sim.all_of([slow, fast])
-    got = []
-    both.add_callback(lambda e: got.append((sim.now, e.value)))
-    sim.run()
-    assert got == [(2.0, ["slow", "fast"])]
-
-
-def test_allof_fails_fast_on_child_failure(sim):
-    bad = sim.event()
-    pending = sim.timeout(10.0)
-    both = sim.all_of([bad, pending])
-    bad.fail(ValueError("nope"))
-    assert both.triggered and not both.ok
-
-
-def test_allof_requires_events(sim):
-    from repro.sim.events import AllOf
-    with pytest.raises(ValueError):
-        AllOf(sim, [])
-
-
-def test_allof_with_pretriggered_children(sim):
-    done = sim.event()
-    done.succeed(1)
-    both = sim.all_of([done, sim.timeout(1.0, value=2)])
-    sim.run()
-    assert both.value == [1, 2]
