@@ -3,18 +3,31 @@
 
 Runs two QoS periods with two clients — one that exhausts its
 reservation and raids the global pool, one that under-uses and gets
-clamped — with a structured tracer attached to the engine and monitor.
-Prints the protocol narrative: token dispatch, the first batched FAA,
-the monitor noticing the pool move, reporting, token conversion, and
-the end-of-period capacity estimate.
+clamped — with a telemetry hub attached.  Prints the protocol
+narrative from the hub's protocol records and its token ledger: token
+dispatch, the first batched FAA claims, the monitor noticing the pool
+move, reporting, token conversion, and Algorithm 1's end-of-period
+capacity estimate (its input U, branch, floor and new estimate).
 
 Run:  python examples/protocol_trace.py
 """
 
+import heapq
+from collections import Counter
+
 from repro import QoSMode, SimScale, build_cluster
-from repro.sim.trace import Tracer
+from repro.telemetry import Record, TelemetryConfig, attach_telemetry
 
 SCALE = SimScale(factor=1000, interval_divisor=50)
+
+
+def ledger_records(ledger, events):
+    """The ledger's ``events`` rendered as records (category ``ledger``)."""
+    for e in ledger.events:
+        if e["event"] in events:
+            fields = {k: v for k, v in e.items()
+                      if k not in ("time", "event", "source")}
+            yield Record(e["time"], "ledger", e["event"], fields)
 
 
 def main() -> None:
@@ -24,10 +37,7 @@ def main() -> None:
         reservations_ops=[300_000, 300_000],
         scale=SCALE,
     )
-    tracer = Tracer(cluster.sim)
-    cluster.monitor.tracer = tracer
-    for client in cluster.clients:
-        client.engine.tracer = tracer
+    hub = attach_telemetry(cluster, TelemetryConfig(sample_every=0))
 
     cluster.start()
     period = cluster.config.period
@@ -45,9 +55,12 @@ def main() -> None:
         "monitor.period_begin", "monitor.reporting_triggered",
         "monitor.estimate", "engine.period_start",
     }
-    # conversions and FAAs fire every tick/batch; show only the first few
-    budgets = {"monitor.conversion": 3, "engine.faa": 5}
-    for record in tracer.records:
+    # pool claims and conversions are ledger events that fire every
+    # batch/tick; show only the first few
+    budgets = {"ledger.convert": 3, "ledger.claim": 5}
+    claims = list(ledger_records(hub.ledger, ("claim", "convert")))
+    timeline = heapq.merge(hub.records, claims, key=lambda r: r.time)
+    for record in timeline:
         tag = f"{record.category}.{record.event}"
         if tag in budgets:
             if budgets[tag] <= 0:
@@ -58,7 +71,8 @@ def main() -> None:
         print(record)
 
     print()
-    summary = tracer.summary()
+    summary = Counter(hub.records.summary())
+    summary.update(f"ledger.{record.event}" for record in claims)
     print("event counts over two periods:")
     for name in sorted(summary):
         print(f"  {name:<28} {summary[name]}")

@@ -1,7 +1,7 @@
 """Result analysis: table formatting, time-series shape metrics, and
 paper-shape comparisons used by the benchmark harness."""
 
-from repro.analysis.charts import bar_chart, sparkline, timeline_chart
+from repro.analysis.charts import bar_chart, sparkline
 from repro.analysis.series import (
     mean_of,
     recovery_time,
@@ -21,6 +21,5 @@ __all__ = [
     "relative_drop",
     "sparkline",
     "step_change",
-    "timeline_chart",
     "who_wins",
 ]

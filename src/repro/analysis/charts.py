@@ -68,34 +68,3 @@ def sparkline(
         out.append(_SPARK_LEVELS[int(round(norm * top))])
     return "".join(out)
 
-
-def timeline_chart(
-    values: Sequence[float],
-    width: int = 60,
-    height: int = 8,
-    unit: str = "",
-) -> List[str]:
-    """A small scatter/step chart of a timeline, newest at the right.
-
-    Rows run from the maximum down to the minimum; each column is one
-    sample (downsampled evenly when there are more samples than
-    ``width``).
-    """
-    if width < 2 or height < 2:
-        raise ValueError("timeline_chart needs width >= 2 and height >= 2")
-    if not values:
-        return []
-    if len(values) > width:
-        stride = len(values) / width
-        values = [values[int(i * stride)] for i in range(width)]
-    lo, hi = min(values), max(values)
-    span = (hi - lo) or 1.0
-    rows = []
-    for row in range(height, -1, -1):
-        threshold = lo + span * row / height
-        line = "".join(
-            "*" if v >= threshold else " " for v in values
-        )
-        label = f"{threshold:g}{unit}"
-        rows.append(f"{label:>12} |{line}")
-    return rows

@@ -550,7 +550,7 @@ def _cmd_telemetry(args) -> int:
                   "recovery scenario; --clients does not apply",
                   file=sys.stderr)
             return 2
-        report, _cluster = chaos.run(
+        report, cluster = chaos.run(
             RECOVERY, args.chaos_seed, periods=args.periods,
             telemetry=TelemetryConfig(sample_every=args.sample),
             trace_path=args.trace,
@@ -567,6 +567,8 @@ def _cmd_telemetry(args) -> int:
               f"yielded={totals.get('yielded', 0)}  "
               f"expired={totals.get('expired', 0)}  "
               f"accounts={totals.get('accounts', 0)}")
+        counts = sorted(cluster.sim.telemetry.records.summary().items())
+        print("records:", *(f"{k}={n}" for k, n in counts))
         for violation in report.violations:
             print(violation, file=sys.stderr)
         if args.trace:
@@ -600,6 +602,8 @@ def _cmd_telemetry(args) -> int:
           f"({store['started']} started, {store['dropped']} dropped, "
           f"sampling 1/{args.sample})  "
           f"total: {result.total_kiops():.0f} KIOPS")
+    counts = sorted(hub.records.summary().items())
+    print("records:", *(f"{k}={n}" for k, n in counts))
     if args.trace:
         events = write_perfetto(args.trace, hub.spans, store)
         print(f"perfetto trace: {args.trace} ({events} events)")

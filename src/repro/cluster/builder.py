@@ -35,7 +35,6 @@ from repro.rdma.fabric import Fabric
 from repro.rdma.nic import NICProfile
 from repro.rdma.node import Host
 from repro.sim.core import Simulator
-from repro.sim.trace import NULL_TRACER
 from repro.workloads.background import BackgroundJob
 
 
@@ -105,12 +104,11 @@ class Assembly:
     """
 
     def __init__(self, config: HaechiConfig, num_clients: int,
-                 touch_memory: bool = False, tracer=NULL_TRACER,
-                 master_seed: int = 0, fabric_model=None):
+                 touch_memory: bool = False, master_seed: int = 0,
+                 fabric_model=None):
         self.config = config
         self.max_clients = max(64, num_clients)
         self.touch_memory = touch_memory
-        self.tracer = tracer
         self.master_seed = master_seed
         self.sim = Simulator()
         self.fabric = Fabric(self.sim, model=fabric_model, seed=master_seed)
@@ -161,7 +159,6 @@ class Assembly:
                 host, self.config,
                 AdaptiveCapacityEstimator.from_config(profiled, self.config),
                 admission=admission, max_clients=self.max_clients,
-                tracer=self.tracer,
             )
         node = NodeDeployment(len(self.nodes), host, data_node, monitor)
         self.nodes.append(node)
@@ -203,8 +200,7 @@ class Assembly:
         engine = QoSEngine(
             client_id=client_id, kv=kv, layout=layout, config=self.config,
             reservation=tokens, limit=limit, dispatcher=dispatcher,
-            touch_memory=self.touch_memory, tracer=self.tracer,
-            seed=self.master_seed,
+            touch_memory=self.touch_memory, seed=self.master_seed,
         )
         node.monitor.add_report_source(engine.settle_reports)
         return engine
@@ -235,15 +231,13 @@ class Deployment:
         for engine in self.engines():
             engine.ledger_flush()
 
-    def inject_faults(self, plan, seed: int = 0, tracer=NULL_TRACER):
+    def inject_faults(self, plan, seed: int = 0):
         """Install a :class:`~repro.faults.plan.FaultPlan` on the fabric.
 
         Call before :meth:`start`; returns the installed injector (also
         kept as ``self.fault_injector`` for metrics collection).
         """
-        self.fault_injector = FaultInjector(
-            plan, seed=seed, tracer=tracer
-        ).install(self.fabric)
+        self.fault_injector = FaultInjector(plan, seed).install(self.fabric)
         return self.fault_injector
 
     def start(self) -> None:
@@ -306,7 +300,6 @@ def build_cluster(
     touch_memory: bool = False,
     admission_enabled: bool = True,
     config: Optional[HaechiConfig] = None,
-    tracer=NULL_TRACER,
     master_seed: int = 0,
     fabric_model=None,
 ) -> Cluster:
@@ -346,8 +339,7 @@ def build_cluster(
             raise ConfigError("limits_ops must match num_clients")
 
     bed = Assembly(config, num_clients, touch_memory=touch_memory,
-                   tracer=tracer, master_seed=master_seed,
-                   fabric_model=fabric_model)
+                   master_seed=master_seed, fabric_model=fabric_model)
     node = bed.deploy_node(
         "server", qos, num_slots, materialize=materialize,
         profiled=profiled, calibration=calibration,

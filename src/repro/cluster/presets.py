@@ -13,7 +13,7 @@ returns a dict of printable series/tables.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, List
+from typing import Callable, Dict
 
 from repro.common.errors import ConfigError
 from repro.common.types import AccessMode, QoSMode
@@ -59,18 +59,6 @@ def _scales(quick: bool):
     if quick:
         return SimScale(factor=500, interval_divisor=100), 2, 4
     return SimScale(factor=200, interval_divisor=200), 3, 10
-
-
-def _per_client_rows(result, reservations=None) -> List[list]:
-    rows = []
-    for i in range(len(result.client_period_counts)):
-        name = f"C{i+1}"
-        row = [name]
-        if reservations is not None:
-            row.append(round(reservations[i] / 1000))
-        row.append(round(result.client_kiops(name)))
-        rows.append(row)
-    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from repro.core.tokens import ClientTokenState
 from repro.kvstore.client import KVClient
 from repro.rdma.atomics import pack_report, to_signed64
 from repro.rdma.verbs import WCStatus, WorkCompletion, WorkRequest
-from repro.sim.trace import NULL_TRACER
+from repro.telemetry.records import record
 
 _NEVER = float("inf")
 
@@ -90,7 +90,6 @@ class QoSEngine:
         limit: Optional[int] = None,
         dispatcher=None,
         touch_memory: bool = False,
-        tracer=NULL_TRACER,
         seed: int = 0,
     ):
         if limit is not None and limit < reservation:
@@ -105,7 +104,6 @@ class QoSEngine:
         self.config = config
         self.limit = limit
         self.touch_memory = touch_memory
-        self.tracer = tracer
         self._tokens = ClientTokenState(reservation, config.period)
         # Time of the next token-management step (see _decay_to_now);
         # the first PeriodStart or rebind starts the clock.
@@ -291,9 +289,9 @@ class QoSEngine:
         self.suspended = False
         self.re_registrations += 1
         self._mgmt_start()
-        self.tracer.emit("engine", "rebound", client=self.client_id,
-                         period=period_id, reservation=reservation,
-                         tokens_now=tokens_now, generation=generation)
+        record(self.sim, "engine", "rebound", client=self.client_id,
+               period=period_id, reservation=reservation,
+               tokens_now=tokens_now, generation=generation)
         final_at = period_end_time - self.config.final_report_margin
         if final_at > self.sim.now:
             self.sim.schedule_at(final_at, self._write_final_report, period_id)
@@ -392,9 +390,9 @@ class QoSEngine:
             # claims against dead memory.  start_period below discards
             # them; count the resync for the harnesses.
             self.generation_resyncs += 1
-            self.tracer.emit("engine", "generation_resync",
-                             client=self.client_id, period=msg.period_id,
-                             generation=msg.generation)
+            record(self.sim, "engine", "generation_resync",
+                   client=self.client_id, period=msg.period_id,
+                   generation=msg.generation)
         self._generation = msg.generation
         if msg.period_id != self.period_id:
             # A genuine boundary (not an out-of-band mid-period resync)
@@ -402,9 +400,8 @@ class QoSEngine:
             self._roll_failure_window()
         self.period_id = msg.period_id
         self._period_end = msg.period_end_time
-        if self.tracer is not NULL_TRACER:
-            self.tracer.emit("engine", "period_start", client=self.client_id,
-                             period=msg.period_id, tokens=msg.tokens)
+        record(self.sim, "engine", "period_start", client=self.client_id,
+               period=msg.period_id, tokens=msg.tokens)
         # Close the previous grant episode's ledger account (decayed to
         # now) BEFORE start_period replaces the token state, then open
         # the new one.
@@ -440,8 +437,8 @@ class QoSEngine:
             self.degraded = True
             self.degraded_entries += 1
             self.degraded_periods += 1
-            self.tracer.emit("engine", "degraded_enter", client=self.client_id,
-                             streak=self._faa_failed_streak)
+            record(self.sim, "engine", "degraded_enter",
+                   client=self.client_id, streak=self._faa_failed_streak)
 
     def _on_report_request(self, msg: ReportRequest, _reply_qp) -> None:
         if msg.period_id != self.period_id or self._reporting_active:
@@ -717,9 +714,6 @@ class QoSEngine:
                 self._ledger_account, self.config.batch_size, granted,
                 prior, self.sim.now,
             )
-        if self.tracer is not NULL_TRACER:
-            self.tracer.emit("engine", "faa", client=self.client_id,
-                             prior=prior, granted=granted)
         if granted > 0:
             self._drain()
             return
@@ -804,8 +798,8 @@ class QoSEngine:
         self._faa_failed_streak = 0
         self.degraded = False
         self.degraded_recoveries += 1
-        self.tracer.emit("engine", "degraded_recover", client=self.client_id,
-                         period=self.period_id)
+        record(self.sim, "engine", "degraded_recover", client=self.client_id,
+               period=self.period_id)
         self._drain()
 
     # ------------------------------------------------------------------
@@ -898,12 +892,11 @@ class QoSEngine:
 
         - a fault injector draws a per-link verdict at post time (and is
           the only thing that closes QPs or changes NIC capacity);
-        - a tracer records every report at its ``sim.now``;
         - a telemetry hub gauges the server NIC's control target cost, a
           float sum in arrival order across clients, in its metric
-          streams.
+          streams, and records every report at its ``sim.now``.
         """
-        if self.tracer is not NULL_TRACER or self.sim.telemetry is not None:
+        if self.sim.telemetry is not None:
             return False
         fabric = self.kv.qp.fabric
         return fabric is None or fabric.injector is None
@@ -1008,10 +1001,8 @@ class QoSEngine:
             self.reports_failed += 1
             return
         self.reports_written += 1
-        if self.tracer is not NULL_TRACER:
-            self.tracer.emit("engine", "report", client=self.client_id,
-                             residual=obligations,
-                             completed=self.completed_this_period)
+        record(self.sim, "engine", "report", client=self.client_id,
+               residual=obligations, completed=self.completed_this_period)
 
     def _write_final_report(self, period_id: int) -> None:
         if self.period_id != period_id:

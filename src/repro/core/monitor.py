@@ -48,7 +48,7 @@ from repro.rdma.atomics import to_signed64, to_unsigned64, unpack_report
 from repro.rdma.memory import Permissions
 from repro.rdma.node import Host
 from repro.rdma.verbs import WorkRequest
-from repro.sim.trace import NULL_TRACER
+from repro.telemetry.records import record
 
 _POOL_OFFSET = 0
 _CLIENT_STRIDE = 16  # live word + final word per client
@@ -94,7 +94,6 @@ class QoSMonitor:
         estimator: AdaptiveCapacityEstimator,
         admission: Optional[AdmissionController] = None,
         max_clients: int = 64,
-        tracer=NULL_TRACER,
     ):
         self.host = host
         self.sim = host.sim
@@ -102,7 +101,6 @@ class QoSMonitor:
         self.estimator = estimator
         self.admission = admission
         self.max_clients = max_clients
-        self.tracer = tracer
         self._clients: Dict[int, _ClientSlot] = {}
 
         region_size = 8 + max_clients * _CLIENT_STRIDE
@@ -283,9 +281,9 @@ class QoSMonitor:
                 "period": self.period_id,
                 "time": self.sim.now,
             })
-            self.tracer.emit("monitor", "client_rejoined",
-                             period=self.period_id, client=client_id,
-                             requested=reservation, granted=granted)
+            record(self.sim, "monitor", "client_rejoined",
+                   period=self.period_id, client=client_id,
+                   requested=reservation, granted=granted)
         remaining = max(0.0, self._period_end - self.sim.now)
         tokens_now = int(slot.reservation * remaining / self.config.period)
         return {
@@ -349,9 +347,9 @@ class QoSMonitor:
             "period": self.period_id,
             "time": self.sim.now,
         })
-        self.tracer.emit("monitor", "reservation_resized",
-                         period=self.period_id, client=client_id,
-                         previous=previous, granted=granted)
+        record(self.sim, "monitor", "reservation_resized",
+               period=self.period_id, client=client_id,
+               previous=previous, granted=granted)
         return {
             "reservation": granted,
             "tokens_now": tokens_now,
@@ -429,8 +427,8 @@ class QoSMonitor:
                 period_end_time=self._period_end,
                 generation=self.generation,
             ))
-        self.tracer.emit("monitor", "reinitialized", period=self.period_id,
-                         generation=self.generation, pool=pool_now)
+        record(self.sim, "monitor", "reinitialized", period=self.period_id,
+               generation=self.generation, pool=pool_now)
 
     # ------------------------------------------------------------------
     # Period machinery
@@ -474,8 +472,8 @@ class QoSMonitor:
         omega = self.estimator.current
         self._pool_init = max(0, omega - self.total_reserved)
         self._write_pool(self._pool_init)
-        self.tracer.emit("monitor", "period_begin", period=self.period_id,
-                         estimate=omega, pool=self._pool_init)
+        record(self.sim, "monitor", "period_begin", period=self.period_id,
+               estimate=omega, pool=self._pool_init)
         telemetry = self.sim.telemetry
         if telemetry is not None:
             telemetry.on_period_begin(
@@ -513,8 +511,8 @@ class QoSMonitor:
         if not self._reporting_triggered:
             if pool < self._pool_init:
                 self._reporting_triggered = True
-                self.tracer.emit("monitor", "reporting_triggered",
-                                 period=self.period_id, pool=pool)
+                record(self.sim, "monitor", "reporting_triggered",
+                       period=self.period_id, pool=pool)
                 for slot in self._clients.values():
                     self._send(slot, ReportRequest(period_id=self.period_id))
             return
@@ -543,8 +541,6 @@ class QoSMonitor:
         )
         self._write_pool(new_pool)
         self.conversions += 1
-        self.tracer.emit("monitor", "conversion", period=self.period_id,
-                         residual_sum=residual_sum, pool=new_pool)
         telemetry = self.sim.telemetry
         if telemetry is not None:
             telemetry.on_conversion(
@@ -569,9 +565,9 @@ class QoSMonitor:
                 # No write all period: the client is unreachable or dead.
                 slot.lease_streak += 1
                 self.stale_reports += 1
-                self.tracer.emit("monitor", "stale_report",
-                                 period=self.period_id, client=slot.client_id,
-                                 streak=slot.lease_streak)
+                record(self.sim, "monitor", "stale_report",
+                       period=self.period_id, client=slot.client_id,
+                       streak=slot.lease_streak)
                 if lease and slot.lease_streak >= lease:
                     expired.append(slot)
                 completed = 0
@@ -592,9 +588,9 @@ class QoSMonitor:
                 "reservation": slot.reservation,
                 "time": self.sim.now,
             })
-            self.tracer.emit("monitor", "client_evicted",
-                             period=self.period_id, client=slot.client_id,
-                             reservation=slot.reservation)
+            record(self.sim, "monitor", "client_evicted",
+                   period=self.period_id, client=slot.client_id,
+                   reservation=slot.reservation)
         self.period_records.append(
             {
                 "period": self.period_id,
@@ -604,10 +600,15 @@ class QoSMonitor:
                 "reporting_triggered": self._reporting_triggered,
             }
         )
-        self.estimator.update(total_completed)
-        self.tracer.emit("monitor", "estimate", period=self.period_id,
-                         completed=total_completed,
-                         next_estimate=self.estimator.current)
+        estimator = self.estimator
+        estimator.update(total_completed)
+        # Algorithm 1's decision: U, the branch it took and the floor
+        # Omega_prof - 3 sigma, from Omega to the new Omega.
+        record(self.sim, "monitor", "estimate", period=self.period_id,
+               completed=total_completed, omega_prev=estimator.history[-2],
+               decision=estimator.decisions[-1],
+               floor=estimator.lower_bound, omega=estimator.history[-1],
+               next_estimate=estimator.current)
 
     def _check_local_violations(self) -> None:
         """Definition 2 at runtime: flag clients whose outstanding
@@ -651,9 +652,9 @@ class QoSMonitor:
         if value <= bound:
             return value
         self.clamped_reports += 1
-        self.tracer.emit("monitor", "report_clamped", period=self.period_id,
-                         client=client_id, field=field, value=value,
-                         bound=bound)
+        record(self.sim, "monitor", "report_clamped", period=self.period_id,
+               client=client_id, field=field, value=value,
+               bound=bound)
         return bound
 
     # ------------------------------------------------------------------

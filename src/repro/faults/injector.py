@@ -23,7 +23,7 @@ from typing import Dict, Tuple
 from repro.common.errors import ConfigError
 from repro.common.rng import make_rng
 from repro.faults.plan import FaultPlan
-from repro.sim.trace import NULL_TRACER
+from repro.telemetry.records import record
 
 
 @dataclasses.dataclass(frozen=True)
@@ -43,15 +43,16 @@ class FaultInjector:
     """Deterministic, seeded fault application (see module docstring).
 
     Counters are kept per fault label so benches and the CLI can report
-    exactly what a run suffered; every event is also mirrored to the
-    tracer under the ``fault`` category.
+    exactly what a run suffered; every event is also a protocol record
+    (:func:`~repro.telemetry.records.record`) under the ``fault``
+    category.
     """
 
-    def __init__(self, plan: FaultPlan, seed: int = 0, tracer=NULL_TRACER):
+    def __init__(self, plan: FaultPlan, seed: int = 0):
         self.plan = plan
         self.seed = seed
-        self.tracer = tracer
         self.fabric = None
+        self.sim = None
         self._link_rngs: Dict[Tuple[str, str], object] = {}
         # telemetry
         self.dropped = Counter()  # label -> count (includes "crash")
@@ -75,7 +76,7 @@ class FaultInjector:
             )
         fabric.injector = self
         self.fabric = fabric
-        sim = fabric.sim
+        self.sim = sim = fabric.sim
         for b in self.plan.brownouts:
             sim.schedule_at(b.start, self._brownout_begin, b)
             sim.schedule_at(b.end, self._brownout_end, b)
@@ -99,8 +100,8 @@ class FaultInjector:
             self._crashed(src, now) or self._crashed(dst, now)
         ):
             self.dropped["crash"] += 1
-            self.tracer.emit("fault", "drop", src=src, dst=dst,
-                             opcode=wr.opcode.name, reason="crash")
+            record(self.sim, "fault", "drop", src=src, dst=dst,
+                   opcode=wr.opcode.name, reason="crash")
             return FaultVerdict(
                 drop=True, fail_after=plan.drop_fail_after,
                 reason=f"host crash window ({src}->{dst})",
@@ -111,8 +112,8 @@ class FaultInjector:
             if rule.matches(src, dst, now):
                 self.partitions_cut += 1
                 self.dropped[rule.label] += 1
-                self.tracer.emit("fault", "drop", src=src, dst=dst,
-                                 opcode=wr.opcode.name, reason=rule.label)
+                record(self.sim, "fault", "drop", src=src, dst=dst,
+                       opcode=wr.opcode.name, reason=rule.label)
                 return FaultVerdict(
                     drop=True, fail_after=plan.drop_fail_after,
                     reason=f"injected {rule.label} ({src}->{dst})",
@@ -121,8 +122,8 @@ class FaultInjector:
             if (rule.where.matches(src, dst, wr, now)
                     and self._rng(src, dst).random() < rule.rate):
                 self.dropped[rule.label] += 1
-                self.tracer.emit("fault", "drop", src=src, dst=dst,
-                                 opcode=wr.opcode.name, reason=rule.label)
+                record(self.sim, "fault", "drop", src=src, dst=dst,
+                       opcode=wr.opcode.name, reason=rule.label)
                 return FaultVerdict(
                     drop=True, fail_after=plan.drop_fail_after,
                     reason=f"injected {rule.label} ({src}->{dst})",
@@ -138,8 +139,8 @@ class FaultInjector:
                 self.delay_injected_total += spike
                 extra += spike
         if extra > 0.0:
-            self.tracer.emit("fault", "delay", src=src, dst=dst,
-                             opcode=wr.opcode.name, extra=extra)
+            record(self.sim, "fault", "delay", src=src, dst=dst,
+                   opcode=wr.opcode.name, extra=extra)
             return FaultVerdict(delay=extra)
         return _PASS
 
@@ -149,12 +150,12 @@ class FaultInjector:
     def _brownout_begin(self, b) -> None:
         self.fabric.hosts[b.host].nic.set_capacity_factor(b.factor)
         self.brownouts_applied += 1
-        self.tracer.emit("fault", "brownout_begin", host=b.host,
-                         factor=b.factor)
+        record(self.sim, "fault", "brownout_begin", host=b.host,
+               factor=b.factor)
 
     def _brownout_end(self, b) -> None:
         self.fabric.hosts[b.host].nic.set_capacity_factor(1.0)
-        self.tracer.emit("fault", "brownout_end", host=b.host)
+        record(self.sim, "fault", "brownout_end", host=b.host)
 
     def _slowdown_begin(self, s) -> None:
         host = self.fabric.hosts[s.host]
@@ -163,8 +164,8 @@ class FaultInjector:
         if cpu is not None:
             cpu.set_slowdown(s.factor)
         self.slowdowns_applied += 1
-        self.tracer.emit("fault", "slowdown_begin", host=s.host,
-                         factor=s.factor)
+        record(self.sim, "fault", "slowdown_begin", host=s.host,
+               factor=s.factor)
 
     def _slowdown_end(self, s) -> None:
         host = self.fabric.hosts[s.host]
@@ -172,7 +173,7 @@ class FaultInjector:
         cpu = getattr(host, "cpu", None)
         if cpu is not None:
             cpu.set_slowdown(1.0)
-        self.tracer.emit("fault", "slowdown_end", host=s.host)
+        record(self.sim, "fault", "slowdown_end", host=s.host)
 
     def _close_qp(self, q) -> None:
         for qp_ab, qp_ba in self.fabric.connections:
@@ -180,7 +181,7 @@ class FaultInjector:
                 qp_ab.close()
                 qp_ba.close()
                 self.qps_closed += 1
-                self.tracer.emit("fault", "qp_close", src=q.src, dst=q.dst)
+                record(self.sim, "fault", "qp_close", src=q.src, dst=q.dst)
                 return
         self.qp_close_misses += 1
 

@@ -65,8 +65,8 @@ from repro.globalqos.waterfill import waterfill_splits
 from repro.rdma.cpu import CPUProfile
 from repro.rdma.dispatch import TypeDispatcher
 from repro.rdma.node import Host
-from repro.sim.trace import NULL_TRACER
 from repro.telemetry.health import HealthTracker
+from repro.telemetry.records import record
 
 COORD_HOST_NAME = "coord"
 STANDBY_HOST_NAME = "coord2"
@@ -82,7 +82,6 @@ class GlobalCoordinator:
 
     def __init__(self, cluster, epoch_len: float,
                  min_shift_fraction: float = 0.05,
-                 tracer=NULL_TRACER,
                  host_name: str = COORD_HOST_NAME,
                  role: str = "leader",
                  takeover_after: int = 2,
@@ -99,7 +98,6 @@ class GlobalCoordinator:
         self.config = cluster.config
         self.epoch_len = epoch_len
         self.min_shift_fraction = min_shift_fraction
-        self.tracer = tracer
         self.num_nodes = len(cluster.nodes)
         self.host = cluster.fabric.add_host(Host(
             cluster.sim, host_name,
@@ -255,8 +253,8 @@ class GlobalCoordinator:
                         self._last_peer_hb_term) + 1
         self.takeovers += 1
         self.takeover_epoch = epoch
-        self.tracer.emit("globalqos", "takeover", epoch=epoch,
-                         term=self.term)
+        record(self.sim, "globalqos", "takeover", epoch=epoch,
+               term=self.term)
         self._compute(epoch)
 
     def _step_down(self, term: int) -> None:
@@ -268,8 +266,8 @@ class GlobalCoordinator:
         """
         self.role = "standby"
         self.stepdowns += 1
-        self.tracer.emit("globalqos", "stepdown", term=term,
-                         was_term=self.term)
+        record(self.sim, "globalqos", "stepdown", term=term,
+               was_term=self.term)
         if self._next_epoch > self._last_peer_hb_epoch:
             self._last_peer_hb_epoch = self._next_epoch
         self._schedule_watch(self._next_epoch + 1)
@@ -356,10 +354,6 @@ class GlobalCoordinator:
                         epoch, cid, aggregates[cid], old, new,
                         self.sim.now, source=COORD_HOST_NAME,
                     )
-                self.tracer.emit(
-                    "globalqos", "rebalance", client=cid, epoch=epoch,
-                    old=list(old), new=list(new),
-                )
                 self._splits[cid] = list(new)
             # Heartbeat: every participant hears from us every epoch,
             # shifted or not, to hold off its fallback timer.
@@ -424,8 +418,6 @@ class GlobalCoordinator:
                 if ledger is not None:
                     ledger.quarantine(epoch, n, score, self.sim.now,
                                       source=self.host.name)
-                self.tracer.emit("globalqos", "quarantine", node=n,
-                                 epoch=epoch, score=score)
             elif (n in self.quarantined
                     and self._healthy_streak[n] >= self.recover_after):
                 self.quarantined.discard(n)
@@ -433,8 +425,6 @@ class GlobalCoordinator:
                 if ledger is not None:
                     ledger.unquarantine(epoch, n, score, self.sim.now,
                                         source=self.host.name)
-                self.tracer.emit("globalqos", "unquarantine", node=n,
-                                 epoch=epoch, score=score)
 
     def _headroom(self, participants: List[int]):
         """Per-node capacity available to the reporting clients.
@@ -535,7 +525,6 @@ def attach_coordinator(
     rebalance_periods: int = 2,
     fallback_after: int = 2,
     min_shift_fraction: float = 0.05,
-    tracer=NULL_TRACER,
     quarantine: bool = False,
     quarantine_threshold: float = 0.55,
     quarantine_after: int = 2,
@@ -590,7 +579,7 @@ def attach_coordinator(
     epoch_len = rebalance_periods * cluster.config.period
     coordinator = GlobalCoordinator(
         cluster, epoch_len,
-        min_shift_fraction=min_shift_fraction, tracer=tracer,
+        min_shift_fraction=min_shift_fraction,
         quarantine=quarantine,
         quarantine_threshold=quarantine_threshold,
         quarantine_after=quarantine_after,
@@ -633,7 +622,6 @@ def attach_standby(
     cluster,
     takeover_after: int = 2,
     fallback_after: int = 2,
-    tracer=NULL_TRACER,
 ) -> GlobalCoordinator:
     """Wire a warm-standby coordinator beside an attached leader.
 
@@ -660,7 +648,7 @@ def attach_standby(
     leader = cluster.coordinator
     standby = GlobalCoordinator(
         cluster, leader.epoch_len,
-        min_shift_fraction=leader.min_shift_fraction, tracer=tracer,
+        min_shift_fraction=leader.min_shift_fraction,
         host_name=STANDBY_HOST_NAME, role="standby",
         takeover_after=takeover_after,
         quarantine=leader.health is not None,

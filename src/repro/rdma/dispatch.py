@@ -83,15 +83,6 @@ class CompletionRouter:
             raise ValueError(f"wr_id {wr_id} already has a pending callback")
         self._callbacks[wr_id] = callback
 
-    def cancel(self, wr_id: int) -> bool:
-        """Drop the pending callback for ``wr_id`` (deadline gave up on it).
-
-        Returns True if a callback was registered.  The completion, if
-        it ever arrives, is then counted as unclaimed instead of firing
-        a callback its owner no longer wants.
-        """
-        return self._callbacks.pop(wr_id, None) is not None
-
     def _on_completion(self, wc: WorkCompletion) -> None:
         callback = self._callbacks.pop(wc.wr_id, None)
         if callback is None:

@@ -23,7 +23,6 @@ from repro.cluster.scale import SimScale
 from repro.recovery.config import RecoveryConfig
 from repro.recovery.failover import FailoverManager
 from repro.rdma.dispatch import ConnectionDispatcher
-from repro.sim.trace import NULL_TRACER
 
 # Control source 0 is the engine's own dispatcher: the primary.
 REPLICA_SOURCE = 1
@@ -43,11 +42,11 @@ class ReplicatedCluster(Cluster):
         self.replica_monitor = replica.monitor
         self.recovery = recovery
 
-    def inject_faults(self, plan, seed: int = 0, tracer=NULL_TRACER):
+    def inject_faults(self, plan, seed: int = 0):
         """Install the plan; a finite primary crash window additionally
         schedules the monitor's control-word re-initialization at the
         restart edge (the node's memory does not survive the crash)."""
-        injector = super().inject_faults(plan, seed=seed, tracer=tracer)
+        injector = super().inject_faults(plan, seed=seed)
         for crash in plan.crashes:
             if (crash.host == self.server_host.name
                     and math.isfinite(crash.end)):
@@ -69,7 +68,6 @@ def build_replicated_cluster(
     num_slots: int = 4096,
     materialize: bool = False,
     touch_memory: bool = False,
-    tracer=NULL_TRACER,
     master_seed: int = 0,
 ) -> ReplicatedCluster:
     """Build the replicated testbed (Haechi QoS mode, one-sided I/O)."""
@@ -82,7 +80,7 @@ def build_replicated_cluster(
     recovery = recovery or RecoveryConfig.from_config(config)
 
     bed = Assembly(config, num_clients, touch_memory=touch_memory,
-                   tracer=tracer, master_seed=master_seed)
+                   master_seed=master_seed)
     primary = bed.deploy_node("server", True, num_slots, materialize)
     replica = bed.deploy_node("replica", True, num_slots, materialize)
     qp_pr, _qp_rp = bed.fabric.connect(primary.host, replica.host)
@@ -127,7 +125,6 @@ def build_replicated_cluster(
             reservation=tokens,
             recovery=recovery,
             replica_source=REPLICA_SOURCE,
-            tracer=tracer,
         )
         clients.append(ClientContext(
             index=i, name=name, host=host, kv=kv_primary,

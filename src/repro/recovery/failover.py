@@ -40,7 +40,7 @@ from repro.core.protocol import (
 from repro.kvstore.client import KVClient
 from repro.recovery.config import RecoveryConfig
 from repro.rdma.verbs import WorkRequest
-from repro.sim.trace import NULL_TRACER
+from repro.telemetry.records import record
 
 
 class FailoverState(enum.Enum):
@@ -67,7 +67,6 @@ class FailoverManager:
         reservation: int,
         recovery: RecoveryConfig,
         replica_source: int = 1,
-        tracer=NULL_TRACER,
     ):
         self.client_index = client_index
         self.name = name
@@ -77,7 +76,6 @@ class FailoverManager:
         self.reservation = reservation
         self.recovery = recovery
         self.replica_source = replica_source
-        self.tracer = tracer
         self.sim = engine.sim
 
         self.state = FailoverState.CONNECTED
@@ -133,8 +131,8 @@ class FailoverManager:
         self.suspect_transitions += 1
         self._suspect_entered_at = self.sim.now
         self._probe_attempt = 0
-        self.tracer.emit("failover", "suspect", client=self.name,
-                         errors=self._consecutive_errors)
+        record(self.sim, "failover", "suspect", client=self.name,
+               errors=self._consecutive_errors)
         self._probe()
 
     def _probe(self) -> None:
@@ -170,7 +168,7 @@ class FailoverManager:
             self.state = FailoverState.CONNECTED
             self._consecutive_errors = 0
             self._suspect_entered_at = None
-            self.tracer.emit("failover", "probe_ok", client=self.name)
+            record(self.sim, "failover", "probe_ok", client=self.name)
             return
         if self._probe_attempt >= self.recovery.probe_attempts:
             self._start_failover()
@@ -187,7 +185,7 @@ class FailoverManager:
         # Freeze the data path: queued I/O waits for the rebind, control
         # messages from the dead node's monitor epoch are ignored.
         self.engine.suspend()
-        self.tracer.emit("failover", "reconnecting", client=self.name)
+        record(self.sim, "failover", "reconnecting", client=self.name)
         self._send_rejoin()
 
     def _send_rejoin(self) -> None:
@@ -195,7 +193,7 @@ class FailoverManager:
             return
         if self._rejoin_attempt >= self.recovery.rejoin_attempts:
             self.state = FailoverState.FAILED
-            self.tracer.emit("failover", "failed", client=self.name)
+            record(self.sim, "failover", "failed", client=self.name)
             return
         self._rejoin_attempt += 1
         self.rejoin_requests_sent += 1
@@ -229,7 +227,7 @@ class FailoverManager:
             return  # duplicate response from a retransmitted request
         if not msg.ok:
             self.state = FailoverState.FAILED
-            self.tracer.emit("failover", "rejected", client=self.name)
+            record(self.sim, "failover", "rejected", client=self.name)
             return
         layout = ControlLayout(
             rkey=msg.rkey,
@@ -255,9 +253,9 @@ class FailoverManager:
             generation=msg.generation,
             source=self.replica_source,
         )
-        self.tracer.emit("failover", "failed_over", client=self.name,
-                         reservation=msg.reservation,
-                         tokens_now=msg.tokens_now)
+        record(self.sim, "failover", "failed_over", client=self.name,
+               reservation=msg.reservation,
+               tokens_now=msg.tokens_now)
 
     @property
     def last_failover_duration(self) -> Optional[float]:

@@ -72,11 +72,6 @@ class Pipeline:
         return finish
 
     @property
-    def free_at(self) -> float:
-        """Earliest time new work could start service."""
-        return self._free_at if self._free_at > self.sim.now else self.sim.now
-
-    @property
     def backlog(self) -> float:
         """Seconds of queued-but-unfinished work."""
         return max(0.0, self._free_at - self.sim.now)

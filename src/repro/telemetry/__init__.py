@@ -1,4 +1,5 @@
-"""``repro.telemetry``: causal spans, metrics registry, exporters.
+"""``repro.telemetry``: causal spans, protocol records, metrics
+registry, exporters.
 
 See docs/OBSERVABILITY.md for the span model, the registry API, the
 token-ledger audit stream, and the exporter formats.
@@ -17,6 +18,7 @@ from repro.telemetry.exporters import (
 from repro.telemetry.health import HealthTracker
 from repro.telemetry.hub import TelemetryConfig, TelemetryHub, attach_telemetry
 from repro.telemetry.ledger import LedgerAccount, TokenLedger
+from repro.telemetry.records import Record, RecordStore, record
 from repro.telemetry.registry import (
     CounterMetric,
     GaugeMetric,
@@ -32,6 +34,8 @@ __all__ = [
     "HistogramMetric",
     "LedgerAccount",
     "MetricsRegistry",
+    "Record",
+    "RecordStore",
     "Span",
     "SpanStore",
     "TelemetryConfig",
@@ -42,6 +46,7 @@ __all__ = [
     "ledger_jsonl",
     "metrics_jsonl",
     "perfetto_trace",
+    "record",
     "stage_breakdown",
     "write_ledger_jsonl",
     "write_metrics_jsonl",

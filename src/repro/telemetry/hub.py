@@ -22,6 +22,7 @@ import itertools
 from typing import Any, Dict, List, Optional
 
 from repro.telemetry.ledger import TokenLedger
+from repro.telemetry.records import RecordStore
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.spans import Span, SpanStore
 
@@ -34,11 +35,13 @@ class TelemetryConfig:
         Data-path span sampling: record 1 op in N.  ``1`` records every
         op, ``0`` disables data spans entirely.
     ``control_spans``
-        Always-on spans for control ops (FAA / probe / report writes).
+        Always-on spans for control ops (FAA / probe / report writes),
+        and the protocol records (:mod:`repro.telemetry.records`).
     ``ledger``
         Record the token-ledger audit stream (period-boundary cost only).
     ``max_spans``
-        Span store bound; the oldest half is dropped (and counted) past it.
+        Span and record store bound; the oldest half is dropped (and
+        counted) past it.
     """
 
     sample_every: int = 100
@@ -54,13 +57,17 @@ class TelemetryConfig:
 
 
 class TelemetryHub:
-    """Span source, metrics registry, and token ledger for one sim."""
+    """Span source, records, metrics registry and token ledger for one sim."""
 
     def __init__(self, sim, config: Optional[TelemetryConfig] = None):
         self.sim = sim
         self.config = config or TelemetryConfig()
         self.registry = MetricsRegistry()
         self.spans = SpanStore(self.config.max_spans)
+        self.records: Optional[RecordStore] = (
+            RecordStore(self.config.max_spans)
+            if self.config.control_spans else None
+        )
         self.ledger: Optional[TokenLedger] = (
             TokenLedger() if self.config.ledger else None
         )

@@ -105,29 +105,47 @@ class Span:
                 f"{state}, marks={len(self.marks)})")
 
 
-class SpanStore:
-    """A bounded span collection with drop accounting.
+class BoundedStore:
+    """A bounded collection with drop accounting: when ``bound`` is
+    reached the oldest half is dropped and counted, so a truncated
+    collection is never mistaken for a complete one."""
 
-    Mirrors :class:`~repro.sim.trace.Tracer`'s eviction policy: when
-    ``max_spans`` is reached the oldest half is dropped and counted, so
-    a truncated collection is never mistaken for a complete one.
-    """
+    def __init__(self, bound: int, name: str):
+        if bound < 2:
+            raise ValueError(f"{name} must be >= 2, got {bound}")
+        self.bound = bound
+        self.items: list = []
+        self.dropped = 0
+
+    def _keep(self, item) -> None:
+        items = self.items
+        if len(items) >= self.bound:
+            drop = len(items) // 2
+            del items[:drop]
+            self.dropped += drop
+        items.append(item)
+
+    def __len__(self) -> int:
+        return len(self.items)
+
+    def __iter__(self):
+        return iter(self.items)
+
+
+class SpanStore(BoundedStore):
+    """The hub's spans, bounded by ``max_spans``."""
 
     def __init__(self, max_spans: int = 100_000):
-        if max_spans < 2:
-            raise ValueError(f"max_spans must be >= 2, got {max_spans}")
-        self.max_spans = max_spans
-        self.spans: List[Span] = []
-        self.dropped = 0
+        super().__init__(max_spans, "max_spans")
         self.started = 0
+
+    @property
+    def spans(self) -> List[Span]:
+        return self.items
 
     def add(self, span: Span) -> None:
         self.started += 1
-        if len(self.spans) >= self.max_spans:
-            drop = len(self.spans) // 2
-            self.spans = self.spans[drop:]
-            self.dropped += drop
-        self.spans.append(span)
+        self._keep(span)
 
     def finished(self, kind: Optional[str] = None,
                  ok: Optional[bool] = None) -> List[Span]:
@@ -148,9 +166,3 @@ class SpanStore:
             "complete": self.dropped == 0,
             "unfinished": sum(1 for s in self.spans if not s.finished),
         }
-
-    def __len__(self) -> int:
-        return len(self.spans)
-
-    def __iter__(self):
-        return iter(self.spans)

@@ -29,11 +29,6 @@ def bare_submitter(kv, touch_memory: bool = False) -> Submitter:
     return lambda key, cb: kv.get_onesided(key, cb, touch_memory=touch_memory)
 
 
-def twosided_submitter(kv) -> Submitter:
-    """Submit two-sided reads directly (no QoS)."""
-    return lambda key, cb: kv.get_twosided(key, cb)
-
-
 def engine_submitter(engine) -> Submitter:
     """Submit through a Haechi QoS engine."""
     return engine.submit

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.charts import bar_chart, sparkline, timeline_chart
+from repro.analysis.charts import bar_chart, sparkline
 
 
 class TestBarChart:
@@ -49,23 +49,3 @@ class TestSparkline:
     def test_empty(self):
         assert sparkline([]) == ""
 
-
-class TestTimelineChart:
-    def test_shape(self):
-        rows = timeline_chart([1, 2, 3, 4], width=10, height=4)
-        assert len(rows) == 5  # height + 1 threshold rows
-        assert all("|" in row for row in rows)
-
-    def test_peak_marks_only_top_row_at_peak_column(self):
-        rows = timeline_chart([0, 0, 10, 0], width=4, height=4)
-        top = rows[0].split("|")[1]
-        assert top == "  * "
-
-    def test_downsampling_bounds_width(self):
-        rows = timeline_chart(list(range(500)), width=20, height=4)
-        assert len(rows[0].split("|")[1]) == 20
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            timeline_chart([1], width=1)
-        assert timeline_chart([]) == []

@@ -21,7 +21,6 @@ from repro.common.errors import ConfigError
 from repro.common.types import AccessMode, QoSMode
 from repro.faults.plan import CrashWindow, FaultPlan
 from repro.recovery.cluster import build_replicated_cluster
-from repro.sim.trace import NULL_TRACER
 
 RESERVATIONS = [100_000.0, 200_000.0]
 NUM_CLIENTS = len(RESERVATIONS)
@@ -183,7 +182,7 @@ def test_builder_signatures_equal_the_parent():
         ("calibration", CHAMELEON), ("num_slots", 4096),
         ("materialize", False), ("touch_memory", False),
         ("admission_enabled", True), ("config", None),
-        ("tracer", NULL_TRACER), ("master_seed", 0), ("fabric_model", None),
+        ("master_seed", 0), ("fabric_model", None),
     ]
     assert signature(build_multinode_cluster) == [
         ("num_nodes", REQUIRED), ("num_clients", REQUIRED),
@@ -194,8 +193,7 @@ def test_builder_signatures_equal_the_parent():
         ("num_clients", REQUIRED), ("reservations_ops", REQUIRED),
         ("scale", None), ("config", None), ("recovery", None),
         ("num_slots", 4096), ("materialize", False),
-        ("touch_memory", False), ("tracer", NULL_TRACER),
-        ("master_seed", 0),
+        ("touch_memory", False), ("master_seed", 0),
     ]
 
 

@@ -18,26 +18,23 @@ from hypothesis import strategies as st
 
 from repro.core.invariants import InvariantChecker
 from repro.hunt.oracles import checker_violations
-from repro.sim.trace import Tracer
 from repro.telemetry import TelemetryConfig, attach_telemetry
 
 from tests.core.conftest import make_qos_cluster
 from tests.core.reference_engine import eager_engines
 
 
-def build(reservations, eager, ledger=False):
+def build(reservations, eager):
+    """A cluster whose hub records every engine decision and, on the
+    ledger, every FAA grant."""
     if eager:
         with eager_engines():
             cluster = make_qos_cluster(reservations)
     else:
         cluster = make_qos_cluster(reservations)
-    if ledger:
-        attach_telemetry(cluster, TelemetryConfig(sample_every=0))
-    tracer = Tracer(cluster.sim, categories=["engine"])
-    for client in cluster.clients:
-        client.engine.tracer = tracer
+    hub = attach_telemetry(cluster, TelemetryConfig(sample_every=0))
     cluster.start()
-    return cluster, tracer
+    return cluster, hub
 
 
 def token_fields(engine):
@@ -47,7 +44,7 @@ def token_fields(engine):
             engine.issued_this_period, engine.period_id)
 
 
-def drive(cluster, tracer, script):
+def drive(cluster, hub, script):
     """Run ``script`` against client 0; return everything observable."""
     sim = cluster.sim
     engine = cluster.clients[0].engine
@@ -87,8 +84,10 @@ def drive(cluster, tracer, script):
     sim.run(until=sim.now + cluster.config.period)  # through a PeriodStart
     seen.append(("end", sim.now, token_fields(engine)))
     records = [(r.time, r.event, sorted(r.fields.items()))
-               for r in tracer.records]
-    return seen, records
+               for r in hub.records.filter(category="engine")]
+    claims = [sorted(e.items()) for e in hub.ledger.events
+              if e["event"] == "claim"]
+    return seen, records, claims
 
 
 steps = st.lists(
@@ -111,7 +110,8 @@ def test_lazy_decay_matches_eager_reference(reservation, script):
     lazy = drive(*build(reservations, eager=False), script)
     eager = drive(*build(reservations, eager=True), script)
     assert lazy[0] == eager[0]   # token fields at every observation
-    assert lazy[1] == eager[1]   # every report word, FAA grant, period start
+    assert lazy[1] == eager[1]   # every report word, period start
+    assert lazy[2] == eager[2]   # every FAA grant
 
 
 def test_reference_really_ticks_and_lazy_really_does_not():
@@ -174,7 +174,7 @@ def test_ledger_accounts_close_with_the_same_yield():
     episode: the steps due before the boundary must be in it."""
     closed = []
     for eager in (False, True):
-        cluster, _ = build([300_000, 100_000], eager, ledger=True)
+        cluster, _ = build([300_000, 100_000], eager)
         sim = cluster.sim
         period = cluster.config.period
         engine = cluster.clients[0].engine

@@ -26,7 +26,6 @@ from repro.core.engine import QoSEngine
 from repro.core.protocol import ReportRequest
 from repro.faults.plan import FaultPlan
 from repro.rdma.atomics import unpack_report
-from repro.sim.trace import Tracer
 from repro.telemetry import TelemetryConfig, attach_telemetry
 
 from tests.core.conftest import SCALE, make_qos_cluster
@@ -253,12 +252,6 @@ def reporting_ticks(monkeypatch, configure=None):
     return len(ran), written
 
 
-def trace(cluster):
-    tracer = Tracer(cluster.sim, categories=["engine"])
-    for ctx in cluster.clients:
-        ctx.engine.tracer = tracer
-
-
 def telemetry(cluster):
     attach_telemetry(cluster, TelemetryConfig(sample_every=0))
 
@@ -275,7 +268,7 @@ def test_an_eligible_cell_schedules_no_reporting_tick(monkeypatch):
 
 def test_each_predicate_clause_restores_the_tick_events(monkeypatch):
     _ticks, lazy_written = reporting_ticks(monkeypatch)
-    for configure in (trace, telemetry, injector):
+    for configure in (telemetry, injector):
         ticks, written = reporting_ticks(monkeypatch, configure)
         assert ticks > 50, configure.__name__
         assert written == lazy_written, configure.__name__

@@ -57,8 +57,22 @@ def test_partition_seed_has_no_violations(seed, chaos_run):
 
 def test_partition_chaos_is_deterministic(chaos_run):
     first, _ = chaos_run(PARTITION, PARTITION.seeds[0])
-    second, _ = chaos_run.fresh(PARTITION, PARTITION.seeds[0])
+    second, cluster = chaos_run.fresh(PARTITION, PARTITION.seeds[0])
     assert first == second
+    # The HA build's hub records both coordinators' takeovers and
+    # step-downs; rebalances and (un)quarantines are ledger events only.
+    hub = cluster.sim.telemetry
+    summary = hub.records.summary()
+    coordinators = (cluster.coordinator, cluster.standby)
+    assert summary["globalqos.takeover"] == sum(
+        c.takeovers for c in coordinators) == 1
+    assert summary["globalqos.stepdown"] == sum(
+        c.stepdowns for c in coordinators) >= 1
+    assert not [name for name in summary
+                if name.startswith("globalqos.")
+                and name not in ("globalqos.takeover", "globalqos.stepdown")]
+    ledger = {e["event"] for e in hub.ledger.events}
+    assert {"rebalance", "quarantine", "unquarantine"} <= ledger
 
 
 def test_partition_too_short_run_rejected():

@@ -5,7 +5,7 @@ from repro.common.types import OpType
 from repro.cluster.experiment import run_experiment
 from repro.cluster.scenarios import fault_plan, faulty_qos_cluster, qos_cluster
 from repro.faults import DropRule, FaultPlan, OpFilter
-from repro.sim.trace import Tracer
+from repro.telemetry import TelemetryConfig, attach_telemetry
 
 from tests.conftest import cluster_registry
 from tests.core.conftest import SCALE, make_qos_cluster
@@ -140,16 +140,14 @@ class TestCrashEvictionRedistribution:
 
 
 class TestFaultDeterminism:
-    """Same seed + same plan => identical trace and completions."""
+    """Same seed + same plan => identical records, ledger and
+    completions."""
 
     def run_once(self):
         plan = fault_plan("control-loss", SCALE.config(), rate=0.05)
         cluster = make_qos_cluster([250_000, 250_000, 250_000])
-        tracer = Tracer(cluster.sim)
-        cluster.monitor.tracer = tracer
-        for client in cluster.clients:
-            client.engine.tracer = tracer
-        injector = cluster.inject_faults(plan, seed=42, tracer=tracer)
+        hub = attach_telemetry(cluster, TelemetryConfig(sample_every=0))
+        injector = cluster.inject_faults(plan, seed=42)
         cluster.start()
         drain(cluster, 0.02)
         for _ in range(4):
@@ -159,15 +157,19 @@ class TestFaultDeterminism:
         completions = tuple(
             c.engine.total_completed for c in cluster.clients
         )
-        events = [
+        records = [
             (r.time, r.category, r.event, tuple(sorted(r.fields.items())))
-            for r in tracer.records
+            for r in hub.records
         ]
-        return completions, events, dict(injector.dropped)
+        # The ledger holds the FAA claims and conversions.
+        ledger = [tuple(sorted(e.items())) for e in hub.ledger.events]
+        return completions, records, dict(injector.dropped), ledger
 
     def test_identical_runs(self):
         first = self.run_once()
         second = self.run_once()
         assert first[0] == second[0]  # per-client completion counts
         assert first[2] == second[2]  # fault counters
-        assert first[1] == second[1]  # full event trace
+        assert first[1] == second[1]  # every protocol record
+        assert first[3] == second[3]  # every ledger event
+        assert any(dict(e)["event"] == "claim" for e in first[3])

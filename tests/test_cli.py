@@ -109,13 +109,40 @@ def test_figure_runs_quick_preset(capsys):
     assert "totals:" in out and "haechi=" in out
 
 
-def test_telemetry_prints_stage_breakdown(capsys):
+@pytest.fixture
+def record_stores(monkeypatch):
+    """Every hub's record store built while the test runs."""
+    from repro.telemetry import hub, records
+
+    stores = []
+
+    class Kept(records.RecordStore):
+        def __init__(self, *args):
+            super().__init__(*args)
+            stores.append(self)
+
+    monkeypatch.setattr(hub, "RecordStore", Kept)
+    return stores
+
+
+def printed_records(out):
+    """The ``records:`` line's per-event counts."""
+    [line] = [line for line in out.splitlines()
+              if line.startswith("records:")]
+    return {name: int(n) for name, n in
+            (item.split("=") for item in line.split()[1:])}
+
+
+def test_telemetry_prints_stage_breakdown(capsys, record_stores):
     assert main(["telemetry", "--clients", "2", "--periods", "3",
                  "--warmup", "1", "--scale", "1000", "--sample", "1"]) == 0
     out = capsys.readouterr().out
     assert "= end-to-end" in out
     assert "onesided_read" in out
     assert "KIOPS" in out
+    [store] = record_stores
+    assert printed_records(out) == store.summary()
+    assert store.summary()["monitor.estimate"] >= 3
 
 
 def test_telemetry_writes_valid_perfetto_trace(tmp_path, capsys):
@@ -155,12 +182,15 @@ def test_telemetry_writes_metrics_and_ledger_jsonl(tmp_path, capsys):
     assert all(e["balance"] == 0 for e in events if e["event"] == "account")
 
 
-def test_telemetry_chaos_seed_passes(capsys):
+def test_telemetry_chaos_seed_passes(capsys, record_stores):
     assert main(["telemetry", "--chaos-seed", "11", "--clients", "4",
                  "--periods", "10", "--sample", "0"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out
     assert "ledger" in out
+    [store] = record_stores
+    assert printed_records(out) == store.summary()
+    assert store.summary()["failover.failed_over"] >= 1
 
 
 def test_telemetry_rejects_negative_sample(capsys):
