@@ -195,14 +195,15 @@ class Assembly:
         """Admit ``client_id`` at the node's monitor (admission check,
         report slot, reservation) and build its engine over that slot,
         taking control messages from ``dispatcher``.  The monitor settles
-        the engine's live reports before it touches the report words."""
+        the engine's live reports and empty polls before it touches the
+        report or pool words."""
         layout = node.monitor.add_client(client_id, tokens, qp_back)
         engine = QoSEngine(
             client_id=client_id, kv=kv, layout=layout, config=self.config,
             reservation=tokens, limit=limit, dispatcher=dispatcher,
             touch_memory=self.touch_memory, seed=self.master_seed,
         )
-        node.monitor.add_report_source(engine.settle_reports)
+        node.monitor.add_settler(engine)
         return engine
 
 

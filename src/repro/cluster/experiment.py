@@ -147,10 +147,10 @@ def run_experiment(
     sim.run(until=sim.now + warmup_periods * period + epsilon)
     cluster.metrics.reset_window()
     sim.run(until=sim.now + measure_periods * period + epsilon)
-    # Engines post their live reports lazily; the caller reads the
-    # counters now, as of the horizon.
+    # Engines replay their live reports and empty polls lazily; the
+    # caller reads the counters now, as of the horizon.
     for engine in cluster.engines():
-        engine.settle_reports(horizon=True)
+        engine.settle(horizon=True)
 
     monitor_records: List[dict] = []
     estimator_history: List[float] = []

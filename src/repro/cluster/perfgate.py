@@ -21,6 +21,13 @@ Usage::
 The committed ceilings live at ``benchmarks/results/perf_baseline.json``
 (lower them by hand when a PR removes events).  Host time is not
 measured here: ``benchmarks/layered`` is the one stopwatch.
+
+``events`` is ``Simulator._seq``, the count of heap positions handed
+out, not of callbacks run: it includes the seq an engine reserves when
+it starts an empty-poll chain (the timer form's retry slot, kept so a
+chain turned real early lands exactly there; see
+``QoSEngine._start_polls``), whether or not anything is ever pushed
+with it.
 """
 
 from __future__ import annotations

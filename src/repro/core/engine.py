@@ -6,7 +6,8 @@ three client-side duties:
 - **data access** — every submitted I/O must be backed by a token;
   requests without one queue inside the engine (this is the isolation
   mechanism: a runaway client blocks here, not at the server).  Global
-  tokens are claimed with a batched remote fetch-and-add.
+  tokens are claimed with a batched remote fetch-and-add; while the
+  pool is empty the re-tries are not timer events (see ``settle``).
 - **token management** — the entitlement bound X decays at rate
   ``r_i`` in ``mgmt_interval`` steps and unbacked reservation tokens
   are yielded.  The steps are not timer events: the due ones are
@@ -15,8 +16,13 @@ three client-side duties:
   completed) word is written every report interval with a silent
   (unsignaled) one-sided WRITE.  The ticks are not timer events either:
   each due one is materialized at the next observation point (see
-  ``settle_reports``).  A final statistics word is always written just
-  before period end so the monitor can run capacity estimation.
+  ``settle``).  A final statistics word is always written just before
+  period end so the monitor can run capacity estimation.
+
+Reports and empty polls share one settle protocol: one due field
+(``_settle_due``), one replay (``settle``) run at every point that can
+observe them, and one predicate that keeps both as heap events where
+something watches the posts themselves (``_lazy``).
 
 Every remote interaction here is one-sided; the engine never causes
 work on the data-node CPU.
@@ -26,6 +32,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import cached_property
+from heapq import heappush
 from typing import Callable, Deque, Optional
 
 from repro.common.errors import MemoryAccessError, QoSError, QPError
@@ -36,6 +43,7 @@ from repro.core.protocol import ControlLayout, PeriodStart, ReportRequest, Reser
 from repro.core.tokens import ClientTokenState
 from repro.kvstore.client import KVClient
 from repro.rdma.atomics import pack_report, to_signed64
+from repro.rdma.qp import _wr_ids
 from repro.rdma.verbs import WCStatus, WorkCompletion, WorkRequest
 from repro.telemetry.records import record
 
@@ -46,6 +54,12 @@ _NEVER = float("inf")
 # so no WorkRequest is built per report.
 _REPORT_WR = WorkRequest(opcode=OpType.WRITE, size=8, control=True,
                          signaled=False)
+# The same for a replayed empty poll's pool FETCH_ADD.
+_FAA_WR = WorkRequest(opcode=OpType.FETCH_ADD, control=True)
+
+# The pending step of a poll chain (see settle): the retry timer, the
+# FAA's arrival at the pool word, its completion back at the client.
+_RETRY, _ARRIVE, _COMPLETE = 0, 1, 2
 
 IOCallback = Callable[[bool, object, float], None]
 
@@ -102,7 +116,7 @@ class QoSEngine:
         self.sim = kv.sim
         self.layout = layout
         self.config = config
-        self.limit = limit
+        self._limit = limit
         self.touch_memory = touch_memory
         self._tokens = ClientTokenState(reservation, config.period)
         # Time of the next token-management step (see _decay_to_now);
@@ -126,14 +140,29 @@ class QoSEngine:
         self._faa_wr_id = 0  # wr_id of the control FAA in flight
         self._retry_scheduled = False
         self._reporting_active = False
-        # The live-report schedule (see settle_reports): one
-        # [next due, period_id] per running chain of report ticks, the
-        # posted words not yet landed as (lands_at, word, qp, rkey,
-        # addr, posted_at) in landing order, and the earliest instant
-        # at which either needs settling.
+        # The live-report schedule (see settle): one [next due,
+        # period_id] per running chain of report ticks, and the posted
+        # words not yet landed as (lands_at, word, qp, rkey, addr,
+        # posted_at) in landing order.
         self._report_chains: list = []
         self._report_inflight: Deque[tuple] = deque()
-        self._report_due = _NEVER
+        # The empty-poll chain (see settle): its pending step and that
+        # step's instant (never = no chain), the virtual FAA's post
+        # instant and fetched value, the heap seq reserved at chain
+        # start (0 once a step was replayed), and the chain-start
+        # ordinal the monitor converts chains in (0 = no chain).
+        self._poll_step = _RETRY
+        self._poll_at = _NEVER
+        self._poll_posted_at = 0.0
+        self._poll_value = 0
+        self._poll_seq = 0
+        self.poll_order = 0
+        # When the pool this engine fetches from was last written with
+        # a positive value (see pool_refilled); never = no monitor
+        # reports refills, so empty polls stay timer events.
+        self._refilled_at = _NEVER
+        # The earliest instant at which a report or poll needs settling.
+        self._settle_due = _NEVER
         self._throttled_this_period = False
         # Completion-closure cache for _token_backed_wr: in practice
         # every op of a client carries the same app callback, so the
@@ -240,7 +269,8 @@ class QoSEngine:
         epoch-discarded, and *all* control sources are ignored until
         :meth:`rebind` installs the new one.
         """
-        self.settle_reports()
+        self.settle()
+        self._orphan_polls()
         self.suspended = True
         self._active_source = None
         self._faa_inflight = False
@@ -267,6 +297,7 @@ class QoSEngine:
         # account against the outgoing token state (decayed to now)
         # before replacing it.
         self._ledger_roll("rebind")
+        self._orphan_polls()
         self.kv = kv
         self.layout = layout
         self._active_source = source
@@ -302,6 +333,8 @@ class QoSEngine:
     # ------------------------------------------------------------------
     def submit(self, key: int, on_complete: IOCallback) -> None:
         """Request one read I/O for ``key``; runs when a token backs it."""
+        if not self._backlog:
+            self.settle()  # a due poll retry saw the backlog empty
         self.total_submitted += 1
         telemetry = self.sim.telemetry
         run = self._tail_run(on_complete, telemetry is not None)
@@ -336,6 +369,8 @@ class QoSEngine:
         """
         if count <= 0:
             return
+        if not self._backlog:
+            self.settle()  # a due poll retry saw the backlog empty
         self.total_submitted += count
         telemetry = self.sim.telemetry
         run = self._tail_run(on_complete, telemetry is not None)
@@ -379,11 +414,21 @@ class QoSEngine:
         """Requests waiting inside the engine for a token."""
         return self._backlog
 
+    @property
+    def limit(self) -> Optional[int]:
+        """``L_i``: the most token-backed reads issued per period."""
+        return self._limit
+
+    @limit.setter
+    def limit(self, limit: Optional[int]) -> None:
+        self.settle()  # a due poll retry read the old limit
+        self._limit = limit
+
     # ------------------------------------------------------------------
     # Control-plane message handlers
     # ------------------------------------------------------------------
     def _on_period_start(self, msg: PeriodStart, _reply_qp) -> None:
-        self.settle_reports()  # the due ticks read the outgoing period
+        self.settle()  # the due ticks read the outgoing period
         if self._generation is not None and msg.generation != self._generation:
             # The monitor re-initialized its token words (crash-window
             # restart): any pool tokens fetched before the stamp are
@@ -444,13 +489,13 @@ class QoSEngine:
         if msg.period_id != self.period_id or self._reporting_active:
             return
         # A chain due by now must still see reporting inactive.
-        self.settle_reports()
+        self.settle()
         self._reporting_active = True
-        if self._reports_lazy():
+        if self._lazy():
             now = self.sim.now
             self._report_chains.append([now, msg.period_id])
-            if now < self._report_due:
-                self._report_due = now
+            if now < self._settle_due:
+                self._settle_due = now
         else:
             self.sim.schedule(0.0, self._reporting_tick, msg.period_id)
 
@@ -464,14 +509,14 @@ class QoSEngine:
         if self.suspended:
             return  # failover in progress: submissions queue here
         now = self.sim.now
-        if self._next_tick_at <= now or self._report_due <= now:
+        if self._next_tick_at <= now or self._settle_due <= now:
             self._decay_to_now()  # (inlined no-op test)
         # Locals for the loop: neither the queue/token objects nor the
         # limit are replaced while draining (only at period boundaries),
         # so hoisting the attribute reads is safe.
         queue = self._queue
         tokens = self._tokens
-        limit = self.limit
+        limit = self._limit
         qp = self.kv.qp
         # Under the fabric model the token-backed WRs of one drain are
         # collected and posted as one chain after the loop, so a burst
@@ -532,8 +577,8 @@ class QoSEngine:
             finish = self._last_finish
         else:
             def finish(ok: bool, value: object, latency: float) -> None:
-                if self._report_due <= self.sim.now:
-                    self._settle_reports()
+                if self._settle_due <= self.sim.now:
+                    self._settle()
                 self.inflight_tokened -= 1
                 self.completed_this_period += 1
                 self.total_completed += 1
@@ -700,7 +745,7 @@ class QoSEngine:
             # path: count it and retry with capped exponential backoff.
             self._note_faa_failure()
             return
-        self.settle_reports()  # the due ticks precede the grant
+        self.settle()  # the due ticks precede the grant
         self._period_faa_ok = True
         self._retry_attempt = 0
         self._notify_listener(True)
@@ -722,7 +767,11 @@ class QoSEngine:
         # fixed retry interval applies, not backoff.
         self.faa_pool_empty += 1
         self._retry_scheduled = True
-        self.sim.schedule(self.config.faa_retry_interval, self._retry_fetch)
+        if wc.posted_at > self._refilled_at and self._lazy():
+            self._start_polls()
+        else:
+            self.sim.schedule(self.config.faa_retry_interval,
+                              self._retry_fetch)
 
     def _control_deadline(self) -> None:
         self._deadline_armed = False
@@ -790,7 +839,7 @@ class QoSEngine:
         if not wc.ok:
             self._note_control_failure()
             return
-        self.settle_reports()
+        self.settle()
         # Fabric is back: leave degraded mode and resume pool fetches.
         self._notify_listener(True)
         self._period_faa_ok = True
@@ -828,8 +877,8 @@ class QoSEngine:
         decayed to its own instant, which a later replay would destroy.
         """
         now = self.sim.now
-        if self._report_due <= now:
-            self._settle_reports()
+        if self._settle_due <= now:
+            self._settle()
         self._decay_to(now)
 
     def _decay_to(self, t: float) -> None:
@@ -851,13 +900,12 @@ class QoSEngine:
         return self._tokens
 
     # ------------------------------------------------------------------
-    # Reporting
+    # Settling: live reports and empty polls off the heap
     # ------------------------------------------------------------------
-    # A ReportRequest starts a chain of live-report ticks at
+    # Live reports.  A ReportRequest starts a chain of report ticks at
     # ``t0 + k * report_interval`` (accumulated by repeated addition, as
     # the self-rescheduling timer form does).  Only the monitor's sweeps
-    # read the word a tick writes, so unless something observes the
-    # post itself (see _reports_lazy) no tick is a heap event: a due
+    # read the word a tick writes, so no tick is a heap event: a due
     # tick ``t_k`` is materialized at the engine's next settle point.
     # Its word is packed from the state as of ``t_k`` (decay replayed to
     # ``t_k`` only); its WRITE is accounted as posted at ``t_k`` (client
@@ -866,49 +914,72 @@ class QoSEngine:
     # to the slot through the same access check and counted by the
     # server NIC — at the first settle after that instant.
     #
-    # Settle points are everything that changes or reads what a word
-    # encodes.  Engine side: _drain, a completion's finish, an FAA or
-    # probe completion, period start, the report request itself,
-    # rebind, suspend, and every token-state read (_decay_to_now, so
-    # the final report, ``tokens`` and ``token_obligations``).  Monitor
-    # side: every read or write of a report word (the monitor calls
-    # settle_reports of each engine enrolled with it).  And the end of
+    # Empty polls.  Only the monitor writes the pool word and every FAA
+    # subtracts from it, so once an FAA posted after the pool's last
+    # positive write returns <= 0, every FAA before the next positive
+    # write grants nothing.  Its re-tries (step T4) then change nothing
+    # the engine acts on; what they leave is the -B in the pool word and
+    # counters (``faa_issued``, ``faa_pool_empty``, both NICs' op counts
+    # and control costs, ``qp.outstanding``).  So they are a poll chain
+    # kept by arithmetic: retry at ``r`` -> post (client NIC issue) ->
+    # arrival at the pool word (fetch-and-add, server NIC) -> completion
+    # -> next retry one ``faa_retry_interval`` on, each step replayed in
+    # the timer form's float arithmetic at the first settle after its
+    # instant.  A retry ends the chain where the timer form's retry
+    # posts nothing: the engine suspended or degraded, the backlog
+    # empty, or the limit reached.  After a positive write the monitor
+    # calls pool_refilled, which turns every chain's pending step back
+    # into the heap event the timer form has, in chain-start order.  A
+    # chain reserves a heap seq at its start and pushes nothing, so a
+    # chain that turns real before its first step takes the timer form's
+    # exact (time, seq) slot; a same-instant completion would otherwise
+    # overtake the retry.
+    #
+    # Settle points are everything that changes or reads what a word or
+    # a poll encodes.  Engine side: _drain, a completion's finish, an
+    # FAA or probe completion, period start, the report request itself,
+    # rebind, suspend, a submit to an empty backlog, a limit change, and
+    # every token-state read (_decay_to_now, so the final report,
+    # ``tokens`` and ``token_obligations``).  Monitor side: every read
+    # or write of a report word or the pool word (the monitor calls
+    # ``settle`` of each engine enrolled with it).  And the end of
     # run_experiment, whose caller reads the counters.
     #
-    # Ties follow the timer form's order.  A tick due at exactly a
-    # settle instant is materialized before the observation (as for the
-    # decay steps: the tick was scheduled one interval ahead, an
-    # observer at the same instant less than that).  A word landing at
-    # exactly a settle instant lands after it: the reader's event was
-    # scheduled before the post was — except at a run's horizon, where
-    # every event due by ``until`` has run.  Posted words land in order
-    # (their issue cost and propagation delay are constant while the
-    # lazy form runs: only a fault injector closes QPs or changes NIC
-    # capacity, and it takes the eager form).
-    def _reports_lazy(self) -> bool:
-        """Whether live report ticks may be materialized lazily — the
-        one place that picks the eager tick event instead.  A tick stays
-        an event only where something observes the post itself:
+    # Ties follow the timer form's order.  A tick or retry due at exactly
+    # a settle instant is replayed before the observation (as for the
+    # decay steps: it was scheduled one interval ahead, an observer at
+    # the same instant less than that).  A word or FAA landing, or an
+    # FAA completing, at exactly a settle instant does so after it: the
+    # reader's event was scheduled before the post was — except at a
+    # run's horizon, where every event due by ``until`` has run.  Issue
+    # cost and propagation delay are constant while the lazy form runs:
+    # only a fault injector closes QPs or changes NIC capacity, and it
+    # takes the eager form.
+    def _lazy(self) -> bool:
+        """Whether report ticks and empty polls may be replayed lazily —
+        the one place that picks their heap-event form instead.  They
+        stay events only where something observes the posts themselves:
 
         - a fault injector draws a per-link verdict at post time (and is
           the only thing that closes QPs or changes NIC capacity);
         - a telemetry hub gauges the server NIC's control target cost, a
-          float sum in arrival order across clients, in its metric
-          streams, and records every report at its ``sim.now``.
+          float sum in arrival order across clients, and the pool word
+          in its metric streams, records every report at its
+          ``sim.now``, and ledgers every pool claim.
         """
         if self.sim.telemetry is not None:
             return False
         fabric = self.kv.qp.fabric
         return fabric is None or fabric.injector is None
 
-    def settle_reports(self, horizon: bool = False) -> None:
-        """Materialize the live-report ticks due by ``sim.now`` and land
-        the words posted before it.  With ``horizon`` the run stops at
-        ``now``, so a word landing exactly then has landed too."""
-        if self._report_due <= self.sim.now:
-            self._settle_reports(horizon)
+    def settle(self, horizon: bool = False) -> None:
+        """Replay the report ticks and empty polls due by ``sim.now``.
+        With ``horizon`` the run stops at ``now``, so a word or FAA
+        landing or completing exactly then has done so too."""
+        if self._settle_due <= self.sim.now:
+            self._settle(horizon)
 
-    def _settle_reports(self, horizon: bool = False) -> None:
+    def _settle(self, horizon: bool = False) -> None:
         now = self.sim.now
         chains = self._report_chains
         while chains:
@@ -922,24 +993,177 @@ class QoSEngine:
             if not self._reporting_active or self.period_id != chain[1]:
                 chains.remove(chain)  # where the timer form's chain ends
                 continue
+            if self._poll_at <= due:
+                # Reports and polls post on one client NIC, whose
+                # control cost is a float sum in post order.
+                self._replay_polls(due, False)
             self._post_live_report(due)
             chain[0] = due + self.config.report_interval
+        if self._poll_at <= now:
+            self._replay_polls(now, horizon)
         inflight = self._report_inflight
         while inflight:
             lands_at = inflight[0][0]
             if lands_at > now or (lands_at == now and not horizon):
                 break
             self._land_report(inflight.popleft())
-        if not chains:
-            due = _NEVER
-        elif len(chains) == 1:
-            due = chains[0][0]
-        else:
-            due = min(chains)[0]
+        due = self._poll_at
+        if chains:
+            tick = chains[0][0] if len(chains) == 1 else min(chains)[0]
+            if tick < due:
+                due = tick
         if inflight and inflight[0][0] < due:
             due = inflight[0][0]
-        self._report_due = due
+        self._settle_due = due
 
+    def _start_polls(self) -> None:
+        """Start a poll chain at an empty FAA's completion (see the
+        notes above): the first retry is due one interval on."""
+        sim = self.sim
+        sim._seq += 1  # the timer form's retry slot, kept for conversion
+        self._poll_seq = self.poll_order = sim._seq
+        self._poll_step = _RETRY
+        at = sim.now + self.config.faa_retry_interval
+        self._poll_at = at
+        if at < self._settle_due:
+            self._settle_due = at
+
+    def _replay_polls(self, t: float, horizon: bool) -> None:
+        """Replay the poll chain's steps due by ``t``: retries at or
+        before it, arrivals and completions before it (or at it, at the
+        run's horizon)."""
+        qp = self.kv.qp
+        config = self.config
+        step = self._poll_step
+        at = self._poll_at
+        failing = False
+        while at <= t:
+            if step == _RETRY:
+                if (self.suspended or self.degraded
+                        or not self.queue_depth):
+                    self._end_polls()
+                    return
+                limit = self._limit
+                if limit is not None and self.issued_this_period >= limit:
+                    if not self._throttled_this_period:
+                        self._throttled_this_period = True
+                        self.limit_throttle_events += 1
+                    self._end_polls()
+                    return
+                if qp.closed or qp.outstanding >= qp.max_outstanding:
+                    failing = True  # the post fails (see below)
+                    break
+                self.faa_issued += 1
+                qp.outstanding += 1
+                self._deadline_at = at + config.resolved_control_deadline
+                self._poll_posted_at = at
+                at = qp.src.nic.submit_issue(_FAA_WR, at) + qp.prop_delay
+                step = _ARRIVE
+            elif at == t and not horizon:
+                break
+            elif step == _ARRIVE:
+                layout = self.layout
+                self._poll_value = qp.dst.memory.remote_fetch_add(
+                    layout.rkey, layout.pool_addr, -config.batch_size)
+                nic = qp.dst.nic
+                nic.submit_target(_FAA_WR)
+                at = at + nic.profile.target_cost(_FAA_WR) + qp.prop_delay
+                step = _COMPLETE
+            else:
+                if qp.closed:
+                    failing = True  # the completion flushes
+                    break
+                qp.outstanding -= 1
+                self.faa_pool_empty += 1
+                self._period_faa_ok = True
+                self._retry_attempt = 0
+                self._notify_listener(True)
+                at += config.faa_retry_interval
+                step = _RETRY
+            self._poll_seq = 0  # the reserved slot was the first retry's
+        self._poll_step = step
+        self._poll_at = at
+        if failing:
+            # Only a QP closed (or filled) by hand mid-chain gets here:
+            # the failure paths are the heap events', so run them.
+            self._polls_real(claim=True)
+
+    def _end_polls(self) -> None:
+        self._poll_at = _NEVER
+        self._poll_seq = 0
+        self.poll_order = 0
+        self._retry_scheduled = False
+
+    def _polls_real(self, claim: bool) -> None:
+        """End the poll chain by pushing its pending step as the heap
+        event the timer form has at that point.  With ``claim`` an FAA in
+        flight stays the engine's; without it is orphaned (suspend,
+        rebind): it still lands and completes, into a completion
+        :meth:`_current_faa` discards."""
+        sim = self.sim
+        at = self._poll_at
+        if at < sim.now:
+            at = sim.now  # (a hand-closed QP, see _replay_polls)
+        seq = self._poll_seq
+        if not seq:
+            sim._seq += 1
+            seq = sim._seq
+        step = self._poll_step
+        if step == _RETRY:
+            heappush(sim._heap, (at, seq, self._retry_fetch, ()))
+            # _retry_scheduled stays set: the retry is still pending.
+        else:
+            layout = self.layout
+            wr = WorkRequest(
+                opcode=OpType.FETCH_ADD,
+                wr_id=next(_wr_ids),
+                remote_addr=layout.pool_addr,
+                rkey=layout.rkey,
+                add_value=-self.config.batch_size,
+                control=True,
+                on_completion=self._faa_handler,
+            )
+            qp = self.kv.qp
+            posted_at = self._poll_posted_at
+            if step == _ARRIVE:
+                heappush(sim._heap, (at, seq, qp._arrive, (wr, posted_at)))
+            else:
+                heappush(sim._heap, (at, seq, qp._complete,
+                                     (wr, posted_at, self._poll_value)))
+            self._retry_scheduled = False
+            if claim:
+                self._faa_inflight = True
+                self._faa_wr_id = wr.wr_id
+                if not self._deadline_armed:
+                    self._deadline_armed = True
+                    sim.schedule_at(self._deadline_at, self._control_deadline)
+        self._poll_at = _NEVER
+        self._poll_seq = 0
+        self.poll_order = 0
+
+    def _orphan_polls(self) -> None:
+        """Suspend/rebind: the timer form drops its FAA in flight (see
+        _polls_real) and keeps a pending retry."""
+        if self.poll_order:
+            self._polls_real(claim=False)
+
+    def pool_refilled(self, host) -> None:
+        """The monitor on ``host`` wrote its pool word with a positive
+        value, after settling this engine.  An FAA posted from now on
+        may be granted tokens, so a poll chain on that pool turns real
+        at its pending step.  (The monitor calls every engine enrolled
+        with it, in chain-start order; one enrolled with a standby
+        node's monitor too ignores that node's writes until it fails
+        over there.)"""
+        if host is not self.kv.qp.dst:
+            return
+        self._refilled_at = self.sim.now
+        if self.poll_order:
+            self._polls_real(claim=True)
+
+    # ------------------------------------------------------------------
+    # Reporting
+    # ------------------------------------------------------------------
     def _post_live_report(self, t: float) -> None:
         """The live report of the tick at ``t``, posted at ``t``."""
         self._decay_to(t)
@@ -976,7 +1200,7 @@ class QoSEngine:
         qp.outstanding -= 1
 
     def _reporting_tick(self, period_id: int) -> None:
-        """The timer form of a live-report tick (see _reports_lazy)."""
+        """The timer form of a live-report tick (see _lazy)."""
         if not self._reporting_active or self.period_id != period_id:
             return
         self._write_report(self.layout.report_live_addr)

@@ -28,6 +28,7 @@ still run, but unused reservation tokens are simply wasted.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Dict, List, Optional
 
 from repro.common.errors import QoSError, QPError
@@ -153,10 +154,12 @@ class QoSMonitor:
         # facade block, so unbound runs keep byte-stable metric streams.
         self.reservation_guard = None
         self.hierarchy_clamped = 0
-        # settle_reports of every engine writing report words here: an
-        # engine materializes its live reports lazily, so each access to
-        # the words first lands what was posted before it.
-        self._report_settlers: List = []
+        # Every engine writing report words or fetching pool tokens
+        # here: an engine replays its live reports and empty polls
+        # lazily, so each access to those words first settles it, and a
+        # positive pool write tells it its polls may be granted again
+        # (see QoSEngine.settle).
+        self._settlers: List = []
 
     # ------------------------------------------------------------------
     # Client admission / wiring (step T1 prerequisites)
@@ -211,16 +214,20 @@ class QoSMonitor:
         if self.admission is not None:
             self.admission.release(client_id)
 
-    def add_report_source(self, settle) -> None:
-        """Register an engine's ``settle_reports``: called before every
-        read or write of the report words, so that the live reports the
-        engine posted earlier have landed (see QoSEngine's Reporting
-        notes)."""
-        self._report_settlers.append(settle)
+    def add_settler(self, engine) -> None:
+        """Enrol an engine in the settle protocol: its ``settle`` runs
+        before every read or write of the report words and the pool
+        word, so what it posted earlier has landed, and its
+        ``pool_refilled`` after every positive pool write (see
+        QoSEngine's settling notes).  Enrolment is the first such
+        notice: until an engine has one its empty polls stay timer
+        events."""
+        self._settlers.append(engine)
+        engine.pool_refilled(self.host)
 
-    def _settle_reports(self) -> None:
-        for settle in self._report_settlers:
-            settle()
+    def _settle(self) -> None:
+        for engine in self._settlers:
+            engine.settle()
 
     @property
     def total_reserved(self) -> int:
@@ -244,7 +251,7 @@ class QoSMonitor:
         Returns a dict with the slot layout and period coordinates, or
         None if the monitor is out of slots.
         """
-        self._settle_reports()
+        self._settle()
         slot = self._clients.get(client_id)
         if slot is None:
             granted = reservation
@@ -312,7 +319,7 @@ class QoSMonitor:
         slot = self._clients.get(client_id)
         if slot is None:
             raise QoSError(f"client {client_id} is not registered")
-        self._settle_reports()
+        self._settle()
         granted = reservation
         if self.reservation_guard is not None:
             allowed = self.reservation_guard(client_id, granted)
@@ -406,7 +413,7 @@ class QoSMonitor:
         tokens fetched against the dead memory and resynchronize
         immediately instead of limping to the next boundary.
         """
-        self._settle_reports()
+        self._settle()
         self.generation += 1
         self.reinitializations += 1
         remaining = max(0.0, self._period_end - self.sim.now)
@@ -464,7 +471,7 @@ class QoSMonitor:
         self._open_period()
 
     def _begin_period(self) -> None:
-        self._settle_reports()
+        self._settle()
         self.period_id += 1
         self._period_end = self.sim.now + self.config.period
         self._reporting_triggered = False
@@ -505,7 +512,7 @@ class QoSMonitor:
     def _check_interval(self) -> None:
         # Step S1: probe the pool.  The monitor runs on the data node so
         # this is a local read (the paper uses a loopback CAS).
-        self._settle_reports()
+        self._settle()
         pool = self._read_pool()
         self.pool_history.append((self.sim.now, pool))
         if not self._reporting_triggered:
@@ -516,26 +523,48 @@ class QoSMonitor:
                 for slot in self._clients.values():
                     self._send(slot, ReportRequest(period_id=self.period_id))
             return
-        self._check_local_violations()
-        if not self.config.token_conversion:
+        convert = self.config.token_conversion
+        admission = self.admission
+        if admission is None and not convert:
             return
-        # Step T2: token conversion from the last reported residuals.
-        residual_sum = 0
-        memory = self.host.memory.backing
-        omega = self.estimator.current
-        # A residual beyond the whole capacity estimate (+ one FAA batch
+        # One sweep over the live words serves both of the check's
+        # readers.  Definition 2 at runtime: flag clients whose
+        # outstanding reservation exceeds what C_L can deliver in the
+        # rest of the period (needs admission control for C_L).
+        remaining = max(0.0, self._period_end - self.sim.now)
+        if admission is not None:
+            deliverable = remaining * (
+                admission.local_capacity / self.config.period)
+            violated = self._violated_this_period
+        # Step T2: token conversion from the last reported residuals.  A
+        # residual beyond the whole capacity estimate (+ one FAA batch
         # of slack for in-flight grants) can only be a corrupted word;
         # taking it at face value would zero the pool for the rest of
         # the period.
+        residual_sum = 0
+        omega = self.estimator.current
         residual_bound = omega + self.config.batch_size
+        memory = self.host.memory.backing
         for slot in self._clients.values():
-            residual, _completed = unpack_report(
+            residual, completed = unpack_report(
                 memory.read_u64(slot.layout.report_live_addr)
             )
-            residual_sum += self._clamp(
-                residual, residual_bound, "residual", slot.client_id
-            )
-        remaining = max(0.0, self._period_end - self.sim.now)
+            if admission is not None and slot.client_id not in violated:
+                outstanding = max(0, slot.reservation - completed)
+                if outstanding > deliverable:
+                    violated.add(slot.client_id)
+                    self.local_violations.append({
+                        "period": self.period_id,
+                        "client": slot.client_id,
+                        "time": self.sim.now,
+                        "outstanding": outstanding,
+                    })
+            if convert:
+                residual_sum += self._clamp(
+                    residual, residual_bound, "residual", slot.client_id
+                )
+        if not convert:
+            return
         new_pool = max(
             int(omega * remaining / self.config.period) - residual_sum, 0
         )
@@ -549,7 +578,7 @@ class QoSMonitor:
             )
 
     def _end_period(self) -> None:
-        self._settle_reports()
+        self._settle()
         memory = self.host.memory.backing
         total_completed = 0
         per_client = {}
@@ -609,31 +638,6 @@ class QoSMonitor:
                decision=estimator.decisions[-1],
                floor=estimator.lower_bound, omega=estimator.history[-1],
                next_estimate=estimator.current)
-
-    def _check_local_violations(self) -> None:
-        """Definition 2 at runtime: flag clients whose outstanding
-        reservation exceeds what C_L can deliver in the rest of the
-        period (requires admission control for the C_L value)."""
-        if self.admission is None:
-            return
-        local_rate = self.admission.local_capacity / self.config.period
-        remaining = max(0.0, self._period_end - self.sim.now)
-        memory = self.host.memory.backing
-        for slot in self._clients.values():
-            if slot.client_id in self._violated_this_period:
-                continue
-            _residual, completed = unpack_report(
-                memory.read_u64(slot.layout.report_live_addr)
-            )
-            outstanding = max(0, slot.reservation - completed)
-            if outstanding > remaining * local_rate:
-                self._violated_this_period.add(slot.client_id)
-                self.local_violations.append({
-                    "period": self.period_id,
-                    "client": slot.client_id,
-                    "time": self.sim.now,
-                    "outstanding": outstanding,
-                })
 
     def _track_underuse(self, slot: _ClientSlot, completed: int) -> None:
         if completed < slot.reservation:
@@ -696,6 +700,13 @@ class QoSMonitor:
 
     def _write_pool(self, value: int) -> None:
         self.host.memory.backing.write_u64(self.pool_addr, to_unsigned64(value))
+        if value > 0:
+            # Engines' empty polls may be granted again: each turns its
+            # poll chain real, in the order the chains started.
+            host = self.host
+            for engine in sorted(self._settlers,
+                                 key=attrgetter("poll_order")):
+                engine.pool_refilled(host)
 
     def _send(self, slot: _ClientSlot, message) -> None:
         wr = WorkRequest(

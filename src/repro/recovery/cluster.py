@@ -114,7 +114,7 @@ def build_replicated_cluster(
                            disp_primary)
         engine.bind_control_source(disp_replica, REPLICA_SOURCE)
         # After a failover the engine reports into the replica's words.
-        replica.monitor.add_report_source(engine.settle_reports)
+        replica.monitor.add_settler(engine)
         manager = FailoverManager(
             client_index=i,
             name=name,

@@ -4,9 +4,18 @@
 before the report ticks came off the simulator heap: a self-rescheduling
 ``_reporting_tick`` event per report interval, each posting a real
 unsignaled WRITE whose arrival is another event.  It is the engine's own
-timer form, selected by the one predicate that picks it.
-``test_lazy_reports.py`` requires the two to agree: the same words at
-every monitor sweep, the same counters.
+timer form, selected by the one predicate that picks it (so its empty
+polls take the timer form too).  ``test_lazy_reports.py`` requires the
+two to agree: the same words at every monitor sweep, the same counters.
+
+``EagerPollEngine`` is ``QoSEngine``'s empty-pool re-tries as they were
+before they came off the simulator heap: after an FAA that granted
+nothing, a ``_retry_fetch`` timer per retry interval, each posting a
+real FETCH_ADD whose arrival and completion are two more events.  The
+poll chain is switched off by scheduling the timer where the chain
+would start; reports stay lazy.  ``test_lazy_polls.py`` requires the
+two to agree: the same pool word at every monitor sweep, the same
+grants, the same counters.
 
 ``EagerDecayEngine`` is ``QoSEngine``'s token management as it was
 before the decay steps came off the simulator heap: a self-rescheduling
@@ -36,8 +45,15 @@ from repro.core.engine import QoSEngine
 class EagerReportEngine(QoSEngine):
     """``QoSEngine`` with one heap event per live-report tick."""
 
-    def _reports_lazy(self) -> bool:
+    def _lazy(self) -> bool:
         return False
+
+
+class EagerPollEngine(QoSEngine):
+    """``QoSEngine`` with heap events for every empty-pool re-try."""
+
+    def _start_polls(self) -> None:
+        self.sim.schedule(self.config.faa_retry_interval, self._retry_fetch)
 
 
 class EagerDecayEngine(EagerReportEngine):
@@ -61,9 +77,12 @@ class EagerDecayEngine(EagerReportEngine):
 
 class PerOpBacklogEngine(QoSEngine):
     """``QoSEngine`` with one tuple per queued op (``_queue`` holds the
-    tuples; the inherited ``_backlog`` counter is left at zero)."""
+    tuples; the inherited ``_backlog`` counter is left at zero, so the
+    engine reads the backlog through ``queue_depth``)."""
 
     def submit(self, key, on_complete) -> None:
+        if not self._queue:
+            self.settle()
         self.total_submitted += 1
         span = None
         telemetry = self.sim.telemetry
@@ -79,6 +98,8 @@ class PerOpBacklogEngine(QoSEngine):
     def submit_burst(self, count, key_fn, on_complete) -> None:
         if count <= 0:
             return
+        if not self._queue:
+            self.settle()
         self.total_submitted += count
         queue = self._queue
         telemetry = self.sim.telemetry
@@ -134,6 +155,11 @@ class PerOpBacklogEngine(QoSEngine):
 def per_op_backlog_engines():
     """Context manager: clusters built inside get tuple-backlog engines."""
     return mock.patch("repro.cluster.builder.QoSEngine", PerOpBacklogEngine)
+
+
+def eager_poll_engines():
+    """Context manager: clusters built inside get timer-form polling."""
+    return mock.patch("repro.cluster.builder.QoSEngine", EagerPollEngine)
 
 
 def eager_report_engines():

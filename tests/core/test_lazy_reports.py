@@ -171,7 +171,7 @@ class Race:
 
     def live_word(self):
         """The live word as the monitor would read it now."""
-        self.monitor._settle_reports()
+        self.monitor._settle()
         return self.monitor.host.memory.backing.read_u64(
             self.engine.layout.report_live_addr)
 
