@@ -1,7 +1,7 @@
 """Result analysis: table formatting, time-series shape metrics, and
 paper-shape comparisons used by the benchmark harness."""
 
-from repro.analysis.charts import bar_chart, sparkline
+from repro.analysis.charts import sparkline
 from repro.analysis.series import (
     mean_of,
     recovery_time,
@@ -12,7 +12,6 @@ from repro.analysis.tables import format_table
 from repro.analysis.compare import jain_fairness, meets_reservation, who_wins
 
 __all__ = [
-    "bar_chart",
     "format_table",
     "jain_fairness",
     "mean_of",

@@ -7,22 +7,24 @@ three client-side duties:
   requests without one queue inside the engine (this is the isolation
   mechanism: a runaway client blocks here, not at the server).  Global
   tokens are claimed with a batched remote fetch-and-add; while the
-  pool is empty the re-tries are not timer events (see ``settle``).
+  pool is empty the re-tries are virtual steps.
 - **token management** — the entitlement bound X decays at rate
   ``r_i`` in ``mgmt_interval`` steps and unbacked reservation tokens
-  are yielded.  The steps are not timer events: the due ones are
-  replayed whenever token state is observed (see ``_decay_to_now``).
+  are yielded.  The steps are replayed whenever token state is
+  observed.
 - **reporting** — once signalled by the monitor, the packed (residual,
   completed) word is written every report interval with a silent
-  (unsignaled) one-sided WRITE.  The ticks are not timer events either:
-  each due one is materialized at the next observation point (see
-  ``settle``).  A final statistics word is always written just before
-  period end so the monitor can run capacity estimation.
+  (unsignaled) one-sided WRITE; the ticks and the landings are virtual
+  steps.  A final statistics word is always written just before period
+  end so the monitor can run capacity estimation.
 
-Reports and empty polls share one settle protocol: one due field
-(``_settle_due``), one replay (``settle``) run at every point that can
-observe them, and one predicate that keeps both as heap events where
-something watches the posts themselves (``_lazy``).
+None of the periodic duties is a simulator event.  Each engine keeps one
+queue of virtual steps (report ticks, report landings, poll retries and
+the polls' FAA arrivals and completions) and one due field that also
+covers the next decay step; ``settle`` replays what is due at every
+point that can observe it, under the one tie rule in the settling notes
+below.  One predicate (``_lazy``) keeps reports and polls as heap events
+where something watches the posts themselves.
 
 Every remote interaction here is one-sided; the engine never causes
 work on the data-node CPU.
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import cached_property
-from heapq import heappush
+from heapq import heapify, heappop, heappush
 from typing import Callable, Deque, Optional
 
 from repro.common.errors import MemoryAccessError, QoSError, QPError
@@ -56,10 +58,6 @@ _REPORT_WR = WorkRequest(opcode=OpType.WRITE, size=8, control=True,
                          signaled=False)
 # The same for a replayed empty poll's pool FETCH_ADD.
 _FAA_WR = WorkRequest(opcode=OpType.FETCH_ADD, control=True)
-
-# The pending step of a poll chain (see settle): the retry timer, the
-# FAA's arrival at the pool word, its completion back at the client.
-_RETRY, _ARRIVE, _COMPLETE = 0, 1, 2
 
 IOCallback = Callable[[bool, object, float], None]
 
@@ -119,8 +117,8 @@ class QoSEngine:
         self._limit = limit
         self.touch_memory = touch_memory
         self._tokens = ClientTokenState(reservation, config.period)
-        # Time of the next token-management step (see _decay_to_now);
-        # the first PeriodStart or rebind starts the clock.
+        # Time of the next token-management step (see _decay_to); the
+        # first PeriodStart or rebind starts the clock.
         self._next_tick_at = _NEVER
 
         # The backlog: runs in submit order, ops in order within a run.
@@ -140,29 +138,22 @@ class QoSEngine:
         self._faa_wr_id = 0  # wr_id of the control FAA in flight
         self._retry_scheduled = False
         self._reporting_active = False
-        # The live-report schedule (see settle): one [next due,
-        # period_id] per running chain of report ticks, and the posted
-        # words not yet landed as (lands_at, word, qp, rkey, addr,
-        # posted_at) in landing order.
-        self._report_chains: list = []
-        self._report_inflight: Deque[tuple] = deque()
-        # The empty-poll chain (see settle): its pending step and that
-        # step's instant (never = no chain), the virtual FAA's post
-        # instant and fetched value, the heap seq reserved at chain
-        # start (0 once a step was replayed), and the chain-start
-        # ordinal the monitor converts chains in (0 = no chain).
-        self._poll_step = _RETRY
-        self._poll_at = _NEVER
-        self._poll_posted_at = 0.0
-        self._poll_value = 0
-        self._poll_seq = 0
+        # The virtual steps (see the settling notes): a heap of
+        # (at, wire, n, step, arg) entries, ``n`` counting this engine's
+        # pushes; and the earliest instant anything needs settling, the
+        # next decay step included.
+        self._timers: list = []
+        self._n = 0
+        self._due = _NEVER
+        # The empty-poll chain: its queued entry (None = no chain), and
+        # its chain-start ordinal, which the monitor converts chains in
+        # (0 = no chain).
+        self._poll: Optional[tuple] = None
         self.poll_order = 0
         # When the pool this engine fetches from was last written with
         # a positive value (see pool_refilled); never = no monitor
         # reports refills, so empty polls stay timer events.
         self._refilled_at = _NEVER
-        # The earliest instant at which a report or poll needs settling.
-        self._settle_due = _NEVER
         self._throttled_this_period = False
         # Completion-closure cache for _token_backed_wr: in practice
         # every op of a client carries the same app callback, so the
@@ -492,10 +483,7 @@ class QoSEngine:
         self.settle()
         self._reporting_active = True
         if self._lazy():
-            now = self.sim.now
-            self._report_chains.append([now, msg.period_id])
-            if now < self._settle_due:
-                self._settle_due = now
+            self._after(self.sim.now, 0, self._report_tick, msg.period_id)
         else:
             self.sim.schedule(0.0, self._reporting_tick, msg.period_id)
 
@@ -508,9 +496,8 @@ class QoSEngine:
     def _drain(self) -> None:
         if self.suspended:
             return  # failover in progress: submissions queue here
-        now = self.sim.now
-        if self._next_tick_at <= now or self._settle_due <= now:
-            self._decay_to_now()  # (inlined no-op test)
+        if self._due <= self.sim.now:
+            self._settle()  # (inlined no-op test)
         # Locals for the loop: neither the queue/token objects nor the
         # limit are replaced while draining (only at period boundaries),
         # so hoisting the attribute reads is safe.
@@ -577,7 +564,7 @@ class QoSEngine:
             finish = self._last_finish
         else:
             def finish(ok: bool, value: object, latency: float) -> None:
-                if self._settle_due <= self.sim.now:
+                if self._due <= self.sim.now:
                     self._settle()
                 self.inflight_tokened -= 1
                 self.completed_this_period += 1
@@ -630,7 +617,7 @@ class QoSEngine:
         Runs unconditionally ahead of both replacement sites, so it is
         also where the steps due on the outgoing state are consumed.
         """
-        self._decay_to_now()
+        self.settle()
         account, self._ledger_account = self._ledger_account, None
         if account is None:
             return
@@ -857,29 +844,17 @@ class QoSEngine:
     # The decay steps fall at ``start + k * mgmt_interval`` (accumulated
     # by repeated addition, as a self-rescheduling timer would), but
     # nothing can see a step until token state is next read, so no timer
-    # exists: every reader replays the due steps first — one
+    # exists: ``_next_tick_at`` is the next step's instant, folded into
+    # the one due field, and every settle replays the due steps — one
     # ``decay(mgmt_interval)`` each, the same float arithmetic in the
-    # same order.  A step due at exactly ``now`` is applied before the
-    # read, which is the timer form's order for any reader scheduled
-    # less than one interval ahead (the tick's own event was scheduled
-    # one interval ahead).  Bit-identity with the timer form holds
-    # because only events without an observable effect at their position
-    # were removed; the relative (time, seq) order of every remaining
-    # event is unchanged, and repro.cluster.determinism referees it.
+    # same order — after the virtual steps due by then, each of which
+    # reads the state decayed to its own instant (see the settling
+    # notes).
     def _mgmt_start(self) -> None:
         if self._next_tick_at == _NEVER:
-            self._next_tick_at = self.sim.now + self.config.mgmt_interval
-
-    def _decay_to_now(self) -> None:
-        """Replay the token-management steps due by ``sim.now``.
-
-        The report ticks due by then go first: each one reads the state
-        decayed to its own instant, which a later replay would destroy.
-        """
-        now = self.sim.now
-        if self._settle_due <= now:
-            self._settle()
-        self._decay_to(now)
+            at = self._next_tick_at = self.sim.now + self.config.mgmt_interval
+            if at < self._due:
+                self._due = at
 
     def _decay_to(self, t: float) -> None:
         """Replay the token-management steps due by ``t``."""
@@ -896,23 +871,31 @@ class QoSEngine:
     @property
     def tokens(self) -> ClientTokenState:
         """The client's token state, decayed to ``sim.now``."""
-        self._decay_to_now()
+        self.settle()
         return self._tokens
 
     # ------------------------------------------------------------------
-    # Settling: live reports and empty polls off the heap
+    # Settling: one queue of virtual steps
     # ------------------------------------------------------------------
-    # Live reports.  A ReportRequest starts a chain of report ticks at
-    # ``t0 + k * report_interval`` (accumulated by repeated addition, as
-    # the self-rescheduling timer form does).  Only the monitor's sweeps
-    # read the word a tick writes, so no tick is a heap event: a due
-    # tick ``t_k`` is materialized at the engine's next settle point.
-    # Its word is packed from the state as of ``t_k`` (decay replayed to
-    # ``t_k`` only); its WRITE is accounted as posted at ``t_k`` (client
-    # NIC issue count and control cost, ``qp.outstanding``,
-    # ``reports_written``) and lands at ``t_k + issue + prop`` — written
-    # to the slot through the same access check and counted by the
-    # server NIC — at the first settle after that instant.
+    # The timer form of the engine's periodic duties is a heap event per
+    # report tick, per report WRITE landing, and per empty poll's retry,
+    # FAA arrival and FAA completion.  None of them can be seen until
+    # something reads what it changes, so each is a virtual step: an
+    # entry ``(at, wire, n, step, arg)`` on the engine's own heap, run
+    # as ``step(at, arg)`` — the timer form's event, in its float
+    # arithmetic — at the first settle point that may observe it.  ``n``
+    # counts the engine's pushes, so steps due at one instant run in the
+    # order they were queued, as the simulator's (time, seq) does.
+    #
+    # Reports.  A ReportRequest queues a tick at ``now``.  A tick queues
+    # the next one ``report_interval`` on, packs the word from the state
+    # decayed to its own instant, accounts its WRITE as posted then
+    # (client NIC issue count and control cost, ``qp.outstanding``,
+    # ``reports_written``) and queues the landing: the write to the slot
+    # through the same access check, counted by the server NIC.  A tick
+    # ends its chain where the timer form's does (reporting inactive,
+    # or the period over); a request that re-arms reporting within one
+    # period simply runs a second chain, as the timer form does.
     #
     # Empty polls.  Only the monitor writes the pool word and every FAA
     # subtracts from it, so once an FAA posted after the pool's last
@@ -920,43 +903,44 @@ class QoSEngine:
     # write grants nothing.  Its re-tries (step T4) then change nothing
     # the engine acts on; what they leave is the -B in the pool word and
     # counters (``faa_issued``, ``faa_pool_empty``, both NICs' op counts
-    # and control costs, ``qp.outstanding``).  So they are a poll chain
-    # kept by arithmetic: retry at ``r`` -> post (client NIC issue) ->
-    # arrival at the pool word (fetch-and-add, server NIC) -> completion
-    # -> next retry one ``faa_retry_interval`` on, each step replayed in
-    # the timer form's float arithmetic at the first settle after its
-    # instant.  A retry ends the chain where the timer form's retry
-    # posts nothing: the engine suspended or degraded, the backlog
-    # empty, or the limit reached.  After a positive write the monitor
-    # calls pool_refilled, which turns every chain's pending step back
-    # into the heap event the timer form has, in chain-start order.  A
-    # chain reserves a heap seq at its start and pushes nothing, so a
-    # chain that turns real before its first step takes the timer form's
-    # exact (time, seq) slot; a same-instant completion would otherwise
-    # overtake the retry.
+    # and control costs, ``qp.outstanding``).  So they are a chain of
+    # virtual steps: retry (the post) -> arrival at the pool word ->
+    # completion -> the next retry one ``faa_retry_interval`` on.  A
+    # retry ends the chain where the timer form's retry posts nothing:
+    # the engine suspended or degraded, the backlog empty, or the limit
+    # reached.  After a positive write the monitor calls pool_refilled,
+    # which turns every chain's queued step into the heap event the
+    # timer form has at that point, in chain-start order.  A chain
+    # reserves a heap seq at its start and pushes nothing there, so a
+    # chain that turns real before its first retry takes the timer
+    # form's exact (time, seq) slot; a same-instant completion would
+    # otherwise overtake the retry.
     #
-    # Settle points are everything that changes or reads what a word or
-    # a poll encodes.  Engine side: _drain, a completion's finish, an
-    # FAA or probe completion, period start, the report request itself,
-    # rebind, suspend, a submit to an empty backlog, a limit change, and
-    # every token-state read (_decay_to_now, so the final report,
-    # ``tokens`` and ``token_obligations``).  Monitor side: every read
-    # or write of a report word or the pool word (the monitor calls
-    # ``settle`` of each engine enrolled with it).  And the end of
-    # run_experiment, whose caller reads the counters.
+    # Settle points are everything that changes or reads what a step
+    # changes.  Engine side: _drain, a completion's finish, an FAA or
+    # probe completion, period start, the report request itself, rebind,
+    # suspend, a submit to an empty backlog, a limit change, and every
+    # token-state read (``tokens``, so the final report and
+    # ``token_obligations``).  Monitor side: every read or write of a
+    # report word or the pool word (the monitor calls ``settle`` of each
+    # engine enrolled with it).  And the end of run_experiment, whose
+    # caller reads the counters.  (The benchmark's 1000-client run, seed
+    # 11, replays 304 710 steps in 87 702 settles while its heap runs
+    # 148 376 events: docs/OBSERVABILITY.md section 7.)
     #
-    # Ties follow the timer form's order.  A tick or retry due at exactly
-    # a settle instant is replayed before the observation (as for the
-    # decay steps: it was scheduled one interval ahead, an observer at
-    # the same instant less than that).  A word or FAA landing, or an
-    # FAA completing, at exactly a settle instant does so after it: the
-    # reader's event was scheduled before the post was — except at a
-    # run's horizon, where every event due by ``until`` has run.  Issue
-    # cost and propagation delay are constant while the lazy form runs:
-    # only a fault injector closes QPs or changes NIC capacity, and it
-    # takes the eager form.
+    # The one tie rule, for a step due exactly at a settle instant.  A
+    # timer step (a tick, a retry or a decay step; ``wire`` 0) runs
+    # before the observation: the timer form scheduled it one interval
+    # ahead, the observer's event less than that.  A wire step (a
+    # landing, an FAA arrival or an FAA completion; ``wire`` 1) runs
+    # after it, at a later settle: the observer's event was scheduled
+    # before the post was — except at a run's horizon, where every event
+    # due by ``until`` has run.  Issue cost and propagation delay are
+    # constant while steps are virtual: only a fault injector closes QPs
+    # or changes NIC capacity, and it takes the timer form.  Bit-identity
+    # with the timer form is refereed by repro.cluster.determinism.
     def _lazy(self) -> bool:
-        """Whether report ticks and empty polls may be replayed lazily —
+        """Whether report ticks and empty polls may be virtual steps —
         the one place that picks their heap-event form instead.  They
         stay events only where something observes the posts themselves:
 
@@ -973,124 +957,96 @@ class QoSEngine:
         return fabric is None or fabric.injector is None
 
     def settle(self, horizon: bool = False) -> None:
-        """Replay the report ticks and empty polls due by ``sim.now``.
-        With ``horizon`` the run stops at ``now``, so a word or FAA
-        landing or completing exactly then has done so too."""
-        if self._settle_due <= self.sim.now:
+        """Replay the virtual steps and decay steps due by ``sim.now``.
+        With ``horizon`` the run stops at ``now``, so a wire step due
+        exactly then has run too."""
+        if self._due <= self.sim.now:
             self._settle(horizon)
 
     def _settle(self, horizon: bool = False) -> None:
         now = self.sim.now
-        chains = self._report_chains
-        while chains:
-            # Two chains run only when a request re-armed reporting in
-            # the same period before the old chain's next tick (the
-            # timer form then runs both).
-            chain = chains[0] if len(chains) == 1 else min(chains)
-            due = chain[0]
-            if due > now:
+        timers = self._timers
+        while timers:
+            at, wire, _n, step, arg = timers[0]
+            if at > now or (wire and at == now and not horizon):
                 break
-            if not self._reporting_active or self.period_id != chain[1]:
-                chains.remove(chain)  # where the timer form's chain ends
-                continue
-            if self._poll_at <= due:
-                # Reports and polls post on one client NIC, whose
-                # control cost is a float sum in post order.
-                self._replay_polls(due, False)
-            self._post_live_report(due)
-            chain[0] = due + self.config.report_interval
-        if self._poll_at <= now:
-            self._replay_polls(now, horizon)
-        inflight = self._report_inflight
-        while inflight:
-            lands_at = inflight[0][0]
-            if lands_at > now or (lands_at == now and not horizon):
-                break
-            self._land_report(inflight.popleft())
-        due = self._poll_at
-        if chains:
-            tick = chains[0][0] if len(chains) == 1 else min(chains)[0]
-            if tick < due:
-                due = tick
-        if inflight and inflight[0][0] < due:
-            due = inflight[0][0]
-        self._settle_due = due
+            heappop(timers)
+            step(at, arg)
+        self._decay_to(now)
+        due = self._next_tick_at
+        if timers and timers[0][0] < due:
+            due = timers[0][0]
+        self._due = due
+
+    def _after(self, at: float, wire: int, step, arg) -> tuple:
+        """Queue the virtual step ``step(at, arg)``; returns its entry."""
+        self._n += 1
+        entry = (at, wire, self._n, step, arg)
+        heappush(self._timers, entry)
+        if at < self._due:
+            self._due = at
+        return entry
 
     def _start_polls(self) -> None:
-        """Start a poll chain at an empty FAA's completion (see the
-        notes above): the first retry is due one interval on."""
+        """Start a poll chain at an empty FAA's completion: the first
+        retry is due one interval on, in the heap slot reserved here."""
         sim = self.sim
         sim._seq += 1  # the timer form's retry slot, kept for conversion
-        self._poll_seq = self.poll_order = sim._seq
-        self._poll_step = _RETRY
-        at = sim.now + self.config.faa_retry_interval
-        self._poll_at = at
-        if at < self._settle_due:
-            self._settle_due = at
+        self.poll_order = sim._seq
+        self._poll = self._after(sim.now + self.config.faa_retry_interval,
+                                 0, self._poll_retry, sim._seq)
 
-    def _replay_polls(self, t: float, horizon: bool) -> None:
-        """Replay the poll chain's steps due by ``t``: retries at or
-        before it, arrivals and completions before it (or at it, at the
-        run's horizon)."""
+    def _poll_retry(self, at: float, seq: int) -> None:
+        """The timer form's _retry_fetch: post the next pool FAA."""
+        if self.suspended or self.degraded or not self.queue_depth:
+            self._end_polls()
+            return
+        limit = self._limit
+        if limit is not None and self.issued_this_period >= limit:
+            if not self._throttled_this_period:
+                self._throttled_this_period = True
+                self.limit_throttle_events += 1
+            self._end_polls()
+            return
         qp = self.kv.qp
-        config = self.config
-        step = self._poll_step
-        at = self._poll_at
-        failing = False
-        while at <= t:
-            if step == _RETRY:
-                if (self.suspended or self.degraded
-                        or not self.queue_depth):
-                    self._end_polls()
-                    return
-                limit = self._limit
-                if limit is not None and self.issued_this_period >= limit:
-                    if not self._throttled_this_period:
-                        self._throttled_this_period = True
-                        self.limit_throttle_events += 1
-                    self._end_polls()
-                    return
-                if qp.closed or qp.outstanding >= qp.max_outstanding:
-                    failing = True  # the post fails (see below)
-                    break
-                self.faa_issued += 1
-                qp.outstanding += 1
-                self._deadline_at = at + config.resolved_control_deadline
-                self._poll_posted_at = at
-                at = qp.src.nic.submit_issue(_FAA_WR, at) + qp.prop_delay
-                step = _ARRIVE
-            elif at == t and not horizon:
-                break
-            elif step == _ARRIVE:
-                layout = self.layout
-                self._poll_value = qp.dst.memory.remote_fetch_add(
-                    layout.rkey, layout.pool_addr, -config.batch_size)
-                nic = qp.dst.nic
-                nic.submit_target(_FAA_WR)
-                at = at + nic.profile.target_cost(_FAA_WR) + qp.prop_delay
-                step = _COMPLETE
-            else:
-                if qp.closed:
-                    failing = True  # the completion flushes
-                    break
-                qp.outstanding -= 1
-                self.faa_pool_empty += 1
-                self._period_faa_ok = True
-                self._retry_attempt = 0
-                self._notify_listener(True)
-                at += config.faa_retry_interval
-                step = _RETRY
-            self._poll_seq = 0  # the reserved slot was the first retry's
-        self._poll_step = step
-        self._poll_at = at
-        if failing:
-            # Only a QP closed (or filled) by hand mid-chain gets here:
-            # the failure paths are the heap events', so run them.
-            self._polls_real(claim=True)
+        if qp.closed or qp.outstanding >= qp.max_outstanding:
+            self._polls_real(claim=True)  # the post fails (see there)
+            return
+        self.faa_issued += 1
+        qp.outstanding += 1
+        self._deadline_at = at + self.config.resolved_control_deadline
+        self._poll = self._after(
+            qp.src.nic.submit_issue(_FAA_WR, at) + qp.prop_delay, 1,
+            self._poll_arrive, at)
+
+    def _poll_arrive(self, at: float, posted_at: float) -> None:
+        """The timer form's FAA arrival: fetch-and-add at the pool word."""
+        qp = self.kv.qp
+        layout = self.layout
+        value = qp.dst.memory.remote_fetch_add(
+            layout.rkey, layout.pool_addr, -self.config.batch_size)
+        nic = qp.dst.nic
+        nic.submit_target(_FAA_WR)
+        self._poll = self._after(
+            at + nic.profile.target_cost(_FAA_WR) + qp.prop_delay, 1,
+            self._poll_complete, (posted_at, value))
+
+    def _poll_complete(self, at: float, _posted) -> None:
+        """The timer form's FAA completion: an empty grant."""
+        qp = self.kv.qp
+        if qp.closed:
+            self._polls_real(claim=True)  # the completion flushes
+            return
+        qp.outstanding -= 1
+        self.faa_pool_empty += 1
+        self._period_faa_ok = True
+        self._retry_attempt = 0
+        self._notify_listener(True)
+        self._poll = self._after(at + self.config.faa_retry_interval, 0,
+                                 self._poll_retry, 0)
 
     def _end_polls(self) -> None:
-        self._poll_at = _NEVER
-        self._poll_seq = 0
+        self._poll = None
         self.poll_order = 0
         self._retry_scheduled = False
 
@@ -1099,17 +1055,24 @@ class QoSEngine:
         event the timer form has at that point.  With ``claim`` an FAA in
         flight stays the engine's; without it is orphaned (suspend,
         rebind): it still lands and completes, into a completion
-        :meth:`_current_faa` discards."""
+        :meth:`_current_faa` discards.  A step that found the QP closed
+        or full by hand comes here itself, already popped: the failure
+        paths are the heap events'."""
+        entry = self._poll
+        timers = self._timers
+        if entry in timers:
+            timers.remove(entry)
+            heapify(timers)
+        at, _wire, _n, step, arg = entry
         sim = self.sim
-        at = self._poll_at
         if at < sim.now:
-            at = sim.now  # (a hand-closed QP, see _replay_polls)
-        seq = self._poll_seq
+            at = sim.now  # (a hand-closed QP, replayed late)
+        retry = step == self._poll_retry
+        seq = arg if retry else 0  # reserved for the first retry only
         if not seq:
             sim._seq += 1
             seq = sim._seq
-        step = self._poll_step
-        if step == _RETRY:
+        if retry:
             heappush(sim._heap, (at, seq, self._retry_fetch, ()))
             # _retry_scheduled stays set: the retry is still pending.
         else:
@@ -1124,12 +1087,10 @@ class QoSEngine:
                 on_completion=self._faa_handler,
             )
             qp = self.kv.qp
-            posted_at = self._poll_posted_at
-            if step == _ARRIVE:
-                heappush(sim._heap, (at, seq, qp._arrive, (wr, posted_at)))
+            if step == self._poll_arrive:
+                heappush(sim._heap, (at, seq, qp._arrive, (wr, arg)))
             else:
-                heappush(sim._heap, (at, seq, qp._complete,
-                                     (wr, posted_at, self._poll_value)))
+                heappush(sim._heap, (at, seq, qp._complete, (wr, *arg)))
             self._retry_scheduled = False
             if claim:
                 self._faa_inflight = True
@@ -1137,8 +1098,7 @@ class QoSEngine:
                 if not self._deadline_armed:
                     self._deadline_armed = True
                     sim.schedule_at(self._deadline_at, self._control_deadline)
-        self._poll_at = _NEVER
-        self._poll_seq = 0
+        self._poll = None
         self.poll_order = 0
 
     def _orphan_polls(self) -> None:
@@ -1164,8 +1124,13 @@ class QoSEngine:
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
-    def _post_live_report(self, t: float) -> None:
-        """The live report of the tick at ``t``, posted at ``t``."""
+    def _report_tick(self, t: float, period_id: int) -> None:
+        """The timer form's _reporting_tick at ``t``: the live report,
+        posted at ``t``."""
+        if not self._reporting_active or self.period_id != period_id:
+            return  # where the timer form's chain ends
+        self._after(t + self.config.report_interval, 0, self._report_tick,
+                    period_id)
         self._decay_to(t)
         tokens = self._tokens
         word = pack_report(
@@ -1178,16 +1143,15 @@ class QoSEngine:
             return
         qp.outstanding += 1
         self.reports_written += 1
-        lands_at = qp.src.nic.submit_issue(_REPORT_WR, t) + qp.prop_delay
         layout = self.layout
-        self._report_inflight.append(
-            (lands_at, word, qp, layout.rkey, layout.report_live_addr, t))
+        self._after(qp.src.nic.submit_issue(_REPORT_WR, t) + qp.prop_delay, 1,
+                    self._land_report,
+                    (word, qp, layout.rkey, layout.report_live_addr, t))
 
-    @staticmethod
-    def _land_report(posted: tuple) -> None:
+    def _land_report(self, _at: float, posted: tuple) -> None:
         """The target side of a live report's WRITE (QueuePair._arrive
         for an unsignaled control WRITE)."""
-        _lands_at, word, qp, rkey, addr, posted_at = posted
+        word, qp, rkey, addr, posted_at = posted
         dst = qp.dst
         try:
             dst.memory.remote_write_u64(rkey, addr, word)

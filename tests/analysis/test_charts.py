@@ -1,36 +1,6 @@
 """ASCII chart rendering."""
 
-import pytest
-
-from repro.analysis.charts import bar_chart, sparkline
-
-
-class TestBarChart:
-    def test_proportional_bars(self):
-        lines = bar_chart([("a", 10.0), ("b", 5.0)], width=10)
-        assert lines[0].count("#") == 10
-        assert lines[1].count("#") == 5
-
-    def test_labels_aligned_and_values_shown(self):
-        lines = bar_chart([("long-name", 3.0), ("x", 1.0)], width=4, unit="K")
-        assert lines[0].startswith("long-name |")
-        assert lines[1].startswith("        x |")
-        assert lines[0].endswith("3K")
-
-    def test_explicit_scale_caps_bars(self):
-        lines = bar_chart([("a", 100.0)], width=10, max_value=50)
-        assert lines[0].count("#") == 10  # clamped at the scale
-
-    def test_zero_values_render(self):
-        lines = bar_chart([("a", 0.0)], width=10)
-        assert "#" not in lines[0]
-
-    def test_empty_and_invalid(self):
-        assert bar_chart([]) == []
-        with pytest.raises(ValueError):
-            bar_chart([("a", 1.0)], width=0)
-        with pytest.raises(ValueError):
-            bar_chart([("a", -1.0)])
+from repro.analysis.charts import sparkline
 
 
 class TestSparkline:

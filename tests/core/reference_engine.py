@@ -118,7 +118,7 @@ class PerOpBacklogEngine(QoSEngine):
     def _drain(self) -> None:
         if self.suspended:
             return
-        self._decay_to_now()
+        self.settle()
         queue = self._queue
         tokens = self._tokens
         limit = self.limit

@@ -265,7 +265,9 @@ def test_a_rebind_while_a_virtual_faa_is_in_flight():
     def rebind(cluster):
         engine = cluster.clients[0].engine
         engine.settle()
-        state = (engine.poll_order > 0, engine._poll_step,
+        state = (engine.poll_order > 0,
+                 engine._poll is not None
+                 and engine._poll[3] == engine._poll_arrive,
                  engine.kv.qp.outstanding)
         resize(cluster, 0, RESERVATIONS[0] // 1000, True)
         return state

@@ -230,6 +230,68 @@ def test_a_word_landing_before_a_monitor_write_is_overwritten():
 
 
 # ----------------------------------------------------------------------
+# The tie rule: a step due exactly when the monitor looks
+# ----------------------------------------------------------------------
+CHAIN_AT = 0.3  # in periods
+
+
+def seen_at(eager, at, armed_at):
+    """Client 0's live word, outstanding WRs and reports written as the
+    monitor sees them at ``at`` (from an event scheduled at
+    ``armed_at``) and two flight times later, with a report chain
+    started at ``CHAIN_AT``."""
+    race = Race(eager)
+    race.start_chain(CHAIN_AT * race.period)
+
+    def look():
+        return (race.live_word(), race.engine.kv.qp.outstanding,
+                race.engine.reports_written)
+    seen = []
+    race.sim.schedule_at(armed_at, lambda: race.sim.schedule_at(
+        at, lambda: seen.append(look())))
+    race.sim.run(until=at + 2 * race.flight)
+    return seen + [look()]
+
+
+def test_a_wire_step_due_at_an_observation_runs_after_it():
+    """The observer's event was scheduled before the WRITE was posted,
+    so a word landing exactly when the monitor looks is not there yet:
+    a landing due exactly at a settle instant waits for a later one."""
+    race = Race(False)
+    landed = []
+    land = race.engine._land_report
+
+    def spy(at, posted):
+        landed.append(at)
+        land(at, posted)
+    race.engine._land_report = spy
+    race.start_chain(CHAIN_AT * race.period)
+    race.sim.run(until=CHAIN_AT * race.period + 2 * race.flight)
+    race.engine.settle()
+    armed_at = CHAIN_AT * race.period / 2  # before the post
+    lazy = seen_at(False, landed[0], armed_at)
+    eager = seen_at(True, landed[0], armed_at)
+    assert lazy == eager
+    before, after = eager
+    assert before[0] != after[0] and before[1] == after[1] + 1
+
+
+def test_a_timer_step_due_at_an_observation_runs_before_it():
+    """A tick's event was scheduled one report interval ahead, so an
+    observer scheduled later for the same instant finds the tick's WRITE
+    posted: a tick due exactly at a settle instant runs in that settle."""
+    race = Race(False)
+    tick = CHAIN_AT * race.period
+    for _ in range(3):
+        tick += race.interval  # the chain's own float arithmetic
+    armed_at = tick - race.interval / 2
+    lazy = seen_at(False, tick, armed_at)
+    eager = seen_at(True, tick, armed_at)
+    assert lazy == eager
+    assert eager[0][2] == 4  # the fourth tick's post is seen at its instant
+
+
+# ----------------------------------------------------------------------
 # The one predicate
 # ----------------------------------------------------------------------
 def reporting_ticks(monkeypatch, configure=None):
