@@ -6,16 +6,17 @@ start the PUT drivers, run ``periods`` QoS periods, flush the engines'
 open ledger accounts, evaluate the oracles, report.  :func:`run` is
 that shape, written once.  What differs lives in a
 :class:`ChaosScenario` declaration next to the subsystem it stresses
-(``recovery/chaos.py``, ``globalqos/chaos.py``, ``policy/chaos.py``):
-the cluster builder, the plan function, an optional ``arm`` hook, the
-*names* of the shared oracles it wants from
-:data:`repro.hunt.oracles.ORACLES`, its scenario-specific checks, its
-counters, and its CLI table columns.
+(``recovery/chaos.py``, ``globalqos/chaos.py``, ``policy/chaos.py``,
+and one per hunt DES candidate in ``hunt/scenario.py``): the cluster
+builder, the plan function, an optional ``arm`` hook, the *names* of
+the shared oracles it wants from :data:`repro.hunt.oracles.ORACLES`,
+its scenario-specific checks, its counters, and its CLI table columns.
 
 The evidence each shared oracle consumes (acked-PUT durability rows,
 final-period reservation rows, the ledger) is extracted by a
 :class:`ClusterKind` — written once per cluster class, not once per
-scenario.
+scenario — and :func:`judge` is the one loop that evaluates oracles,
+for every chaos run and every hunt candidate, fluid ones included.
 
 Same seed, same schedule, same verdict: failures are replayable.
 """
@@ -26,6 +27,7 @@ import dataclasses
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.common.errors import ConfigError
+from repro.core.violations import Violation
 from repro.faults.plan import FaultPlan
 from repro.hunt.oracles import ORACLES
 from repro.telemetry import TelemetryConfig, attach_telemetry, write_perfetto
@@ -46,14 +48,18 @@ class ChaosReport:
 
     seed: int
     periods: int
-    violations: List[str]
+    findings: List[Violation]
     counters: Dict[str, Any]
     # Aggregate token flow from the telemetry ledger.
     ledger_totals: dict = dataclasses.field(default_factory=dict)
 
     @property
+    def violations(self) -> List[str]:
+        return [str(v) for v in self.findings]
+
+    @property
     def ok(self) -> bool:
-        return not self.violations
+        return not self.findings
 
     def as_dict(self) -> dict:
         """The flat payload the digests and ``chaos_pin_*`` files hash:
@@ -62,7 +68,7 @@ class ChaosReport:
         return {
             "seed": self.seed,
             "periods": self.periods,
-            "violations": list(self.violations),
+            "violations": self.violations,
             **self.counters,
             "ledger_totals": dict(self.ledger_totals),
         }
@@ -158,6 +164,14 @@ def scenarios() -> Dict[str, ChaosScenario]:
     }
 
 
+def judge(evidence: Dict[str, Callable], run: Any) -> List[Violation]:
+    """The one oracle loop: each :data:`ORACLES` entry ``evidence``
+    names, in order, over the positional args its adapter extracts
+    from ``run``."""
+    return [violation for name, adapter in evidence.items()
+            for violation in ORACLES[name].check(*adapter(run))]
+
+
 def run(
     scenario: ChaosScenario,
     seed: int,
@@ -184,7 +198,8 @@ def run(
         )
     T = cluster.config.period
     plan = scenario.plan(seed, cluster, periods)
-    cluster.inject_faults(plan, seed=seed)
+    if not plan.empty:
+        cluster.inject_faults(plan, seed=seed)
     armed = scenario.arm(cluster, plan) if scenario.arm else None
     # PUT streams stop one period before the end so every ack (or
     # retry budget) resolves inside the run.
@@ -199,18 +214,17 @@ def run(
     chaos_run = ChaosRun(cluster=cluster, plan=plan, armed=armed,
                          drivers=drivers, ledger=hub.ledger)
     counters = scenario.counters(chaos_run)
-    violations = list(scenario.checks(chaos_run))
-    for oracle in scenario.oracles:
-        evidence = scenario.kind.evidence[oracle](chaos_run)
-        violations.extend(str(v) for v in ORACLES[oracle].check(*evidence))
-    violations.extend(
-        f"{name} is 0: the run never exercised the machinery "
-        f"the {scenario.name} scenario exists to test"
-        for name in scenario.exercised if not counters[name]
-    )
+    findings = [Violation(kind="scenario-check", message=text)
+                for text in scenario.checks(chaos_run)]
+    findings += judge({name: scenario.kind.evidence[name]
+                       for name in scenario.oracles}, chaos_run)
+    findings += [Violation(
+        kind="unexercised",
+        message=f"{name} is 0: the run never exercised the machinery "
+                f"the {scenario.name} scenario exists to test",
+    ) for name in scenario.exercised if not counters[name]]
     report = ChaosReport(
-        seed=seed, periods=periods, violations=violations,
-        counters=counters,
+        seed=seed, periods=periods, findings=findings, counters=counters,
         ledger_totals=(hub.ledger.totals()
                        if hub.ledger is not None else {}),
     )

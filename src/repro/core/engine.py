@@ -35,6 +35,7 @@ from __future__ import annotations
 from collections import deque
 from functools import cached_property
 from heapq import heapify, heappop, heappush
+from operator import attrgetter
 from typing import Callable, Deque, Optional
 
 from repro.common.errors import MemoryAccessError, QoSError, QPError
@@ -154,6 +155,9 @@ class QoSEngine:
         # a positive value (see pool_refilled); never = no monitor
         # reports refills, so empty polls stay timer events.
         self._refilled_at = _NEVER
+        # The engines enrolled with each monitor this engine is enrolled
+        # with, by the monitor's host (see enrolled).
+        self._pool_peers: dict = {}
         self._throttled_this_period = False
         # Completion-closure cache for _token_backed_wr: in practice
         # every op of a client carries the same app callback, so the
@@ -948,8 +952,13 @@ class QoSEngine:
           the only thing that closes QPs or changes NIC capacity);
         - a telemetry hub gauges the server NIC's control target cost, a
           float sum in arrival order across clients, and the pool word
-          in its metric streams, records every report at its
-          ``sim.now``, and ledgers every pool claim.
+          in its metric streams, and records every report at its
+          ``sim.now``;
+        - the hub's ledger logs every pool claim, empty polls included,
+          in heap order across engines, each with the ``prior_pool`` it
+          read.  Replaying polls engine by engine would reorder those
+          ``claim`` events and change their ``prior_pool`` values, so
+          under a ledger polls stay heap events.
         """
         if self.sim.telemetry is not None:
             return False
@@ -1103,9 +1112,34 @@ class QoSEngine:
 
     def _orphan_polls(self) -> None:
         """Suspend/rebind: the timer form drops its FAA in flight (see
-        _polls_real) and keeps a pending retry."""
-        if self.poll_order:
+        _polls_real) and keeps a pending retry.
+
+        Steps of chains on one pool that fall due at one instant run in
+        chain-start order, and a chain that turns real takes a fresh
+        heap seq and, at its next empty FAA, a new start.  So every
+        chain on this pool turns real here, in chain-start order, as a
+        refill turns them: one left virtual would take a later seq than
+        this chain's step, and its next start would count as earlier."""
+        if not self.poll_order:
+            return
+        host = self.kv.qp.dst
+        for engine in sorted(self._pool_peers.get(host, ()),
+                             key=attrgetter("poll_order")):
+            if engine is self:
+                self._polls_real(claim=False)
+            elif engine.poll_order and engine.kv.qp.dst is host:
+                engine.settle()  # its pending step is due after now
+                if engine.poll_order:  # (unless the settle ended it)
+                    engine._polls_real(claim=True)
+        if self.poll_order:  # not enrolled with this pool's monitor
             self._polls_real(claim=False)
+
+    def enrolled(self, host, settlers: list) -> None:
+        """The monitor on ``host`` enrolled this engine in ``settlers``,
+        the list of engines it settles (shared, not copied): the first
+        refill notice from that monitor."""
+        self._pool_peers[host] = settlers
+        self.pool_refilled(host)
 
     def pool_refilled(self, host) -> None:
         """The monitor on ``host`` wrote its pool word with a positive

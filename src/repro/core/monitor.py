@@ -223,7 +223,7 @@ class QoSMonitor:
         notice: until an engine has one its empty polls stay timer
         events."""
         self._settlers.append(engine)
-        engine.pool_refilled(self.host)
+        engine.enrolled(self.host, self._settlers)
 
     def _settle(self) -> None:
         for engine in self._settlers:

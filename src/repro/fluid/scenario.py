@@ -18,6 +18,7 @@ from typing import Any, Mapping, Optional, Tuple
 
 from repro.common.errors import ConfigError
 from repro.common.rng import make_rng
+from repro.cluster.calibration import DEFAULT_PROFILE_RSD
 from repro.cluster.runner import register_scenario
 from repro.core.capacity import AdaptiveCapacityEstimator, ProfiledCapacity
 from repro.core.config import HaechiConfig
@@ -30,8 +31,9 @@ from repro.rdma.nic import NICProfile
 from repro.telemetry.ledger import TokenLedger
 from repro.tenancy.hierarchy import ClientGroup, Tenant, TenantHierarchy
 
-#: Assumed profiling noise, matching the DES builder's default.
-PROFILE_RSD = 0.06
+#: The DES builder's profiling noise, under the name the layered
+#: benchmark harness imports it by.
+PROFILE_RSD = DEFAULT_PROFILE_RSD
 
 # The hierarchy shape loads from the committed ``fluid-scale`` policy
 # document (pinned against drift by tests/policy/test_builtin.py):

@@ -42,12 +42,11 @@ from repro.faults.plan import (
 
 SPEC_SCHEMA_VERSION = 4
 
-#: Schema versions :meth:`ScenarioSpec.from_dict` still reads.  v1
-#: specs (pre-tenancy) load with ``tenant_count=0, fluid_mode=False``,
-#: v2 specs (pre-fabric) with ``fabric_mode=False``, v3 specs
-#: (pre-policy) with ``policy_version=0`` — all reproduce their exact
-#: historical behaviour.
-COMPAT_SCHEMA_VERSIONS = (1, 2, 3, SPEC_SCHEMA_VERSION)
+#: Schema versions :meth:`ScenarioSpec.from_dict` reads.  Older specs
+#: are re-serialized, not read: v4 with ``tenant_count=0``,
+#: ``fluid_mode=False``, ``fabric_mode=False`` and ``policy_version=0``
+#: is exactly a v1 spec's behaviour.
+COMPAT_SCHEMA_VERSIONS = (SPEC_SCHEMA_VERSION,)
 
 # Liveness oracles need a fault-free tail to converge in; probabilistic
 # and windowed faults are clamped to end before it.  (Permanent events
@@ -339,14 +338,10 @@ class ScenarioSpec:
             faults=tuple(
                 FaultGene.from_dict(g) for g in payload["faults"]
             ),
-            # v1 payloads carry neither tenancy key (flat, exact-DES),
-            # v2 payloads no fabric key (historical NIC-only datapath),
-            # v3 payloads no policy key (no mid-run hot-swaps) — all
-            # load with their semantics bit for bit.
-            tenant_count=payload.get("tenant_count", 0),
-            fluid_mode=payload.get("fluid_mode", False),
-            fabric_mode=payload.get("fabric_mode", False),
-            policy_version=payload.get("policy_version", 0),
+            tenant_count=payload["tenant_count"],
+            fluid_mode=payload["fluid_mode"],
+            fabric_mode=payload["fabric_mode"],
+            policy_version=payload["policy_version"],
         )
 
     def to_json(self) -> str:

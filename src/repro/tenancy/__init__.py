@@ -24,6 +24,5 @@ from repro.tenancy.hierarchy import (  # noqa: F401
     ClientGroup,
     Tenant,
     TenantHierarchy,
-    hierarchy_from_ops,
 )
 from repro.tenancy.rebalance import tenant_splits  # noqa: F401

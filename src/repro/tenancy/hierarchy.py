@@ -400,38 +400,3 @@ class TenantHierarchy:
              lambda: len(self.conservation_violations())),
         ]
 
-
-def hierarchy_from_ops(spec: List[dict], config,
-                       capacity_ops: Optional[float] = None
-                       ) -> TenantHierarchy:
-    """Build a hierarchy from an ops/s spec list (JSON-friendly).
-
-    ``spec`` is ``[{"name", "reservation_ops", "limit_ops"?, "burst_ops"?,
-    "groups": [{"name", "reservation_ops", "clients", ...}]}]``; every
-    rate converts to tokens per (dilated) period through ``config``, the
-    same conversion the flat builders use.
-    """
-    def tokens(ops):
-        return None if ops is None else config.tokens_per_period(ops)
-
-    tenants = []
-    for t in spec:
-        groups = [
-            ClientGroup(
-                name=g["name"],
-                reservation=tokens(g["reservation_ops"]),
-                clients=g.get("clients", 1),
-                limit=tokens(g.get("limit_ops")),
-                burst=tokens(g.get("burst_ops")) or 0,
-            )
-            for g in t["groups"]
-        ]
-        tenants.append(Tenant(
-            name=t["name"],
-            reservation=tokens(t["reservation_ops"]),
-            groups=groups,
-            limit=tokens(t.get("limit_ops")),
-            burst=tokens(t.get("burst_ops")) or 0,
-        ))
-    capacity = tokens(capacity_ops)
-    return TenantHierarchy(tenants, capacity=capacity)

@@ -57,6 +57,7 @@ class TestHarnessCanFail:
         )
         monkeypatch.setitem(ORACLES, "reservations-met", stub)
         report, _cluster = chaos.run(RECOVERY, 11)
+        assert [v.kind for v in report.findings] == ["reservation-unmet"]
         assert report.violations == ["stubbed: C1 starved"]
         assert report.as_dict()["violations"] == ["stubbed: C1 starved"]
 

@@ -280,6 +280,30 @@ def test_a_rebind_while_a_virtual_faa_is_in_flight():
     check_equal(lazy, eager)
 
 
+def test_a_rebind_turns_every_chain_on_the_pool_real():
+    """The four race clients poll one time grid, so their steps tie,
+    and steps that tie run in chain-start order (2, 3, 0, 1 here).  A
+    rebind of client 0 gives its retry a fresh seq: client 2's chain,
+    left virtual, would take a later one and poll after it, and client
+    1's next start would count as earlier than client 0's.  Every chain
+    on the pool turns real with it, in chain-start order."""
+    period = race_cluster(True).config.period
+
+    def rebind(cluster):
+        engines = [ctx.engine for ctx in cluster.clients]
+        for engine in engines:
+            engine.settle()
+        before = [engine.poll_order for engine in engines]
+        resize(cluster, 0, RESERVATIONS[0] // 1000, True)
+        return before, [engine.poll_order for engine in engines]
+
+    lazy, ((before, after),) = race(False, 1.3 * period, rebind)
+    eager, _ = race(True, 1.3 * period, rebind)
+    assert sorted(range(4), key=before.__getitem__) == [2, 3, 0, 1]
+    assert after == [0, 0, 0, 0]
+    check_equal(lazy, eager)
+
+
 def test_a_limit_set_between_a_retry_and_its_replay():
     """A coordinator sets ``engine.limit`` directly.  A retry made before
     the new limit must be replayed with the old one: the timer form's

@@ -1,4 +1,4 @@
-"""The schema-v2 tenancy genes: compat, clamping, fluid execution."""
+"""The schema-v2 tenancy genes: round trip, clamping, fluid execution."""
 
 import dataclasses
 
@@ -19,16 +19,6 @@ from repro.hunt.space import (
 
 
 class TestSchemaCompat:
-    def test_v1_payload_loads_flat_and_exact(self):
-        # A pre-tenancy corpus entry: no tenant_count / fluid_mode keys.
-        payload = ScenarioSpec().to_dict()
-        payload["schema_version"] = 1
-        del payload["tenant_count"]
-        del payload["fluid_mode"]
-        spec = ScenarioSpec.from_dict(payload)
-        assert spec.tenant_count == 0
-        assert spec.fluid_mode is False
-
     def test_v2_round_trip_keeps_tenancy_genes(self):
         spec = clamp_spec(ScenarioSpec(
             num_clients=500, tenant_count=3, fluid_mode=True

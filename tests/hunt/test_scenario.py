@@ -1,8 +1,13 @@
 """The candidate executor: determinism, oracle wiring, runner cells."""
 
+import dataclasses
 import json
 
+import pytest
+
 from repro.cluster.runner import Cell, run_cells
+from repro.core.violations import Violation
+from repro.hunt.oracles import ORACLES
 from repro.hunt.scenario import run_spec, spec_workload
 from repro.hunt.space import (
     PER_CLIENT_RESERVATION_CAP,
@@ -88,6 +93,28 @@ class TestRunSpec:
         ))
         result = run_spec(spec, 3)
         assert result["counters"]["faults_dropped"] > 0
+
+
+class TestOneOracleLoop:
+    @pytest.mark.parametrize("spec", [
+        ScenarioSpec(num_clients=2),
+        ScenarioSpec(num_clients=100, tenant_count=2, fluid_mode=True),
+    ], ids=["des", "fluid"])
+    def test_candidates_are_judged_through_the_registry(
+            self, spec, monkeypatch):
+        # Both branches look oracles up in ORACLES at run time, so a
+        # stubbed registry entry reaches the verdict.
+        stub = dataclasses.replace(
+            ORACLES["progress"],
+            check=lambda rows: [Violation(kind="progress-stall",
+                                          message="stubbed", subject="X")],
+        )
+        monkeypatch.setitem(ORACLES, "progress", stub)
+        result = run_spec(clamp_spec(spec), 1)
+        assert result["kinds"] == ["progress-stall"]
+        assert result["violations"] == [
+            {"kind": "progress-stall", "message": "stubbed", "subject": "X"}
+        ]
 
 
 class TestRunnerIntegration:
