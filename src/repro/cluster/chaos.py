@@ -9,7 +9,7 @@ that shape, written once.  What differs lives in a
 (``recovery/chaos.py``, ``globalqos/chaos.py``, ``policy/chaos.py``,
 and one per hunt DES candidate in ``hunt/scenario.py``): the cluster
 builder, the plan function, an optional ``arm`` hook, the *names* of
-the shared oracles it wants from :data:`repro.hunt.oracles.ORACLES`,
+the shared oracles it wants from :data:`repro.core.oracles.ORACLES`,
 its scenario-specific checks, its counters, and its CLI table columns.
 
 The evidence each shared oracle consumes (acked-PUT durability rows,
@@ -27,9 +27,9 @@ import dataclasses
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.common.errors import ConfigError
+from repro.core.oracles import ORACLES
 from repro.core.violations import Violation
 from repro.faults.plan import FaultPlan
-from repro.hunt.oracles import ORACLES
 from repro.telemetry import TelemetryConfig, attach_telemetry, write_perfetto
 
 # Fault-free tail every plan leaves so "eventually met" has a clean

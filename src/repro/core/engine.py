@@ -7,7 +7,8 @@ three client-side duties:
   requests without one queue inside the engine (this is the isolation
   mechanism: a runaway client blocks here, not at the server).  Global
   tokens are claimed with a batched remote fetch-and-add; while the
-  pool is empty the re-tries are virtual steps.
+  pool is empty the re-tries are virtual steps, turned real with every
+  other poll chain in the simulation when any pool is refilled.
 - **token management** — the entitlement bound X decays at rate
   ``r_i`` in ``mgmt_interval`` steps and unbacked reservation tokens
   are yielded.  The steps are replayed whenever token state is
@@ -35,7 +36,6 @@ from __future__ import annotations
 from collections import deque
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from operator import attrgetter
 from typing import Callable, Deque, Optional
 
 from repro.common.errors import MemoryAccessError, QoSError, QPError
@@ -147,7 +147,7 @@ class QoSEngine:
         self._n = 0
         self._due = _NEVER
         # The empty-poll chain: its queued entry (None = no chain), and
-        # its chain-start ordinal, which the monitor converts chains in
+        # its chain-start ordinal, the heap seq its first retry reserved
         # (0 = no chain).
         self._poll: Optional[tuple] = None
         self.poll_order = 0
@@ -155,9 +155,6 @@ class QoSEngine:
         # a positive value (see pool_refilled); never = no monitor
         # reports refills, so empty polls stay timer events.
         self._refilled_at = _NEVER
-        # The engines enrolled with each monitor this engine is enrolled
-        # with, by the monitor's host (see enrolled).
-        self._pool_peers: dict = {}
         self._throttled_this_period = False
         # Completion-closure cache for _token_backed_wr: in practice
         # every op of a client carries the same app callback, so the
@@ -912,13 +909,16 @@ class QoSEngine:
     # completion -> the next retry one ``faa_retry_interval`` on.  A
     # retry ends the chain where the timer form's retry posts nothing:
     # the engine suspended or degraded, the backlog empty, or the limit
-    # reached.  After a positive write the monitor calls pool_refilled,
-    # which turns every chain's queued step into the heap event the
-    # timer form has at that point, in chain-start order.  A chain
-    # reserves a heap seq at its start and pushes nothing there, so a
-    # chain that turns real before its first retry takes the timer
-    # form's exact (time, seq) slot; a same-instant completion would
-    # otherwise overtake the retry.
+    # reached.  One registry per simulation holds the live chains
+    # (``sim.poll_chains``, in chain-start order).  A positive write to
+    # any node's pool word (pool_refilled), a suspend and a rebind each
+    # turn every chain real at once, in that order: its queued step
+    # becomes the timer form's heap event with a fresh seq, so one
+    # pool's chains turned real alone would run behind other chains
+    # that the timer form ran after them.  A chain reserves a heap seq
+    # at its start, so one that turns real before its first retry takes
+    # the timer form's exact (time, seq) slot.  A later step's fresh seq
+    # can still tie with a same-instant event from outside the chains.
     #
     # Settle points are everything that changes or reads what a step
     # changes.  Engine side: _drain, a completion's finish, an FAA or
@@ -1002,6 +1002,7 @@ class QoSEngine:
         sim = self.sim
         sim._seq += 1  # the timer form's retry slot, kept for conversion
         self.poll_order = sim._seq
+        sim.poll_chains[self] = None
         self._poll = self._after(sim.now + self.config.faa_retry_interval,
                                  0, self._poll_retry, sim._seq)
 
@@ -1055,6 +1056,7 @@ class QoSEngine:
                                  self._poll_retry, 0)
 
     def _end_polls(self) -> None:
+        del self.sim.poll_chains[self]
         self._poll = None
         self.poll_order = 0
         self._retry_scheduled = False
@@ -1107,53 +1109,41 @@ class QoSEngine:
                 if not self._deadline_armed:
                     self._deadline_armed = True
                     sim.schedule_at(self._deadline_at, self._control_deadline)
+        del sim.poll_chains[self]
         self._poll = None
         self.poll_order = 0
+
+    def _all_polls_real(self, orphan=None) -> None:
+        """Turn every poll chain in the simulation real, in chain-start
+        order; the ``orphan``'s FAA in flight is dropped (see
+        _polls_real), every other chain keeps its own."""
+        for engine in list(self.sim.poll_chains):
+            engine.settle()  # its pending step is due after now
+            if engine.poll_order:  # (unless the settle ended it)
+                engine._polls_real(claim=engine is not orphan)
 
     def _orphan_polls(self) -> None:
         """Suspend/rebind: the timer form drops its FAA in flight (see
         _polls_real) and keeps a pending retry.
 
-        Steps of chains on one pool that fall due at one instant run in
-        chain-start order, and a chain that turns real takes a fresh
-        heap seq and, at its next empty FAA, a new start.  So every
-        chain on this pool turns real here, in chain-start order, as a
-        refill turns them: one left virtual would take a later seq than
-        this chain's step, and its next start would count as earlier."""
-        if not self.poll_order:
-            return
-        host = self.kv.qp.dst
-        for engine in sorted(self._pool_peers.get(host, ()),
-                             key=attrgetter("poll_order")):
-            if engine is self:
-                self._polls_real(claim=False)
-            elif engine.poll_order and engine.kv.qp.dst is host:
-                engine.settle()  # its pending step is due after now
-                if engine.poll_order:  # (unless the settle ended it)
-                    engine._polls_real(claim=True)
-        if self.poll_order:  # not enrolled with this pool's monitor
-            self._polls_real(claim=False)
-
-    def enrolled(self, host, settlers: list) -> None:
-        """The monitor on ``host`` enrolled this engine in ``settlers``,
-        the list of engines it settles (shared, not copied): the first
-        refill notice from that monitor."""
-        self._pool_peers[host] = settlers
-        self.pool_refilled(host)
+        A chain that turns real takes a fresh heap seq and, at its next
+        empty FAA, a new start, so every chain turns real here, as at a
+        refill: one left virtual would take a later seq than this
+        chain's step, and its next start would count as earlier."""
+        if self.poll_order:
+            self._all_polls_real(orphan=self)
 
     def pool_refilled(self, host) -> None:
         """The monitor on ``host`` wrote its pool word with a positive
-        value, after settling this engine.  An FAA posted from now on
-        may be granted tokens, so a poll chain on that pool turns real
-        at its pending step.  (The monitor calls every engine enrolled
-        with it, in chain-start order; one enrolled with a standby
-        node's monitor too ignores that node's writes until it fails
-        over there.)"""
-        if host is not self.kv.qp.dst:
-            return
-        self._refilled_at = self.sim.now
-        if self.poll_order:
-            self._polls_real(claim=True)
+        value (or enrolled this engine: the first such notice).  An FAA
+        posted from now on to that pool may be granted tokens, so every
+        poll chain in the simulation, on any pool, turns real at its
+        pending step.  (A standby node's writes count for an engine's
+        own pool only once it fails over there.)"""
+        if host is self.kv.qp.dst:
+            self._refilled_at = self.sim.now
+        if self.sim.poll_chains:
+            self._all_polls_real()
 
     # ------------------------------------------------------------------
     # Reporting

@@ -28,7 +28,6 @@ still run, but unused reservation tokens are simply wasted.
 
 from __future__ import annotations
 
-from operator import attrgetter
 from typing import Dict, List, Optional
 
 from repro.common.errors import QoSError, QPError
@@ -223,7 +222,7 @@ class QoSMonitor:
         notice: until an engine has one its empty polls stay timer
         events."""
         self._settlers.append(engine)
-        engine.enrolled(self.host, self._settlers)
+        engine.pool_refilled(self.host)
 
     def _settle(self) -> None:
         for engine in self._settlers:
@@ -701,11 +700,10 @@ class QoSMonitor:
     def _write_pool(self, value: int) -> None:
         self.host.memory.backing.write_u64(self.pool_addr, to_unsigned64(value))
         if value > 0:
-            # Engines' empty polls may be granted again: each turns its
-            # poll chain real, in the order the chains started.
+            # Engines' empty polls may be granted again: every poll
+            # chain turns real (QoSEngine.pool_refilled).
             host = self.host
-            for engine in sorted(self._settlers,
-                                 key=attrgetter("poll_order")):
+            for engine in self._settlers:
                 engine.pool_refilled(host)
 
     def _send(self, slot: _ClientSlot, message) -> None:

@@ -3,7 +3,7 @@
 Collie-style search: sample and mutate points of a typed scenario
 genome (:mod:`~repro.hunt.space`), execute each through the exact DES
 (:mod:`~repro.hunt.scenario`) against the unified oracle registry
-(:mod:`~repro.hunt.oracles`), delta-debug every finding to a minimal
+(:mod:`~repro.core.oracles`), delta-debug every finding to a minimal
 reproducing config (:mod:`~repro.hunt.minimize`), and emit
 self-contained JSON reproducers (:mod:`~repro.hunt.reproducer`) that
 replay bit-identically — the keepers live under ``tests/regress/`` as
@@ -17,7 +17,7 @@ from repro.hunt.minimize import (
     shrink_float,
     shrink_int,
 )
-from repro.hunt.oracles import ORACLES, Oracle, kind_to_oracle
+from repro.core.oracles import ORACLES, Oracle, kind_to_oracle
 from repro.hunt.reproducer import (
     REPRO_SCHEMA_VERSION,
     ReplayResult,

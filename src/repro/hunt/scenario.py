@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Tuple
 
-from repro.cluster import chaos
+from repro.cluster.chaos import ChaosRun, ChaosScenario, ClusterKind, judge, run
 from repro.cluster.runner import register_scenario
 from repro.cluster.scale import SimScale
 from repro.cluster.scenarios import paper_demands, qos_cluster, reservation_set
@@ -192,7 +192,7 @@ class _Candidate:
             )
         return keys
 
-    def client_rows(self, run: chaos.ChaosRun):
+    def client_rows(self, run: ChaosRun):
         """The ``(reservation, progress, queue)`` rows of every client
         that is not dark at run end and still has its engine."""
         spec, cluster, config = self.spec, run.cluster, run.cluster.config
@@ -231,7 +231,7 @@ class _Candidate:
             queue_rows.append((ctx.name, ctx.engine.queue_depth, bound))
         return reservation_rows, progress_rows, queue_rows
 
-    def counters(self, run: chaos.ChaosRun) -> dict:
+    def counters(self, run: ChaosRun) -> dict:
         cluster, injector = run.cluster, run.cluster.fault_injector
         return {
             "checks_run": self.checker.checks_run,
@@ -243,7 +243,7 @@ class _Candidate:
             "qps_closed": injector.qps_closed if injector else 0,
         }
 
-    def scenario(self) -> chaos.ChaosScenario:
+    def scenario(self) -> ChaosScenario:
         spec = self.spec
         # Evaluation order: checker, ledger, policy, hierarchy, rows.
         oracles = ["invariant-checker", "ledger-conservation"]
@@ -252,7 +252,7 @@ class _Candidate:
         if spec.tenant_count > 0:
             oracles.append("hierarchy-conservation")
         oracles += ["reservations-met", "progress", "queue-bounded"]
-        kind = chaos.ClusterKind(name="hunt", drive=lambda *_: None, evidence={
+        kind = ClusterKind(name="hunt", drive=lambda *_: None, evidence={
             "invariant-checker": lambda run: (self.checker,),
             "ledger-conservation": lambda run: (run.ledger,),
             "policy-audit": lambda run: (run.ledger,),
@@ -264,7 +264,7 @@ class _Candidate:
             "progress": lambda run: (self.client_rows(run)[1],),
             "queue-bounded": lambda run: (self.client_rows(run)[2],),
         })
-        return chaos.ChaosScenario(
+        return ChaosScenario(
             name="hunt-candidate", summary="one scenario-space candidate",
             seeds=(), periods=spec.periods, kind=kind, build=self.build,
             plan=lambda seed, cluster, periods: spec.compile_plan(
@@ -286,7 +286,7 @@ def run_spec(spec: ScenarioSpec, seed: int) -> dict:
     """Run one candidate; return its oracle verdict and counters."""
     if spec.fluid_mode:
         return _run_fluid_spec(spec, seed)
-    report, _cluster = chaos.run(_Candidate(spec).scenario(), seed)
+    report, _cluster = run(_Candidate(spec).scenario(), seed)
     return _verdict(report.findings, report.counters)
 
 
@@ -294,8 +294,9 @@ def _run_fluid_spec(spec: ScenarioSpec, seed: int) -> dict:
     """Fluid-mode candidate: the aggregated flow engine, its hierarchy
     seeded from ``(spec, seed)`` by the scale scenario's generator,
     class demands scaled by ``demand_factor``, fault genes compiled
-    onto flow classes (:meth:`ScenarioSpec.victim`).  Control-plane
-    drop/delay genes have no fluid analogue and are inert here."""
+    onto flow classes (:meth:`ScenarioSpec.victim`).  The engine reads
+    only capacity factors, partitions and crash windows, so control
+    drop/delay genes and ``qp-close`` genes are inert here."""
     from repro.fluid.scenario import build_scale_hierarchy, fluid_engine
 
     config = HUNT_SCALE.config()
@@ -333,7 +334,7 @@ def _run_fluid_spec(spec: ScenarioSpec, seed: int) -> dict:
             for flow in live
         ],),
     }
-    return _verdict(chaos.judge(evidence, engine), {
+    return _verdict(judge(evidence, engine), {
         "checks_run": 0,
         "completions_total": sum(sum(c) for c in counts.values()),
         "faults_dropped": 0, "faults_delayed": 0, "qps_closed": 0,

@@ -25,9 +25,9 @@ from typing import Callable, Dict, List, Optional
 
 from repro.common.rng import derive_seed, make_rng
 from repro.cluster.runner import Cell, run_cells
+from repro.core.oracles import kind_to_oracle
 from repro.hunt import scenario as _scenario  # noqa: F401 - registers cells
 from repro.hunt.minimize import minimize_spec
-from repro.hunt.oracles import kind_to_oracle
 from repro.hunt.scenario import run_spec
 from repro.hunt.space import ScenarioSpec, crossover, mutate, random_spec
 

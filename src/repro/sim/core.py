@@ -41,7 +41,7 @@ class Simulator:
     event loop writes it.
     """
 
-    __slots__ = ("now", "_heap", "_seq", "telemetry")
+    __slots__ = ("now", "_heap", "_seq", "telemetry", "poll_chains")
 
     def __init__(self) -> None:
         #: Current simulated time in seconds.  Read freely; written
@@ -54,6 +54,9 @@ class Simulator:
         # disabled-mode cost at an instrumentation point is one
         # attribute read plus a None check.
         self.telemetry = None
+        # QoS engines with a virtual poll chain, in chain-start order
+        # (dict keys; see the settling notes in repro.core.engine).
+        self.poll_chains: dict = {}
 
     # ------------------------------------------------------------------
     # Scheduling

@@ -9,9 +9,9 @@ import pytest
 from repro.cli import main
 from repro.cluster import chaos
 from repro.common.errors import ConfigError
+from repro.core.oracles import ORACLES
 from repro.core.violations import Violation
 from repro.faults.plan import FaultPlan
-from repro.hunt.oracles import ORACLES
 from repro.recovery.chaos import RECOVERY
 
 # The recovery declaration with an empty fault plan: nothing crashes, so

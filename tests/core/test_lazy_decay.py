@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.invariants import InvariantChecker
-from repro.hunt.oracles import checker_violations
+from repro.core.oracles import checker_violations
 from repro.telemetry import TelemetryConfig, attach_telemetry
 
 from tests.core.conftest import make_qos_cluster

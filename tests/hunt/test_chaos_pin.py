@@ -2,7 +2,7 @@
 
 ``tests/data/chaos_pin_*.json`` hold ``dataclasses.asdict`` snapshots
 of chaos reports captured BEFORE the harnesses' ``_check_invariants``
-were rebuilt on :mod:`repro.hunt.oracles` — and so long before the
+were rebuilt on :mod:`repro.core.oracles` — and so long before the
 harnesses themselves became declarations over the
 :mod:`repro.cluster.chaos` spine.  Field-for-field equality with
 ``ChaosReport.as_dict()`` proves both steps were behavior-preserving —

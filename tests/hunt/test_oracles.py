@@ -1,7 +1,6 @@
 """The unified oracle registry: each check, and registry coverage."""
 
-from repro.core.violations import Violation
-from repro.hunt.oracles import (
+from repro.core.oracles import (
     ORACLES,
     check_bounded_failover,
     check_ledger_conservation,
@@ -13,6 +12,7 @@ from repro.hunt.oracles import (
     check_split_conservation,
     kind_to_oracle,
 )
+from repro.core.violations import Violation
 
 
 class TestSafetyChecks:

@@ -3,8 +3,8 @@
 import dataclasses
 
 from repro.common.rng import make_rng
+from repro.core.oracles import check_hierarchy_conservation
 from repro.hunt.minimize import minimize_spec
-from repro.hunt.oracles import check_hierarchy_conservation
 from repro.hunt.scenario import run_spec
 from repro.hunt.space import (
     FLUID_GROUPS_PER_TENANT,

@@ -6,8 +6,8 @@ import json
 import pytest
 
 from repro.cluster.runner import Cell, run_cells
+from repro.core.oracles import ORACLES
 from repro.core.violations import Violation
-from repro.hunt.oracles import ORACLES
 from repro.hunt.scenario import run_spec, spec_workload
 from repro.hunt.space import (
     PER_CLIENT_RESERVATION_CAP,
