@@ -7,7 +7,8 @@ cell and its events per completed op — a change that reintroduces a
 per-op or per-tick timer fails here however noisy the runner — the
 **backlog records** the cell's engines hold at run end (one per run of
 queued ops; a container per queued op is what the cyclic collector
-walks, which no profiler attributes) — and,
+walks, which no profiler attributes — a run costs one record plus 8 B
+per queued key, its keys packed in one int64 column) — and,
 because the fluid path has no events, its **calls per period**:
 Python-level calls into ``src/repro`` while a 512-flow engine runs,
 counted with ``sys.setprofile`` — a per-flow Python loop coming back

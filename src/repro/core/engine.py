@@ -33,12 +33,13 @@ work on the data-node CPU.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from typing import Callable, Deque, Optional
 
-from repro.common.errors import MemoryAccessError, QoSError, QPError
+from repro.common.errors import MemoryAccessError, QoSError, QPError, StoreError
 from repro.common.rng import make_rng
 from repro.common.types import OpType
 from repro.core.config import HaechiConfig
@@ -62,6 +63,16 @@ _FAA_WR = WorkRequest(opcode=OpType.FETCH_ADD, control=True)
 
 IOCallback = Callable[[bool, object, float], None]
 
+# Served keys a run keeps before it compacts its column (see _KeyRun).
+_RELEASE_FLOOR = 4096
+
+# One slot to try a single submitted key against the column type.
+_KEY_PROBE = array("q", (0,))
+
+
+def _bad_key(err: Exception) -> StoreError:
+    return StoreError(f"key cannot be queued as a signed 64-bit int: {err}")
+
 
 class _KeyRun:
     """Consecutive queued reads that share a completion callback.
@@ -72,16 +83,35 @@ class _KeyRun:
     submissions, not one container per op: the cyclic collector walks
     every tracked object that outlives a young generation, and a
     per-op record made it walk the whole backlog.
+
+    ``keys`` is one packed signed-64-bit column and ``head`` the index
+    of the next key to issue, so a queued read costs 8 bytes, not a
+    Python int (keys are still drawn at submit, in submit order).  The
+    served prefix is released by :meth:`release` at the end of every
+    drain: all of it once the run is exhausted (it stays in place, as
+    it may be the open run), otherwise once ``head`` passes half the
+    column and ``_RELEASE_FLOOR`` — so the column holds at most twice
+    its queued keys plus the floor, and each key is moved O(1) times
+    amortised.
     """
 
-    __slots__ = ("keys", "on_complete", "spans")
+    __slots__ = ("keys", "head", "on_complete", "spans")
 
     def __init__(self, on_complete: IOCallback, traced: bool):
-        self.keys: Deque[int] = deque()  # still queued, in submit order
+        self.keys = array("q")  # submit order; [head:] still queued
+        self.head = 0
         self.on_complete = on_complete
-        # One entry per key (None = unsampled), kept only while a
-        # telemetry hub is attached.
+        # One entry per queued key (None = unsampled), kept only while
+        # a telemetry hub is attached.
         self.spans: Optional[Deque] = deque() if traced else None
+
+    def release(self) -> None:
+        """Drop the served prefix (see the class notes for when)."""
+        head = self.head
+        size = len(self.keys)
+        if head == size or (head > _RELEASE_FLOOR and 2 * head > size):
+            del self.keys[:head]  # no array.clear() before Python 3.13
+            self.head = 0
 
 
 class QoSEngine:
@@ -324,9 +354,18 @@ class QoSEngine:
     # Application-facing API
     # ------------------------------------------------------------------
     def submit(self, key: int, on_complete: IOCallback) -> None:
-        """Request one read I/O for ``key``; runs when a token backs it."""
+        """Request one read I/O for ``key``; runs when a token backs it.
+
+        A key the backlog column cannot hold (not an int, or outside
+        the signed 64-bit range) raises :class:`StoreError` before
+        anything is queued or counted.
+        """
         if not self._backlog:
             self.settle()  # a due poll retry saw the backlog empty
+        try:
+            _KEY_PROBE[0] = key
+        except (TypeError, OverflowError) as err:
+            raise _bad_key(err) from None
         self.total_submitted += 1
         telemetry = self.sim.telemetry
         run = self._tail_run(on_complete, telemetry is not None)
@@ -357,25 +396,30 @@ class QoSEngine:
         the ops the one-drain-per-submit form would have.  Exists so
         burst-pattern apps can hand a period's demand over without a
         Python call pair per op; the burst joins the backlog as one
-        run (its keys extend the open run when the callback matches).
+        run (its keys extend the open run's column when the callback
+        matches).
+
+        The burst's keys are drawn into a column of their own first, so
+        a key the column cannot hold (see :meth:`submit`) raises
+        :class:`StoreError` with nothing queued or counted.
         """
         if count <= 0:
             return
         if not self._backlog:
             self.settle()  # a due poll retry saw the backlog empty
+        try:
+            column = array("q", [key_fn() for _ in range(count)])
+        except (TypeError, OverflowError) as err:
+            raise _bad_key(err) from None
         self.total_submitted += count
         telemetry = self.sim.telemetry
         run = self._tail_run(on_complete, telemetry is not None)
-        if telemetry is None:
-            run.keys.extend([key_fn() for _ in range(count)])
-        else:
+        run.keys.extend(column)
+        if telemetry is not None:
             name = self.kv.name
-            add_key = run.keys.append
-            add_span = run.spans.append
-            for _ in range(count):
-                key = key_fn()
-                add_key(key)
-                add_span(telemetry.data_span("onesided_read", name, key))
+            data_span = telemetry.data_span
+            run.spans.extend([data_span("onesided_read", name, key)
+                              for key in column])
         self._backlog += count
         self._drain()
 
@@ -523,11 +567,13 @@ class QoSEngine:
             if tokens.try_consume():
                 # Take the next key off the head run.
                 run = queue[0]
-                key = run.keys.popleft()
+                head = run.head
+                key = run.keys[head]
+                run.head = head = head + 1
                 spans = run.spans
                 span = None if spans is None else spans.popleft()
                 self._backlog -= 1
-                if not run.keys and len(queue) > 1:
+                if head == len(run.keys) and len(queue) > 1:
                     queue.popleft()  # exhausted, and not the open run
                 wr = self._token_backed_wr(key, run.on_complete, span)
                 if chain is not None:
@@ -545,6 +591,8 @@ class QoSEngine:
                     and not self.degraded):
                 self._fetch_global_batch()
             break
+        if queue:
+            queue[0].release()  # only the head run has served keys
         if chain:
             try:
                 qp.post_chain(chain)

@@ -90,9 +90,15 @@ class Pipeline:
 
 
 class Semaphore:
-    """Counting semaphore with FIFO event-based acquire."""
+    """Counting semaphore with FIFO event-based acquire.
 
-    __slots__ = ("sim", "capacity", "_available", "_waiters")
+    A free slot is taken at once and answered with one shared,
+    already-triggered event, so an uncontended acquire allocates
+    nothing; a fresh :class:`Event` is built only for a caller that
+    has to wait.
+    """
+
+    __slots__ = ("sim", "capacity", "_available", "_waiters", "_granted")
 
     def __init__(self, sim: "Simulator", capacity: int):  # noqa: F821
         if capacity < 1:
@@ -101,6 +107,7 @@ class Semaphore:
         self.capacity = capacity
         self._available = capacity
         self._waiters: Deque[Event] = deque()
+        self._granted = Event(sim).succeed()
 
     @property
     def available(self) -> int:
@@ -113,13 +120,13 @@ class Semaphore:
         return self.capacity - self._available
 
     def acquire(self) -> Event:
-        """An event that succeeds once a slot is held by the caller."""
-        ev = Event(self.sim)
+        """An event that succeeds once a slot is held by the caller
+        (already triggered when a slot was free)."""
         if self._available > 0:
             self._available -= 1
-            ev.succeed()
-        else:
-            self._waiters.append(ev)
+            return self._granted
+        ev = Event(self.sim)
+        self._waiters.append(ev)
         return ev
 
     def release(self) -> None:

@@ -10,13 +10,18 @@ every observation.
 """
 
 import gc
+import itertools
+import tracemalloc
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.experiment import run_experiment
 from repro.cluster.scenarios import qos_cluster
+from repro.common.errors import StoreError
+from repro.core.engine import _RELEASE_FLOOR, _KeyRun
 from repro.telemetry import TelemetryConfig, attach_telemetry
 
 from tests.core.conftest import SCALE, make_qos_cluster
@@ -178,13 +183,18 @@ def test_closed_qp_fails_each_queued_op_once_with_its_own_callback():
     assert engine.total_submitted == engine.total_completed == 10
 
 
+def _oversubscribed_cell():
+    """Demand far above the tokens, so most of every period's burst
+    stays queued."""
+    return qos_cluster([50_000, 50_000], [4_000_000.0, 4_000_000.0],
+                       scale=SCALE, window=None)
+
+
 def test_backlog_retains_no_per_op_object():
-    """An oversubscribed token-paced cell: demand far above the tokens,
-    so most of every period's burst stays queued.  The backlog must not
-    cost a tracked object per op (it cost one tuple each), and the
-    depth counter must account for every op not yet issued."""
-    cluster = qos_cluster([50_000, 50_000], [4_000_000.0, 4_000_000.0],
-                          scale=SCALE, window=None)
+    """An oversubscribed token-paced cell: the backlog must not cost a
+    tracked object per op (it cost one tuple each), and the depth
+    counter must account for every op not yet issued."""
+    cluster = _oversubscribed_cell()
     engines = [ctx.engine for ctx in cluster.clients]
     issued = Counter()
     for engine in engines:
@@ -206,3 +216,78 @@ def test_backlog_retains_no_per_op_object():
         assert (engine.queue_depth
                 == engine.total_submitted - issued[engine.client_id])
     assert growth <= 0.05 * queued, (growth, queued)
+
+
+def test_queued_key_costs_one_column_slot():
+    """A queued read is 8 bytes of a packed column, not a Python int
+    (keys from 300 up, so none is a cached small int): a deque of
+    ints retained 40 bytes per key."""
+    cluster = make_qos_cluster([300_000, 100_000])
+    engine = cluster.clients[0].engine  # no PeriodStart yet: all queue
+    keys = itertools.count(300).__next__
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        engine.submit_burst(100_000, keys, print)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert engine.queue_depth == 100_000
+    assert retained <= 12 * 100_000, retained / 100_000
+
+
+def test_runs_release_their_served_prefix():
+    """After the oversubscribed cell each column holds at most twice
+    its queued keys plus the release floor."""
+    cluster = _oversubscribed_cell()
+    run_experiment(cluster, warmup_periods=1, measure_periods=4)
+    for ctx in cluster.clients:
+        for run in ctx.engine._queue:
+            queued = len(run.keys) - run.head
+            assert len(run.keys) <= 2 * queued + _RELEASE_FLOOR
+
+
+def test_release_rule():
+    """The rule itself: an exhausted run empties in place; otherwise
+    the prefix goes once the head passes both half the column and the
+    floor."""
+    run = _KeyRun(print, traced=False)
+    size = 4 * _RELEASE_FLOOR
+    run.keys.extend(range(size))
+    run.head = size // 2
+    run.release()  # exactly half: kept
+    assert (len(run.keys), run.head) == (size, size // 2)
+    run.head = size // 2 + 1
+    run.release()
+    assert (len(run.keys), run.head) == (size // 2 - 1, 0)
+    assert run.keys[0] == size // 2 + 1
+    run.keys = run.keys[:_RELEASE_FLOOR + 1]
+    run.head = _RELEASE_FLOOR  # past half, not past the floor: kept
+    run.release()
+    assert (len(run.keys), run.head) == (_RELEASE_FLOOR + 1, _RELEASE_FLOOR)
+    run.head = len(run.keys)
+    run.release()  # exhausted
+    assert (len(run.keys), run.head) == (0, 0)
+
+
+def test_key_the_column_cannot_hold_is_refused_before_queueing():
+    """A key outside signed 64 bits, or not an int, raises StoreError
+    at submit and leaves the backlog and its counters untouched."""
+    cluster = make_qos_cluster([300_000, 100_000])
+    engine = cluster.clients[0].engine
+    engine.submit(1, print)
+    draws = iter([5, 0.5, 6])
+
+    def observed():
+        return (engine.queue_depth, engine.total_submitted,
+                len(engine._queue))
+
+    before = observed()
+    with pytest.raises(StoreError):
+        engine.submit(2**63, repr)
+    assert observed() == before
+    with pytest.raises(StoreError):
+        engine.submit_burst(3, lambda: next(draws), repr)
+    assert observed() == before
+    engine.submit(-2**63, print)  # the column's edge still queues
+    assert observed() == (2, 2, 1)
