@@ -41,6 +41,7 @@ from typing import List, Optional
 from repro.analysis import format_table, meets_reservation
 from repro.common.errors import ConfigError
 from repro.common.types import QoSMode
+from repro.cluster.calibration import CHAMELEON
 from repro.cluster.experiment import run_experiment
 from repro.cluster.profiling import run_profiling
 from repro.cluster.scale import SimScale
@@ -60,7 +61,7 @@ _MODES = {
     "bare": QoSMode.BARE,
 }
 
-_CAPACITY = 1_570_000
+_CAPACITY = CHAMELEON.one_sided_system
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -36,6 +36,7 @@ import sys
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from repro.cluster import chaos
+from repro.cluster.calibration import CHAMELEON
 from repro.cluster.experiment import run_experiment
 from repro.cluster.runner import canonical_json
 from repro.cluster.scale import SimScale
@@ -74,7 +75,8 @@ REFERENCE_PATH = (
 )
 
 _NUM_CLIENTS = 5
-_TOTAL_OPS = 0.7 * 1_570_000  # 70% of C_L reserved, zipf-shaped
+# 70% of C_G reserved, zipf-shaped.
+_TOTAL_OPS = 0.7 * CHAMELEON.one_sided_system
 _POOL_OPS = 120_000.0
 _WARMUP = 1
 _MEASURE = 4

@@ -17,6 +17,7 @@ from typing import Callable, Dict
 
 from repro.common.errors import ConfigError
 from repro.common.types import AccessMode, QoSMode
+from repro.cluster.calibration import CHAMELEON
 from repro.cluster.experiment import run_experiment
 from repro.cluster.scale import SimScale
 from repro.cluster.scenarios import (
@@ -30,7 +31,7 @@ from repro.cluster.scenarios import (
 from repro.policy import load_policy
 from repro.workloads.patterns import BURST_WINDOW, RequestPattern
 
-CAPACITY = 1_570_000
+CAPACITY = CHAMELEON.one_sided_system
 
 # Reservation shapes load from the committed policy documents — one
 # source of truth for the capacity split, shared with the CLI's

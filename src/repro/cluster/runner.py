@@ -33,6 +33,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
+from repro.cluster.calibration import CHAMELEON
 from repro.common.errors import ConfigError
 
 # Bump when scenario semantics change in a way that invalidates cached
@@ -313,7 +314,7 @@ def run_fig12_point(params: Mapping[str, Any], seed: int):
     from repro.cluster.scale import SimScale
     from repro.cluster.scenarios import qos_cluster, reservation_set
 
-    capacity = params.get("capacity", 1_570_000)
+    capacity = params.get("capacity", CHAMELEON.one_sided_system)
     fraction = params["fraction"]
     scale = SimScale(
         factor=params.get("scale_factor", 500),

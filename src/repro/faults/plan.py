@@ -19,6 +19,7 @@ import json
 import math
 from typing import Optional, Tuple
 
+from repro.common.codec import from_payload, to_payload
 from repro.common.errors import ConfigError
 from repro.common.types import OpType
 
@@ -29,19 +30,6 @@ from repro.common.types import OpType
 # still readable, since every other field kept its shape.
 PLAN_SCHEMA_VERSION = 2
 _READABLE_SCHEMA_VERSIONS = (1, 2)
-
-
-def _enc_time(value: float):
-    """JSON-safe float: ``inf`` (open-ended windows) as the string
-    ``"inf"`` — ``json.dumps`` would otherwise emit the non-standard
-    ``Infinity`` literal that strict parsers reject."""
-    return "inf" if value == math.inf else value
-
-
-def _dec_time(value):
-    # Leave finite numbers untouched: JSON round-trips int/float values
-    # (and their exact bits) by itself, so no coercion is needed.
-    return math.inf if value == "inf" else value
 
 
 def overlap_fraction(w0: float, w1: float,
@@ -119,30 +107,6 @@ class OpFilter:
             return False
         return True
 
-    def to_dict(self) -> dict:
-        return {
-            "src": self.src,
-            "dst": self.dst,
-            "control_only": self.control_only,
-            "opcodes": (None if self.opcodes is None
-                        else [op.name for op in self.opcodes]),
-            "start": _enc_time(self.start),
-            "end": _enc_time(self.end),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "OpFilter":
-        opcodes = payload.get("opcodes")
-        return cls(
-            src=payload.get("src"),
-            dst=payload.get("dst"),
-            control_only=payload.get("control_only", False),
-            opcodes=(None if opcodes is None
-                     else tuple(OpType[name] for name in opcodes)),
-            start=_dec_time(payload.get("start", 0.0)),
-            end=_dec_time(payload.get("end", "inf")),
-        )
-
 
 @dataclasses.dataclass(frozen=True)
 class DropRule:
@@ -154,16 +118,6 @@ class DropRule:
 
     def __post_init__(self) -> None:
         _check_rate(self.rate, "drop")
-
-    def to_dict(self) -> dict:
-        return {"rate": self.rate, "where": self.where.to_dict(),
-                "label": self.label}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "DropRule":
-        return cls(rate=payload["rate"],
-                   where=OpFilter.from_dict(payload["where"]),
-                   label=payload.get("label", "drop"))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -185,18 +139,6 @@ class DelayRule:
                 f"delay/jitter must be >= 0, got {self.delay}/{self.jitter}"
             )
 
-    def to_dict(self) -> dict:
-        return {"rate": self.rate, "delay": self.delay,
-                "jitter": self.jitter, "where": self.where.to_dict(),
-                "label": self.label}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "DelayRule":
-        return cls(rate=payload["rate"], delay=payload["delay"],
-                   jitter=payload.get("jitter", 0.0),
-                   where=OpFilter.from_dict(payload["where"]),
-                   label=payload.get("label", "delay"))
-
 
 @dataclasses.dataclass(frozen=True)
 class Brownout:
@@ -213,15 +155,6 @@ class Brownout:
             raise ConfigError(
                 f"brownout factor must be in (0, 1), got {self.factor}"
             )
-
-    def to_dict(self) -> dict:
-        return {"host": self.host, "start": _enc_time(self.start),
-                "end": _enc_time(self.end), "factor": self.factor}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "Brownout":
-        return cls(host=payload["host"], start=_dec_time(payload["start"]),
-                   end=_dec_time(payload["end"]), factor=payload["factor"])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -254,18 +187,6 @@ class PartitionRule:
         return (src == self.src and dst == self.dst
                 and self.start <= now < self.end)
 
-    def to_dict(self) -> dict:
-        return {"src": self.src, "dst": self.dst,
-                "start": _enc_time(self.start), "end": _enc_time(self.end),
-                "label": self.label}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "PartitionRule":
-        return cls(src=payload["src"], dst=payload["dst"],
-                   start=_dec_time(payload.get("start", 0.0)),
-                   end=_dec_time(payload.get("end", "inf")),
-                   label=payload.get("label", "partition"))
-
 
 @dataclasses.dataclass(frozen=True)
 class SlowdownRule:
@@ -290,15 +211,6 @@ class SlowdownRule:
                 f"slowdown factor must be > 1, got {self.factor}"
             )
 
-    def to_dict(self) -> dict:
-        return {"host": self.host, "start": _enc_time(self.start),
-                "end": _enc_time(self.end), "factor": self.factor}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "SlowdownRule":
-        return cls(host=payload["host"], start=_dec_time(payload["start"]),
-                   end=_dec_time(payload["end"]), factor=payload["factor"])
-
 
 @dataclasses.dataclass(frozen=True)
 class QPCloseFault:
@@ -314,15 +226,6 @@ class QPCloseFault:
         if self.time < 0:
             raise ConfigError(f"close time must be >= 0, got {self.time}")
 
-    def to_dict(self) -> dict:
-        return {"src": self.src, "dst": self.dst,
-                "time": _enc_time(self.time)}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "QPCloseFault":
-        return cls(src=payload["src"], dst=payload["dst"],
-                   time=_dec_time(payload["time"]))
-
 
 @dataclasses.dataclass(frozen=True)
 class CrashWindow:
@@ -337,15 +240,6 @@ class CrashWindow:
 
     def __post_init__(self) -> None:
         _check_window(self.start, self.end, "CrashWindow")
-
-    def to_dict(self) -> dict:
-        return {"host": self.host, "start": _enc_time(self.start),
-                "end": _enc_time(self.end)}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "CrashWindow":
-        return cls(host=payload["host"], start=_dec_time(payload["start"]),
-                   end=_dec_time(payload.get("end", "inf")))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -445,24 +339,15 @@ class FaultPlan:
         return _union_fraction(w0, w1, intervals)
 
     # ------------------------------------------------------------------
-    # Serialization: plans round-trip to JSON with full fidelity
-    # (float times bit-exact, open-ended ``inf`` windows, OpType enum
-    # members by name) so reproducer files and mutation logs can carry
-    # a plan as data.  ``plan == FaultPlan.from_json(plan.to_json())``
-    # holds for every valid plan.
+    # Serialization: the repro.common.codec form (float times
+    # bit-exact, open-ended ``inf`` windows, OpType enum members by
+    # name) under a schema-version stamp, so reproducer files and
+    # mutation logs can carry a plan as data.
+    # ``plan == FaultPlan.from_json(plan.to_json())`` holds for every
+    # valid plan.
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
-        return {
-            "schema_version": PLAN_SCHEMA_VERSION,
-            "drops": [r.to_dict() for r in self.drops],
-            "delays": [r.to_dict() for r in self.delays],
-            "brownouts": [b.to_dict() for b in self.brownouts],
-            "qp_closes": [q.to_dict() for q in self.qp_closes],
-            "crashes": [c.to_dict() for c in self.crashes],
-            "partitions": [p.to_dict() for p in self.partitions],
-            "slowdowns": [s.to_dict() for s in self.slowdowns],
-            "drop_fail_after": self.drop_fail_after,
-        }
+        return {"schema_version": PLAN_SCHEMA_VERSION, **to_payload(self)}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "FaultPlan":
@@ -472,29 +357,9 @@ class FaultPlan:
                 f"unsupported fault-plan schema version {version!r} "
                 f"(this build reads versions {_READABLE_SCHEMA_VERSIONS})"
             )
-        return cls(
-            drops=tuple(DropRule.from_dict(r) for r in payload["drops"]),
-            delays=tuple(DelayRule.from_dict(r) for r in payload["delays"]),
-            brownouts=tuple(
-                Brownout.from_dict(b) for b in payload["brownouts"]
-            ),
-            qp_closes=tuple(
-                QPCloseFault.from_dict(q) for q in payload["qp_closes"]
-            ),
-            crashes=tuple(
-                CrashWindow.from_dict(c) for c in payload["crashes"]
-            ),
-            # Version-1 payloads predate these rule families.
-            partitions=tuple(
-                PartitionRule.from_dict(p)
-                for p in payload.get("partitions", ())
-            ),
-            slowdowns=tuple(
-                SlowdownRule.from_dict(s)
-                for s in payload.get("slowdowns", ())
-            ),
-            drop_fail_after=payload["drop_fail_after"],
-        )
+        # Version-1 payloads predate these two rule families.
+        return from_payload(cls, {"partitions": [], "slowdowns": [],
+                                  **payload})
 
     def to_json(self) -> str:
         """Canonical JSON text (sorted keys, compact separators)."""

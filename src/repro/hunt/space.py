@@ -27,7 +27,9 @@ import json
 import math
 from typing import List, Optional, Tuple
 
+from repro.common.codec import from_payload, to_payload
 from repro.common.errors import ConfigError
+from repro.cluster.calibration import CHAMELEON
 from repro.faults.plan import (
     Brownout,
     CrashWindow,
@@ -59,7 +61,7 @@ SETTLE_PERIODS = 2
 PER_CLIENT_RESERVATION_CAP = 300_000.0
 
 # The paper testbed's saturated capacity (ops/s), the reservation base.
-CAPACITY_OPS = 1_570_000.0
+CAPACITY_OPS = CHAMELEON.one_sided_system
 
 FAULT_KINDS = (
     "control-drop",   # control-plane op loss storm
@@ -123,18 +125,6 @@ class FaultGene:
             raise ConfigError(
                 f"unknown fault gene kind {self.kind!r} (know {FAULT_KINDS})"
             )
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind, "start": self.start,
-            "duration": self.duration, "client": self.client,
-            "rate": self.rate, "factor": self.factor,
-            "permanent": self.permanent,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "FaultGene":
-        return cls(**payload)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -303,21 +293,7 @@ class ScenarioSpec:
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
-        return {
-            "schema_version": SPEC_SCHEMA_VERSION,
-            "num_clients": self.num_clients,
-            "distribution": self.distribution,
-            "reserved_fraction": self.reserved_fraction,
-            "demand_factor": self.demand_factor,
-            "limit_factor": self.limit_factor,
-            "pattern": self.pattern,
-            "periods": self.periods,
-            "faults": [gene.to_dict() for gene in self.faults],
-            "tenant_count": self.tenant_count,
-            "fluid_mode": self.fluid_mode,
-            "fabric_mode": self.fabric_mode,
-            "policy_version": self.policy_version,
-        }
+        return {"schema_version": SPEC_SCHEMA_VERSION, **to_payload(self)}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ScenarioSpec":
@@ -327,22 +303,7 @@ class ScenarioSpec:
                 f"unsupported scenario-spec schema version {version!r} "
                 f"(this build reads versions {COMPAT_SCHEMA_VERSIONS})"
             )
-        return cls(
-            num_clients=payload["num_clients"],
-            distribution=payload["distribution"],
-            reserved_fraction=payload["reserved_fraction"],
-            demand_factor=payload["demand_factor"],
-            limit_factor=payload.get("limit_factor"),
-            pattern=payload["pattern"],
-            periods=payload["periods"],
-            faults=tuple(
-                FaultGene.from_dict(g) for g in payload["faults"]
-            ),
-            tenant_count=payload["tenant_count"],
-            fluid_mode=payload["fluid_mode"],
-            fabric_mode=payload["fabric_mode"],
-            policy_version=payload["policy_version"],
-        )
+        return from_payload(cls, payload)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True,

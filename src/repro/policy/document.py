@@ -33,6 +33,7 @@ import dataclasses
 import json
 from typing import Dict, List, Optional, Tuple
 
+from repro.common.codec import from_payload, to_payload
 from repro.common.errors import ConfigError
 
 #: The newest document format this build writes (and reads).
@@ -60,6 +61,20 @@ class PolicyVersionError(PolicyError):
         super().__init__(message)
         self.offered = offered
         self.supported = supported
+
+
+def _with_defaults(cls, payload, what: str) -> dict:
+    """``payload`` with ``cls``'s declared field defaults filled in.
+    Documents are hand-written: a key naming no field is a typo."""
+    if not isinstance(payload, dict):
+        raise PolicyError(f"{what} must be a JSON object, got {payload!r}")
+    fields = dataclasses.fields(cls)
+    unknown = sorted(set(payload) - {f.name for f in fields})
+    if unknown:
+        raise PolicyError(f"{what} has unknown fields {unknown}")
+    defaults = {f.name: f.default for f in fields
+                if f.default is not dataclasses.MISSING}
+    return {**defaults, **payload}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -138,29 +153,16 @@ class ClientClass:
         return None
 
     def to_dict(self, schema_version: int = POLICY_SCHEMA_VERSION) -> dict:
-        payload = {
-            "name": self.name,
-            "count": self.count,
-            "reservation_ops": self.reservation_ops,
-            "limit_ops": self.limit_ops,
-            "limit_factor": self.limit_factor,
-            "burst_ops": self.burst_ops,
-            "burst_factor": self.burst_factor,
-        }
-        if schema_version >= 2:
-            payload["tier"] = self.tier
-            payload["replication"] = self.replication
+        payload = to_payload(self)
+        if schema_version < 2:
+            for name in V2_FIELDS:
+                del payload[name]
         return payload
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ClientClass":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise PolicyError(
-                f"client class has unknown fields {unknown}"
-            )
-        return cls(**payload)
+        return from_payload(cls, _with_defaults(cls, payload,
+                                                "client class"))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -330,17 +332,11 @@ class QoSPolicy:
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "name": self.name,
-            "version": self.version,
-            "description": self.description,
-            "classes": [
-                cls.to_dict(self.schema_version) for cls in self.classes
-            ],
-            "reserved_fraction": self.reserved_fraction,
-            "distribution": self.distribution,
-        }
+        payload = to_payload(self)
+        payload["classes"] = [
+            cls.to_dict(self.schema_version) for cls in self.classes
+        ]
+        return payload
 
     @classmethod
     def from_dict(cls, payload: dict) -> "QoSPolicy":
@@ -353,22 +349,12 @@ class QoSPolicy:
                 supported=(SUPPORTED_SCHEMA_VERSIONS[0],
                            SUPPORTED_SCHEMA_VERSIONS[-1]),
             )
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise PolicyError(f"policy document has unknown fields {unknown}")
-        return cls(
-            name=payload["name"],
-            version=payload.get("version", 1),
-            schema_version=version,
-            description=payload.get("description", ""),
-            classes=tuple(
-                ClientClass.from_dict(dict(c))
-                for c in payload.get("classes", ())
-            ),
-            reserved_fraction=payload.get("reserved_fraction"),
-            distribution=payload.get("distribution"),
-        )
+        payload = _with_defaults(cls, payload, "policy document")
+        payload["classes"] = [
+            _with_defaults(ClientClass, c, "client class")
+            for c in payload["classes"]
+        ]
+        return from_payload(cls, payload)
 
     def to_json(self, indent: Optional[int] = None) -> str:
         if indent is None:

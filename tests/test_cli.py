@@ -283,6 +283,39 @@ def test_hunt_replay_invalid_file_exits_2(tmp_path, capsys):
     assert main(["hunt", "--replay", str(tmp_path / "absent.json")]) == 2
 
 
+def test_document_missing_a_field_exits_2(tmp_path, capsys):
+    """A policy, class, spec or fault gene without a required key is one
+    line naming the field and exit 2 — not a KeyError/TypeError
+    traceback, and never a replay that silently fills a default."""
+    import json
+
+    regress = pathlib.Path(__file__).parent / "regress"
+    repro = json.loads((regress / "repro-progress-stall.json").read_text())
+    no_periods = dict(repro, spec=dict(repro["spec"]))
+    del no_periods["spec"]["periods"]
+    gene = dict(repro["spec"]["faults"][0])
+    del gene["rate"]
+    no_rate = dict(repro, spec=dict(repro["spec"], faults=[gene]))
+    cases = [
+        (["policy", "show"], {"schema_version": 2, "reserved_fraction": 0.9},
+         "QoSPolicy payload is missing 'name'"),
+        (["policy", "validate"],
+         {"schema_version": 2, "name": "p", "classes": [{"count": 2}]},
+         "ClientClass payload is missing 'name'"),
+        (["hunt", "--replay"], no_periods,
+         "ScenarioSpec payload is missing 'periods'"),
+        (["hunt", "--replay"], no_rate,
+         "FaultGene payload is missing 'rate'"),
+    ]
+    for i, (argv, payload, message) in enumerate(cases):
+        path = tmp_path / f"doc{i}.json"
+        path.write_text(json.dumps(payload))
+        assert main(argv + [str(path)]) == 2, message
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [message]
+        assert "reproduced" not in captured.out
+
+
 def test_fabric_rejects_zero_ops(capsys):
     assert main(["fabric", "--ops", "0"]) == 2
     assert "total_ops" in capsys.readouterr().err
