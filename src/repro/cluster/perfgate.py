@@ -1,6 +1,6 @@
 """The CI exact-budget gate: catch work coming back, on any runner.
 
-The gate holds four counts that repeat exactly for a fixed seed, so
+The gate holds five counts that repeat exactly for a fixed seed, so
 they are compared against committed ceilings with no tolerance and no
 clock: the scheduled-event count (``Simulator._seq``) of one Fig. 12
 cell and its events per completed op — a change that reintroduces a
@@ -12,7 +12,11 @@ per queued key, its keys packed in one int64 column) — and,
 because the fluid path has no events, its **calls per period**:
 Python-level calls into ``src/repro`` while a 512-flow engine runs,
 counted with ``sys.setprofile`` — a per-flow Python loop coming back
-into the period step is two orders of magnitude over it.
+into the period step is two orders of magnitude over it — and the
+**fluid columns held** at the end of that run: distinct column objects
+across the ledger's blocks and the completion rows, which grows with
+the periods that changed a column (a fresh column per period is four
+times the periods).
 
 Usage::
 
@@ -53,6 +57,8 @@ _CEILINGS = {
                        "backlog?",
     "fluid_calls_per_period": "a per-flow Python loop came back into "
                               "the fluid period step?",
+    "fluid_columns_held": "a fluid period stores fresh columns again "
+                          "when nothing changed?",
 }
 
 
@@ -76,9 +82,11 @@ def _workload_counts() -> tuple:
     return cluster.sim._seq, completed, records
 
 
-def _fluid_calls_per_period() -> float:
-    """Python-level calls into ``src/repro`` per period of the fluid
-    cell's run phase (exact for the seed; setup is not counted)."""
+def _fluid_counts() -> tuple:
+    """``(calls per period, columns held)`` for the fluid cell: Python-
+    level calls into ``src/repro`` per period of its run phase (setup
+    is not counted), and ``FluidEngine.columns_held`` after it.  Both
+    exact for the seed."""
     from repro.fluid.scenario import build_fluid_scale
 
     _hierarchy, engine, _ledger, _capacity = build_fluid_scale(**_FLUID_CELL)
@@ -99,17 +107,19 @@ def _fluid_calls_per_period() -> float:
         engine.run(periods)
     finally:
         sys.setprofile(previous)
-    return calls / periods
+    return calls / periods, engine.columns_held()
 
 
 def measure() -> dict:
-    """The four gated counts, each exact for the seed."""
+    """The five gated counts, each exact for the seed."""
     events, completed, records = _workload_counts()
+    calls_per_period, columns_held = _fluid_counts()
     return {
         "events": events,
         "events_per_op": round(events / completed, 4),
         "backlog_records": records,
-        "fluid_calls_per_period": round(_fluid_calls_per_period(), 4),
+        "fluid_calls_per_period": round(calls_per_period, 4),
+        "fluid_columns_held": columns_held,
     }
 
 

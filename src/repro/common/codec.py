@@ -9,7 +9,10 @@ hunt genomes, QoS policies), stated once:
 - finite numbers pass through untouched, keeping int-vs-float and every
   float's bits;
 - decoding requires every field (a missing one is a ConfigError naming
-  the class and the field) and ignores keys that name no field.
+  the class and the field) and ignores keys that name no field;
+- a scalar must have its field's type — ``bool``, ``int``, ``float`` or
+  ``str``, where a ``bool`` is not an int and an int is a float — and a
+  tuple field a list; anything else is a ConfigError naming the field.
 
 Schema-version stamps and gates belong to the document classes.
 """
@@ -49,7 +52,8 @@ def from_payload(cls, payload):
     for name, hint in _field_types(cls):
         if name not in payload:
             raise ConfigError(f"{cls.__name__} payload is missing {name!r}")
-        values[name] = _decode(hint, payload[name])
+        values[name] = _decode(hint, payload[name],
+                               f"{cls.__name__}.{name}")
     return cls(**values)
 
 
@@ -60,17 +64,23 @@ def _field_types(cls):
     return tuple((f.name, hints[f.name]) for f in dataclasses.fields(cls))
 
 
-def _decode(hint, value):
+#: Scalar field type -> the JSON value types it accepts.
+_SCALARS = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
+
+
+def _decode(hint, value, where: str):
     origin = typing.get_origin(hint)
     if origin is typing.Union:  # Optional[X]
         if value is None:
             return None
         (hint,) = [arg for arg in typing.get_args(hint)
                    if arg is not type(None)]
-        return _decode(hint, value)
+        return _decode(hint, value, where)
     if origin is tuple:  # Tuple[X, ...]
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{where} must be a list, got {value!r}")
         item = typing.get_args(hint)[0]
-        return tuple(_decode(item, v) for v in value)
+        return tuple(_decode(item, v, where) for v in value)
     if dataclasses.is_dataclass(hint):
         return from_payload(hint, value)
     if isinstance(hint, type) and issubclass(hint, enum.Enum):
@@ -80,4 +90,11 @@ def _decode(hint, value):
             raise ConfigError(f"unknown {hint.__name__} {value!r}") from None
     if hint is float and value == "inf":
         return math.inf
+    accepted = _SCALARS.get(hint)
+    if accepted is not None and (
+            not isinstance(value, accepted)
+            or (isinstance(value, bool) and hint is not bool)):
+        raise ConfigError(
+            f"{where} must be {hint.__name__}, got {value!r}"
+        )
     return value

@@ -37,10 +37,17 @@ freeze-and-redistribute round); the per-flow loop this replaced lives
 on, with the list water-fill, as the oracle in
 ``tests/fluid/reference_engine.py`` and must agree to the last bit.
 All quantities are int64 tokens.
+
+A steady period stores no new column: each column the ledger block and
+the completion history keep (requested, pool grants, spent, residual)
+is passed as the previous period's array object when its values did
+not change, so what a run holds grows with the periods that changed
+something, not with flows x periods.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from typing import Dict, List, Optional
 
 from repro.common.errors import ConfigError, QoSError
@@ -48,6 +55,35 @@ from repro.core.capacity import AdaptiveCapacityEstimator
 from repro.core.config import HaechiConfig
 from repro.fluid.flows import FlowClass, sync_flows
 from repro.tenancy.hierarchy import TenantHierarchy
+
+
+class FlowCompletions(Mapping):
+    """Read-only ``flow name -> per-period completions``.
+
+    Backed by the engine's runs of identical period rows (``[row,
+    periods]`` pairs, ``row`` an int64 column over the flows).  Each
+    lookup builds a fresh ``list[int]``; a run of ``n`` periods is
+    ``[v] * n``, one int object however long the run.
+    """
+
+    __slots__ = ("_index", "_runs")
+
+    def __init__(self, names: List[str], runs: list):
+        self._index = {name: i for i, name in enumerate(names)}
+        self._runs = runs
+
+    def __getitem__(self, name: str) -> List[int]:
+        i = self._index[name]
+        out: List[int] = []
+        for row, periods in self._runs:
+            out += [row.item(i)] * periods
+        return out
+
+    def __iter__(self):
+        return iter(self._index)
+
+    def __len__(self) -> int:
+        return len(self._index)
 
 
 class FluidEngine:
@@ -104,9 +140,12 @@ class FluidEngine:
         self.period_id = 0
         self.now = 0.0
         self.period_records: List[dict] = []
-        self.flow_completions: Dict[str, List[int]] = {
-            name: [] for name in names
-        }
+        # Runs of equal completion rows, ``[row, periods]``; the rows
+        # are the ``spent`` columns of the ledger's blocks.
+        self._completion_runs: list = []
+        self.flow_completions = FlowCompletions(names, self._completion_runs)
+        # Last period's (requested, granted_pool, spent, residual).
+        self._last_columns: Optional[list] = None
         self.conversions = 0
         self.faa_batches = 0
         self.resize_log: List[dict] = []
@@ -223,20 +262,32 @@ class FluidEngine:
             np.minimum(self._burst, self._bucket + self._limit - completed),
             self._bucket,
         )
+
+        # A column equal to last period's is kept as last period's
+        # object (inline, not a helper: no Python call per column).
+        columns = [wants, grants, completed, reservation - used_res]
+        last = self._last_columns
+        if last is not None:
+            for k in range(4):
+                if np.array_equal(columns[k], last[k]):
+                    columns[k] = last[k]
+        wants, grants, completed, residual = columns
+        self._last_columns = columns
+        runs = self._completion_runs
+        if runs and runs[-1][0] is completed:
+            runs[-1][1] += 1
+        else:
+            runs.append([completed, 1])
         if self.ledger is not None:
             self.ledger.close_block(
                 self._names, self.period_id,
                 granted_reservation=reservation,
                 requested=wants, granted_pool=grants, spent=completed,
-                residual=reservation - used_res,
+                residual=residual,
                 prior_pool=pool, opened_at=w0, closed_at=w1,
                 reason="fluid-period",
             )
 
-        # numpy scalars stop here: reports are JSON.
-        per_flow = completed.tolist()
-        for counts, done in zip(self.flow_completions.values(), per_flow):
-            counts.append(done)
         self.period_records.append({
             "period": self.period_id,
             "estimate": omega,
@@ -244,7 +295,6 @@ class FluidEngine:
             "effective": effective,
             "pool": pool,
             "completed": total_completed,
-            "per_flow": dict(zip(self._names, per_flow)),
         })
         self.estimator.update(total_completed)
         self.now = w1
@@ -267,28 +317,35 @@ class FluidEngine:
     # ------------------------------------------------------------------
     # Readouts
     # ------------------------------------------------------------------
+    def _completed_totals(self) -> List[int]:
+        """Per-flow completions summed over every period so far."""
+        totals = self._np.zeros(len(self._names), dtype=self._np.int64)
+        for row, periods in self._completion_runs:
+            totals += row * periods
+        return totals.tolist()
+
     def attainment(self) -> Dict[str, Optional[float]]:
         """Per-flow mean attainment: mean per-period completions over
         the flow's reservation (``None`` for zero reservations)."""
         out: Dict[str, Optional[float]] = {}
-        for flow in self.flows:
-            counts = self.flow_completions[flow.name]
-            if not counts or flow.reservation <= 0:
+        periods = self.period_id
+        for flow, total in zip(self.flows, self._completed_totals()):
+            if not periods or flow.reservation <= 0:
                 out[flow.name] = None
                 continue
-            out[flow.name] = (sum(counts) / len(counts)) / flow.reservation
+            out[flow.name] = (total / periods) / flow.reservation
         return out
 
     def tenant_rollup(self) -> Dict[str, dict]:
         """Per-tenant reservation/completed/attainment, exact sums."""
         tenants: Dict[str, dict] = {}
-        for flow in self.flows:
+        for flow, total in zip(self.flows, self._completed_totals()):
             entry = tenants.setdefault(flow.tenant, {
                 "reservation": 0, "clients": 0, "completed": 0,
             })
             entry["reservation"] += flow.reservation
             entry["clients"] += flow.clients
-            entry["completed"] += sum(self.flow_completions[flow.name])
+            entry["completed"] += total
         periods = self.period_id
         for entry in tenants.values():
             if periods and entry["reservation"] > 0:
@@ -298,6 +355,20 @@ class FluidEngine:
             else:
                 entry["attainment"] = None
         return tenants
+
+    def columns_held(self) -> int:
+        """Distinct column objects the run keeps: the ledger blocks'
+        five columns and the completion rows (which are the blocks'
+        ``spent``).  Grows with the periods that changed a column, not
+        with the periods run."""
+        held = {id(row) for row, _periods in self._completion_runs}
+        if self.ledger is not None:
+            for block in self.ledger.blocks():
+                held.update(map(id, (
+                    block.granted_reservation, block.requested,
+                    block.granted_pool, block.spent, block.residual,
+                )))
+        return len(held)
 
     def metrics_items(self):
         """``(name, getter)`` pairs — registered only for fluid runs

@@ -52,8 +52,10 @@ def build_validation_hierarchy(
 ) -> (TenantHierarchy, dict):
     """A small seeded hierarchy the exact DES can afford.
 
-    Two tenants, two groups each, 1-2 clients per group (6-8 leaf
-    clients), 70% of capacity reserved, demands 1.0-2.2x reservation —
+    Two tenants, two groups each, 1-2 clients per group (4-8 leaf
+    clients), raised where a group's reservation needs more so that no
+    client's share exceeds C_L, the per-client capacity the DES admits
+    against; 70% of capacity reserved, demands 1.0-2.2x reservation —
     deliberately pushing aggregate demand past capacity so the pool is
     contended and the claim-phase water-fill is actually exercised.
     Burst buckets stay zero here: burst semantics are fluid-only (the
@@ -63,6 +65,7 @@ def build_validation_hierarchy(
     # would collide with any other component seeded the same way and
     # silently couple their draw sequences (see repro.common.rng).
     rng = make_rng(seed, "fluid", "validate")
+    local_tokens = int(CHAMELEON.client_limit(True) * config.period)
     reserved = int(0.7 * capacity_tokens)
     tenant_res = largest_remainder(
         reserved, [rng.uniform(0.7, 1.6) for _ in range(2)]
@@ -76,7 +79,10 @@ def build_validation_hierarchy(
         groups = []
         for g in range(2):
             name = f"g{g + 1}"
-            clients = rng.choice((1, 2))
+            # Leaf shares split the group evenly, so ceil(res / C_L)
+            # clients keep each within C_L; the draw is made either way.
+            clients = max(rng.choice((1, 2)),
+                          -(-group_res[g] // local_tokens))
             groups.append(ClientGroup(
                 name=name, reservation=group_res[g], clients=clients,
             ))

@@ -63,6 +63,14 @@ class PolicyVersionError(PolicyError):
         self.supported = supported
 
 
+def _offered(version) -> int:
+    """An unsupported ``schema_version`` as the int a
+    :class:`PolicyVersionError` reports: 0 when it is not an int."""
+    if isinstance(version, int) and not isinstance(version, bool):
+        return version
+    return 0
+
+
 def _with_defaults(cls, payload, what: str) -> dict:
     """``payload`` with ``cls``'s declared field defaults filled in.
     Documents are hand-written: a key naming no field is a typo."""
@@ -197,7 +205,7 @@ class QoSPolicy:
                 f"policy {self.name!r}: unsupported schema version "
                 f"{self.schema_version!r} (this build reads "
                 f"{SUPPORTED_SCHEMA_VERSIONS})",
-                offered=int(self.schema_version or 0),
+                offered=_offered(self.schema_version),
                 supported=(SUPPORTED_SCHEMA_VERSIONS[0],
                            SUPPORTED_SCHEMA_VERSIONS[-1]),
             )
@@ -345,7 +353,7 @@ class QoSPolicy:
             raise PolicyVersionError(
                 f"unsupported policy schema version {version!r} "
                 f"(this build reads {SUPPORTED_SCHEMA_VERSIONS})",
-                offered=int(version or 0),
+                offered=_offered(version),
                 supported=(SUPPORTED_SCHEMA_VERSIONS[0],
                            SUPPORTED_SCHEMA_VERSIONS[-1]),
             )

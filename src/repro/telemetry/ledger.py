@@ -61,7 +61,10 @@ class AccountBlock:
     before the claims) is stored once; what differs is one integer
     column per quantity, each as long as ``clients``.  Columns are
     numpy arrays, used only through their methods and operators — this
-    module does not import numpy.  No account in a block yields.
+    module does not import numpy.  A column may be the same object as
+    an earlier block's (the fluid engine passes an unchanged column
+    on), so no one writes to a column once it is handed over.  No
+    account in a block yields.
 
     The records rendered from a block are the ones ``open`` /
     ``pool_claim`` / ``close`` would have logged for each client in
@@ -428,6 +431,10 @@ class TokenLedger:
         self._events.append(block)
         self._closed_blocks.append(len(self._closed))
         self._closed.append(block)
+
+    def blocks(self) -> List[AccountBlock]:
+        """The :class:`AccountBlock` entries, in log order."""
+        return [self._closed[at] for at in self._closed_blocks]
 
     # ------------------------------------------------------------------
     def check_conservation(self) -> List[str]:

@@ -12,7 +12,7 @@ from repro.cluster import perfgate
 from tests.core.reference_engine import per_op_backlog_engines
 
 KEYS = {"events", "events_per_op", "backlog_records",
-        "fluid_calls_per_period"}
+        "fluid_calls_per_period", "fluid_columns_held"}
 
 
 @pytest.fixture(scope="module")
@@ -108,13 +108,29 @@ def test_fluid_call_budget_is_exact_and_gated(tmp_path, gate, measured,
     """Calls into ``src/repro`` per fluid period repeat exactly, so the
     ceiling is held with no tolerance, like the event count."""
     first = measured["fluid_calls_per_period"]
-    assert round(perfgate._fluid_calls_per_period(), 4) == first
+    calls_per_period, columns_held = perfgate._fluid_counts()
+    assert round(calls_per_period, 4) == first
     # A 512-flow water-fill in Python is ~1.8 k calls a period.
     assert first < 40
     payload = {"fluid_calls_per_period": first - 0.01}
     baseline = _write(tmp_path / "perf_baseline.json", payload)
     assert gate(["--baseline", baseline]) == 1
     assert "fluid_calls_per_period" in capsys.readouterr().err
+    # The same run's columns held repeat exactly too.
+    assert columns_held == measured["fluid_columns_held"]
+
+
+def test_fluid_column_budget_catches_fresh_columns(tmp_path, gate,
+                                                   measured, capsys):
+    """The 60-period cell holds a column per change, not per period: a
+    fresh requested / pool / spent / residual column every period
+    would be 4 x 60 plus the reservation columns."""
+    periods = perfgate._FLUID_CELL["periods"]
+    assert measured["fluid_columns_held"] < periods
+    payload = {"fluid_columns_held": measured["fluid_columns_held"] - 1}
+    baseline = _write(tmp_path / "perf_baseline.json", payload)
+    assert gate(["--baseline", baseline]) == 1
+    assert "stores fresh columns" in capsys.readouterr().err
 
 
 def test_committed_event_ceiling_holds(measured):

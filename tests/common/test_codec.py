@@ -156,3 +156,48 @@ def test_unknown_enum_name_is_a_config_error():
     payload["opcodes"] = ["READ", "TELEPORT"]
     with pytest.raises(ConfigError, match="TELEPORT"):
         from_payload(OpFilter, payload)
+
+
+# (field, wrong value, the type the message names)
+WRONG_TYPES = [
+    ("periods", "8", "int"),
+    ("num_clients", True, "int"),
+    ("num_clients", 4.0, "int"),
+    ("fluid_mode", 1, "bool"),
+    ("distribution", 3, "str"),
+    ("reserved_fraction", "0.7", "float"),
+    ("reserved_fraction", False, "float"),
+    ("limit_factor", "1.5", "float"),
+    ("faults", "none", "a list"),
+]
+
+
+@pytest.mark.parametrize("key,value,kind", WRONG_TYPES)
+def test_wrong_scalar_type_is_a_config_error(key, value, kind):
+    """A bool is not an int, a string is not a number: the field is
+    named before the value reaches ``__post_init__``."""
+    payload = dict(SPEC.to_dict(), **{key: value})
+    with pytest.raises(ConfigError, match=(
+            rf"^ScenarioSpec\.{key} must be {kind}, got {value!r}$")):
+        ScenarioSpec.from_dict(payload)
+
+
+def test_nested_field_types_are_checked():
+    payload = SPEC.to_dict()
+    payload["faults"] = [dict(payload["faults"][0], client="1")]
+    with pytest.raises(ConfigError, match=r"^FaultGene\.client must be int"):
+        ScenarioSpec.from_dict(payload)
+    payload = POLICY.to_dict()
+    payload["classes"] = [dict(payload["classes"][0], replication=2.0)]
+    with pytest.raises(ConfigError, match="ClientClass.replication"):
+        QoSPolicy.from_dict(payload)
+
+
+def test_an_int_is_a_float_and_stays_an_int():
+    """Float fields take ints, and keep them ints, so a document that
+    wrote ``3`` serializes back to ``3``."""
+    payload = to_payload(SLOWDOWN)
+    assert payload["factor"] == 3 and type(payload["factor"]) is int
+    back = from_payload(SlowdownRule, json.loads(json.dumps(payload)))
+    assert back == SLOWDOWN and type(back.factor) is int
+    assert json.dumps(to_payload(back)) == json.dumps(payload)

@@ -145,10 +145,8 @@ class ReferenceFluidEngine:
 
         # Spend/expire and exact per-flow accounting.
         total_completed = 0
-        per_flow: Dict[str, int] = {}
         for i, (flow, grant) in enumerate(zip(self.flows, grants)):
             completed = used_res[flow.name] + grant
-            per_flow[flow.name] = completed
             self.flow_completions[flow.name].append(completed)
             total_completed += completed
             self.faa_batches += math.ceil(grant / config.batch_size)
@@ -181,7 +179,6 @@ class ReferenceFluidEngine:
             "effective": effective,
             "pool": pool,
             "completed": total_completed,
-            "per_flow": per_flow,
         })
         self.estimator.update(total_completed)
         self.now = w1

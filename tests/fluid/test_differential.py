@@ -141,7 +141,7 @@ def test_array_engine_equals_scalar_oracle(token_conversion, plan_kind,
 
     readouts = {
         "period_records": got.period_records,
-        "flow_completions": got.flow_completions,
+        "flow_completions": dict(got.flow_completions),
         "burst_buckets": got.burst_buckets,
         "resize_log": got.resize_log,
         "attainment": got.attainment(),
@@ -233,7 +233,9 @@ def test_tied_bins_saturate_over_three_rounds(monkeypatch):
     got, got_ledger = build(FluidEngine)
     got.run(1)
     assert rounds == [8101, 2101, 751]
-    assert got.period_records[0]["per_flow"] == {
+    assert {
+        name: counts[0] for name, counts in got.flow_completions.items()
+    } == {
         "T/a0": 1200, "T/a1": 1200, "T/a2": 1200,
         "T/b0": 2000, "T/b1": 2000, "T/b2": 2000,
         "T/c0": 2501, "T/c1": 2500, "T/c2": 2500,

@@ -8,9 +8,12 @@ the documented attainment tolerance tier (docs/SCALE.md).
 
 import pytest
 
+from repro.cluster.calibration import CHAMELEON
+from repro.cluster.scenarios import TEST_SCALE
 from repro.fluid.validate import (
     TIE_BAND,
     TOLERANCE_TIER,
+    build_validation_hierarchy,
     run_equivalence,
     who_wins,
 )
@@ -50,3 +53,22 @@ def test_who_wins_tie_band_and_ordering():
     assert edge == {"a|b": "="}
     past = who_wins({"a": 1.0, "b": 1.0 - TIE_BAND - 0.01})
     assert past == {"a|b": ">"}
+
+
+def test_validation_hierarchy_keeps_every_client_within_c_l():
+    """Every seed builds a hierarchy the DES admits: no leaf client's
+    share exceeds C_L (seeds 3, 12, 24, 46, 52, 88, 106, 152, 156,
+    162 and 184 once drew a group too large for its one client)."""
+    config = TEST_SCALE.config()
+    capacity = int(CHAMELEON.system_limit(True) * config.period)
+    local = int(CHAMELEON.client_limit(True) * config.period)
+    over = {}
+    for seed in range(1, 201):
+        hierarchy, _demand = build_validation_hierarchy(
+            config, capacity, seed
+        )
+        shares = [share for _tenant, group in hierarchy.groups()
+                  for share in group.leaf_reservations()]
+        if max(shares) > local:
+            over[seed] = max(shares)
+    assert over == {}

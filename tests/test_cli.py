@@ -316,6 +316,31 @@ def test_document_missing_a_field_exits_2(tmp_path, capsys):
         assert "reproduced" not in captured.out
 
 
+def test_document_with_a_wrong_typed_field_exits_2(tmp_path, capsys):
+    """A non-numeric policy schema version and a string where a spec
+    wants an int are one line and exit 2, not a ValueError/TypeError
+    traceback."""
+    import json
+
+    regress = pathlib.Path(__file__).parent / "regress"
+    repro = json.loads((regress / "repro-progress-stall.json").read_text())
+    cases = [
+        (["policy", "show"],
+         {"schema_version": "v2", "name": "p", "reserved_fraction": 0.9},
+         "unsupported policy schema version 'v2' (this build reads (1, 2))"),
+        (["hunt", "--replay"],
+         dict(repro, spec=dict(repro["spec"], periods="8")),
+         "ScenarioSpec.periods must be int, got '8'"),
+    ]
+    for i, (argv, payload, message) in enumerate(cases):
+        path = tmp_path / f"doc{i}.json"
+        path.write_text(json.dumps(payload))
+        assert main(argv + [str(path)]) == 2, message
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [message]
+        assert "reproduced" not in captured.out
+
+
 def test_fabric_rejects_zero_ops(capsys):
     assert main(["fabric", "--ops", "0"]) == 2
     assert "total_ops" in capsys.readouterr().err
