@@ -12,11 +12,12 @@ per queued key, its keys packed in one int64 column) — and,
 because the fluid path has no events, its **calls per period**:
 Python-level calls into ``src/repro`` while a 512-flow engine runs,
 counted with ``sys.setprofile`` — a per-flow Python loop coming back
-into the period step is two orders of magnitude over it — and the
-**fluid columns held** at the end of that run: distinct column objects
-across the ledger's blocks and the completion rows, which grows with
-the periods that changed a column (a fresh column per period is four
-times the periods).
+into the period step is two orders of magnitude over it, and the claim
+water-fill solved again for a claim equal to the last period's is half
+as much again — and the **fluid columns held** at the end of that
+run: distinct column objects across the ledger's blocks and the
+completion rows, which grows with the periods that changed a column
+(a fresh column per period is four times the periods).
 
 Usage::
 
@@ -56,7 +57,8 @@ _CEILINGS = {
     "backlog_records": "a per-op record came back into the engine "
                        "backlog?",
     "fluid_calls_per_period": "a per-flow Python loop came back into "
-                              "the fluid period step?",
+                              "the fluid period step, or an unchanged "
+                              "claim is water-filled again?",
     "fluid_columns_held": "a fluid period stores fresh columns again "
                           "when nothing changed?",
 }

@@ -92,7 +92,8 @@ class _KeyRun:
     it may be the open run), otherwise once ``head`` passes half the
     column and ``_RELEASE_FLOOR`` — so the column holds at most twice
     its queued keys plus the floor, and each key is moved O(1) times
-    amortised.
+    amortised.  A period start drops the head run's whole served
+    prefix, so no run keeps more than one period's served keys.
     """
 
     __slots__ = ("keys", "head", "on_complete", "spans")
@@ -491,6 +492,13 @@ class QoSEngine:
         self._ledger_open(msg.tokens)
         self.completed_this_period = 0
         self.issued_this_period = 0
+        if self._backlog:
+            # Drop the head run's served prefix: no run keeps a served
+            # key past its period.  (With no backlog, the last drain's
+            # release has already emptied the head run.)
+            run = self._queue[0]
+            del run.keys[:run.head]
+            run.head = 0
         self._throttled_this_period = False
         self._reporting_active = False
         self._mgmt_start()

@@ -43,6 +43,16 @@ the completion history keep (requested, pool grants, spent, residual)
 is passed as the previous period's array object when its values did
 not change, so what a run holds grows with the periods that changed
 something, not with flows x periods.
+
+Nor does a steady period solve anything new.  The claim water-fill is
+a pure function of ``(spendable, weights, wants)``, and the weights
+(client counts) are fixed at construction: ``apply_hierarchy``
+rebuilds only the reservation and limit columns, which reach the
+water-fill through ``wants``, and faults and the estimator reach it
+through ``spendable`` and ``wants`` too.  So a period whose
+``spendable`` and ``wants`` equal the last period's takes the last
+period's grants column as it is — read-only, as the ledger's blocks
+share it — and only a period whose claim changed runs the kernel.
 """
 
 from __future__ import annotations
@@ -146,6 +156,10 @@ class FluidEngine:
         self.flow_completions = FlowCompletions(names, self._completion_runs)
         # Last period's (requested, granted_pool, spent, residual).
         self._last_columns: Optional[list] = None
+        # Last period's claim total; with its requested column, the
+        # key of the water-fill whose grants are its pool column (0, no
+        # claim, until a period has run).
+        self._last_spendable = 0
         self.conversions = 0
         self.faa_batches = 0
         self.resize_log: List[dict] = []
@@ -197,9 +211,13 @@ class FluidEngine:
 
         # Reserve phase: guaranteed tokens against faulted demand.
         # Connectivity is a per-flow Python call, so it is asked for
-        # only when the plan has a window that can cut a flow off.
+        # only when a partition or crash window overlaps the period
+        # (with none, every flow's outage fraction is 0.0).
         demand = self._demand
-        if plan is not None and (plan.partitions or plan.crashes):
+        if plan is not None and (plan.partitions or plan.crashes) and any(
+            window.start < w1 and window.end > w0
+            for window in plan.partitions + plan.crashes
+        ):
             avail = np.array([
                 1.0 - plan.fluid_outage_fraction(
                     name, self.server_host, w0, w1
@@ -237,7 +255,14 @@ class FluidEngine:
         spendable = min(
             pool, int(wants.sum()), max(0, physical - res_spent)
         )
-        if spendable > 0:
+        last = self._last_columns
+        if (spendable > 0 and spendable == self._last_spendable
+                and np.array_equal(wants, last[0])):
+            # Last period's claim again: the water-fill is a pure
+            # function of it (the weights never change), so last
+            # period's grants stand.
+            grants = last[1]
+        elif spendable > 0:
             grants = self._kernels.bounded_apportion(
                 spendable, self._weights, wants
             )
@@ -248,6 +273,9 @@ class FluidEngine:
                     f"{spendable} tokens under wants summing to "
                     f"{int(wants.sum())}"
                 )
+            # Later periods may reuse it, and the ledger's blocks share
+            # it: nothing may write it.
+            grants.flags.writeable = False
         else:
             grants = np.zeros(len(self._names), dtype=np.int64)
 
@@ -266,13 +294,13 @@ class FluidEngine:
         # A column equal to last period's is kept as last period's
         # object (inline, not a helper: no Python call per column).
         columns = [wants, grants, completed, reservation - used_res]
-        last = self._last_columns
         if last is not None:
             for k in range(4):
                 if np.array_equal(columns[k], last[k]):
                     columns[k] = last[k]
         wants, grants, completed, residual = columns
         self._last_columns = columns
+        self._last_spendable = spendable
         runs = self._completion_runs
         if runs and runs[-1][0] is completed:
             runs[-1][1] += 1

@@ -247,6 +247,25 @@ def test_runs_release_their_served_prefix():
             assert len(run.keys) <= 2 * queued + _RELEASE_FLOOR
 
 
+def test_head_run_keeps_at_most_one_period_of_served_keys():
+    """A period start drops the head run's served prefix, so at the end
+    of a Fig. 12 cell no head run holds more served keys than its
+    engine issued that period (the release rule alone kept up to the
+    floor, and half the column, across periods)."""
+    from repro.cluster.runner import run_fig12_point
+
+    cluster, _result, _reservations = run_fig12_point(
+        {"distribution": "uniform", "fraction": 0.7}, 0)
+    heads = []
+    for ctx in cluster.clients:
+        engine = ctx.engine
+        assert engine.queue_depth > 0  # the cell ends oversubscribed
+        head = engine._queue[0].head
+        heads.append(head)
+        assert head <= engine.issued_this_period, (head, engine.client_id)
+    assert any(heads)  # served keys this period are still in place
+
+
 def test_release_rule():
     """The rule itself: an exhausted run empties in place; otherwise
     the prefix goes once the head passes both half the column and the

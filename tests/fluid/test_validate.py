@@ -1,4 +1,5 @@
-"""Fluid-vs-exact-DES equivalence, pinned on the documented seeds.
+"""Fluid-vs-exact-DES equivalence, pinned on the documented seeds and
+swept over seeds 1-50.
 
 These are the down-scaled validation runs the determinism guard's
 ``scale`` digest family and the CI ``smoke (scale)`` job rely on: the
@@ -39,6 +40,34 @@ def test_equivalence_holds_on_pinned_seeds(seed):
     attainments = report["des_attainment"].values()
     assert max(attainments) > min(attainments)
     assert sorted(report["classes"]) == sorted(report["des_attainment"])
+
+
+#: Seeds of the sweep below that fail today, measured: the worst
+#: class, its DES and fluid attainment, the max error, and the class
+#: the fluid step gives more than ``clients x C_L`` tokens a period
+#: (the DES holds it at C_L = 400).  The fluid step has no per-client
+#: cap yet (ROADMAP item 1(b)); none shows a who-wins reversal.
+SWEEP_FAILURES = {
+    22: "T1/g1 DES 1.363 fluid 1.743 (0.380); T1/g1, T2/g1 over C_L",
+    29: "T1/g1 DES 1.321 fluid 1.685 (0.364); T1/g2 over C_L",
+    32: "T2/g1 DES 1.702 fluid 2.085 (0.383); T2/g1 over C_L",
+    39: "T2/g2 DES 1.099 fluid 1.664 (0.565); T1/g1, T2/g1 over C_L",
+    46: "T1/g1 DES 1.307 fluid 1.616 (0.308); T1/g2 over C_L",
+}
+
+
+@pytest.mark.parametrize("seed", [
+    pytest.param(seed, marks=pytest.mark.xfail(
+        strict=True, reason=SWEEP_FAILURES[seed]))
+    if seed in SWEEP_FAILURES else seed
+    for seed in range(1, 51)
+])
+def test_equivalence_sweep(seed):
+    """Seeds 1-50, a fixed contiguous range chosen before any fix:
+    no who-wins reversal and every class inside the tolerance tier."""
+    report = run_equivalence(seed)
+    assert report["who_wins_reversals"] == []
+    assert report["max_error"] <= TOLERANCE_TIER, report["max_error"]
 
 
 def test_equivalence_report_is_deterministic():
