@@ -149,7 +149,7 @@ class ServerQoSScheduler:
     def _complete(self, response, size, reply_qp) -> None:
         reply_qp.post_send(
             WorkRequest(opcode=OpType.SEND, payload=response, size=size,
-                        is_response=True)
+                        is_response=True, signaled=False)  # no CQ reader
         )
         self._dispatching = False
         self._dispatch()

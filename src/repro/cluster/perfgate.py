@@ -1,6 +1,6 @@
 """The CI exact-budget gate: catch work coming back, on any runner.
 
-The gate holds five counts that repeat exactly for a fixed seed, so
+The gate holds six counts that repeat exactly for a fixed seed, so
 they are compared against committed ceilings with no tolerance and no
 clock: the scheduled-event count (``Simulator._seq``) of one Fig. 12
 cell and its events per completed op — a change that reintroduces a
@@ -8,7 +8,11 @@ per-op or per-tick timer fails here however noisy the runner — the
 **backlog records** the cell's engines hold at run end (one per run of
 queued ops; a container per queued op is what the cyclic collector
 walks, which no profiler attributes — a run costs one record plus 8 B
-per queued key, its keys packed in one int64 column) — and,
+per queued key, its keys packed in one int64 column) — the **held
+completions**, work completions still queued on any of the cell's CQs
+at run end (0: every CQ either has a handler or is never posted a
+completion, since the data node posts its SENDs unsignaled; a signaled
+SEND into a CQ nobody polls is kept for the life of the cluster) — and,
 because the fluid path has no events, its **calls per period**:
 Python-level calls into ``src/repro`` while a 512-flow engine runs,
 counted with ``sys.setprofile`` — a per-flow Python loop coming back
@@ -56,6 +60,7 @@ _CEILINGS = {
     "events_per_op": "a timer or completion came back onto the heap?",
     "backlog_records": "a per-op record came back into the engine "
                        "backlog?",
+    "held_completions": "a completion nobody reads is kept again?",
     "fluid_calls_per_period": "a per-flow Python loop came back into "
                               "the fluid period step, or an unchanged "
                               "claim is water-filled again?",
@@ -65,8 +70,8 @@ _CEILINGS = {
 
 
 def _workload_counts() -> tuple:
-    """``(events scheduled, ops completed, backlog records)`` for one
-    gate-workload run.
+    """``(events scheduled, ops completed, backlog records, held
+    completions)`` for one gate-workload run.
 
     The workload is one cell of the pinned Fig. 12 sweep (uniform
     reservations at 70%, K=500), run through the same scenario the
@@ -81,7 +86,9 @@ def _workload_counts() -> tuple:
     completed = sum(m.completed.total
                     for m in cluster.metrics.clients.values())
     records = sum(len(ctx.engine._queue) for ctx in cluster.clients)
-    return cluster.sim._seq, completed, records
+    held = sum(len(qp.cq)
+               for pair in cluster.fabric.connections for qp in pair)
+    return cluster.sim._seq, completed, records, held
 
 
 def _fluid_counts() -> tuple:
@@ -113,13 +120,14 @@ def _fluid_counts() -> tuple:
 
 
 def measure() -> dict:
-    """The five gated counts, each exact for the seed."""
-    events, completed, records = _workload_counts()
+    """The six gated counts, each exact for the seed."""
+    events, completed, records, held = _workload_counts()
     calls_per_period, columns_held = _fluid_counts()
     return {
         "events": events,
         "events_per_op": round(events / completed, 4),
         "backlog_records": records,
+        "held_completions": held,
         "fluid_calls_per_period": round(calls_per_period, 4),
         "fluid_columns_held": columns_held,
     }

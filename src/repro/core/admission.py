@@ -36,11 +36,14 @@ class AdmissionController:
         self.global_capacity = global_tokens_per_period
         self.local_capacity = local_tokens_per_period
         self.admitted: Dict[int, int] = {}
+        # Sum of ``admitted``, kept by admit/resize/release so that an
+        # admission costs O(1), not a pass over every admitted client.
+        self._total = 0
 
     @property
     def total_reserved(self) -> int:
         """Sum of admitted reservations (tokens/period)."""
-        return sum(self.admitted.values())
+        return self._total
 
     @property
     def headroom(self) -> int:
@@ -62,12 +65,13 @@ class AdmissionController:
                 f"local capacity violation: reservation {reservation} exceeds "
                 f"per-client capacity {self.local_capacity}"
             )
-        if self.total_reserved + reservation > self.global_capacity:
+        if self._total + reservation > self.global_capacity:
             raise AdmissionError(
-                f"aggregate capacity violation: {self.total_reserved} + "
+                f"aggregate capacity violation: {self._total} + "
                 f"{reservation} exceeds {self.global_capacity}"
             )
         self.admitted[client_id] = reservation
+        self._total += reservation
 
     def resize(self, client_id: int, reservation: int) -> None:
         """Replace an admitted client's reservation (Definition 2 still
@@ -87,19 +91,20 @@ class AdmissionController:
                 f"local capacity violation: reservation {reservation} exceeds "
                 f"per-client capacity {self.local_capacity}"
             )
-        others = self.total_reserved - self.admitted[client_id]
+        others = self._total - self.admitted[client_id]
         if others + reservation > self.global_capacity:
             raise AdmissionError(
                 f"aggregate capacity violation: {others} + {reservation} "
                 f"exceeds {self.global_capacity}"
             )
         self.admitted[client_id] = reservation
+        self._total = others + reservation
 
     def release(self, client_id: int) -> None:
         """Remove a departed client's reservation."""
         if client_id not in self.admitted:
             raise AdmissionError(f"client {client_id} is not admitted")
-        del self.admitted[client_id]
+        self._total -= self.admitted.pop(client_id)
 
 
 def local_violation(

@@ -37,7 +37,7 @@ from array import array
 from collections import deque
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from typing import Callable, Deque, Optional
+from typing import Callable, Deque, List, Optional
 
 from repro.common.errors import MemoryAccessError, QoSError, QPError, StoreError
 from repro.common.rng import make_rng
@@ -158,8 +158,10 @@ class QoSEngine:
         # exhausted, as the run the next submit joins.  ``_backlog`` is
         # the number of queued ops over all runs.  Invariant the submit
         # fast path relies on: ``_backlog > 0`` means the last drain
-        # ended throttled, suspended or token-starved.
-        self._queue: Deque[_KeyRun] = deque()
+        # ended throttled, suspended or token-starved.  A list, not a
+        # deque: it holds one run in steady state and a handful at most,
+        # and an empty deque costs 760 B per engine (a list 56 B).
+        self._queue: List[_KeyRun] = []
         self._backlog = 0
         self.period_id = 0
         self._period_end = 0.0
@@ -582,7 +584,7 @@ class QoSEngine:
                 span = None if spans is None else spans.popleft()
                 self._backlog -= 1
                 if head == len(run.keys) and len(queue) > 1:
-                    queue.popleft()  # exhausted, and not the open run
+                    del queue[0]  # exhausted, and not the open run
                 wr = self._token_backed_wr(key, run.on_complete, span)
                 if chain is not None:
                     chain.append(wr)

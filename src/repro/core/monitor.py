@@ -395,6 +395,7 @@ class QoSMonitor:
             size=CONTROL_MESSAGE_SIZE,
             is_response=True,
             control=True,
+            signaled=False,  # the monitor's CQs have no reader
         )
         try:
             reply_qp.post_send(wr)
@@ -713,6 +714,7 @@ class QoSMonitor:
             size=CONTROL_MESSAGE_SIZE,
             is_response=True,  # offloaded control path, not a client request
             control=True,
+            signaled=False,  # the monitor's CQs have no reader
         )
         try:
             slot.qp.post_send(wr)

@@ -256,12 +256,14 @@ class FluidEngine:
             pool, int(wants.sum()), max(0, physical - res_spent)
         )
         last = self._last_columns
+        fresh = 0  # the first column not yet known equal to last's
         if (spendable > 0 and spendable == self._last_spendable
                 and np.array_equal(wants, last[0])):
             # Last period's claim again: the water-fill is a pure
             # function of it (the weights never change), so last
-            # period's grants stand.
-            grants = last[1]
+            # period's grants stand — and both columns are last's.
+            wants, grants = last[0], last[1]
+            fresh = 2
         elif spendable > 0:
             grants = self._kernels.bounded_apportion(
                 spendable, self._weights, wants
@@ -295,7 +297,7 @@ class FluidEngine:
         # object (inline, not a helper: no Python call per column).
         columns = [wants, grants, completed, reservation - used_res]
         if last is not None:
-            for k in range(4):
+            for k in range(fresh, 4):
                 if np.array_equal(columns[k], last[k]):
                     columns[k] = last[k]
         wants, grants, completed, residual = columns

@@ -64,6 +64,7 @@ def _control_wr(message, num_nodes: int) -> WorkRequest:
         size=CONTROL_MESSAGE_SIZE + num_nodes * SPLIT_ENTRY_SIZE,
         is_response=True,
         control=True,
+        signaled=False,  # no coordinator-protocol CQ has a reader
     )
 
 

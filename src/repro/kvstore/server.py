@@ -163,7 +163,7 @@ class DataNode:
         entry.attempts += 1
         wr = WorkRequest(
             opcode=OpType.SEND, payload=entry.message, size=entry.size,
-            is_response=True,
+            is_response=True, signaled=False,  # see _reply
         )
         try:
             self.replica_qp.post_send(wr)
@@ -216,7 +216,7 @@ class DataNode:
         """Serve the request on the CPU, then post the response SEND."""
         wr = WorkRequest(
             opcode=OpType.SEND, payload=response, size=size, is_response=True,
-            span=span,
+            span=span, signaled=False,  # the node's CQs have no reader
         )
         if cpu:
             done = self.host.cpu.submit_rpc(size)

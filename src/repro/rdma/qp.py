@@ -66,9 +66,9 @@ class QueuePair:
         self.fab = None
         # Closed-QP flush trampoline (see _sq_granted): failing a queued
         # WR releases its SQ slot, which grants the next waiter
-        # synchronously — the backlog turns that chain into a loop.
-        self._flushing = False
-        self._flush_backlog: deque = deque()
+        # synchronously — the backlog turns that chain into a loop.  It
+        # exists only while a flush runs (None otherwise).
+        self._flush_backlog: Optional[deque] = None
 
     def close(self) -> None:
         """Tear the QP down (client departure, error recovery).
@@ -192,16 +192,17 @@ class QueuePair:
             # method — so drain through a FIFO backlog instead of
             # recursing, or a backlogged SQ at close time blows the
             # stack (one frame per queued WR).
-            self._flush_backlog.append((wr, posted_at))
-            if self._flushing:
+            backlog = self._flush_backlog
+            if backlog is not None:
+                backlog.append((wr, posted_at))
                 return
-            self._flushing = True
+            self._flush_backlog = backlog = deque(((wr, posted_at),))
             try:
-                while self._flush_backlog:
-                    w, p = self._flush_backlog.popleft()
+                while backlog:
+                    w, p = backlog.popleft()
                     self._fail(w, p, WCStatus.FLUSH_ERROR, "QP closed")
             finally:
-                self._flushing = False
+                self._flush_backlog = None
             return
         fab = self.fab
         fab.single_posts += 1
@@ -365,6 +366,11 @@ class QueuePair:
             # so the transport ack does not.
             span.mark("fabric_return", now)
             span.finish(now, ok=True)
+        elif not wr.signaled and wr.opcode is OpType.SEND:
+            # An unsignaled SEND that succeeded retires here, at its
+            # ack, with no CQE: nothing is queued on a CQ that may have
+            # no reader.
+            return
         # Positional construction: this allocation happens once per
         # simulated op, and keyword binding is measurable at that rate.
         wc = WorkCompletion(

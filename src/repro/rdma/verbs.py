@@ -92,8 +92,10 @@ class WorkRequest:
         self.on_completion = on_completion
         # IBV_SEND_SIGNALED.  An unsignaled one-sided WR that succeeds
         # produces no CQE: the QP retires it at the target and schedules
-        # no completion event (see QueuePair._arrive).  Failures always
-        # complete, as on hardware.
+        # no completion event (see QueuePair._arrive).  An unsignaled
+        # SEND that succeeds retires at its ack, which stays an event,
+        # and produces no CQE either (QueuePair._complete).  Failures
+        # always complete, as on hardware.
         self.signaled = signaled
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -139,32 +141,43 @@ class CompletionQueue:
     Two consumption styles are supported: a registered handler invoked
     synchronously on arrival (the fast path used by drivers), or polling
     via :meth:`poll` when no handler is set.
+
+    The buffer of a polled CQ is built at its first queued completion:
+    every connection owns two CQs, most of which have a handler or never
+    see a completion, and an empty deque is 760 B.
     """
+
+    __slots__ = ("name", "_handler", "_queue")
 
     def __init__(self, name: str = "cq"):
         self.name = name
         self._handler: Optional[Callable[[WorkCompletion], None]] = None
-        self._queue: Deque[WorkCompletion] = deque()
+        self._queue: Optional[Deque[WorkCompletion]] = None
 
     def set_handler(self, handler: Callable[[WorkCompletion], None]) -> None:
         """Route future completions to ``handler``; drains any backlog."""
         self._handler = handler
-        while self._queue:
-            handler(self._queue.popleft())
+        queue = self._queue
+        self._queue = None
+        while queue:
+            handler(queue.popleft())
 
     def push(self, wc: WorkCompletion) -> None:
         """Deliver one completion (called by the NIC model)."""
         if self._handler is not None:
             self._handler(wc)
+        elif self._queue is None:
+            self._queue = deque((wc,))
         else:
             self._queue.append(wc)
 
     def poll(self, max_entries: int = 16) -> list:
         """Drain up to ``max_entries`` buffered completions."""
         out = []
-        while self._queue and len(out) < max_entries:
-            out.append(self._queue.popleft())
+        queue = self._queue
+        while queue and len(out) < max_entries:
+            out.append(queue.popleft())
         return out
 
     def __len__(self) -> int:
-        return len(self._queue)
+        return 0 if self._queue is None else len(self._queue)

@@ -11,7 +11,7 @@ from repro.cluster import perfgate
 
 from tests.core.reference_engine import per_op_backlog_engines
 
-KEYS = {"events", "events_per_op", "backlog_records",
+KEYS = {"events", "events_per_op", "backlog_records", "held_completions",
         "fluid_calls_per_period", "fluid_columns_held"}
 
 
@@ -35,8 +35,11 @@ def _write(path, payload) -> str:
 
 
 def test_measure_reports_positive_scores(measured):
+    """Every count is positive but the held completions, which are none:
+    no CQ of the cell keeps a completion nobody reads."""
     assert set(measured) == KEYS
-    assert all(measured[key] > 0 for key in KEYS)
+    assert all(measured[key] > 0 for key in KEYS - {"held_completions"})
+    assert measured["held_completions"] == 0
 
 
 def test_write_then_check_passes(tmp_path, gate):
@@ -73,7 +76,7 @@ def test_event_budget_is_exact_and_gated(tmp_path, gate, measured, capsys):
     """The counts are deterministic, so the gate holds them with no
     tolerance: a second run repeats the first exactly, a ceiling equal
     to it passes, and one event under it fails."""
-    events, completed, _records = perfgate._workload_counts()
+    events, completed, _records, _held = perfgate._workload_counts()
     assert events == measured["events"]
     assert round(events / completed, 4) == measured["events_per_op"]
     payload = {"events": measured["events"],
@@ -94,13 +97,38 @@ def test_backlog_record_budget_catches_a_per_op_backlog(tmp_path, gate,
     clients = 10
     assert measured["backlog_records"] <= clients
     with per_op_backlog_engines():
-        events, _completed, records = perfgate._workload_counts()
+        events, _completed, records, _held = perfgate._workload_counts()
     assert events == measured["events"]
     assert records > 1000 * clients
     payload = {"backlog_records": measured["backlog_records"] - 1}
     baseline = _write(tmp_path / "perf_baseline.json", payload)
     assert gate(["--baseline", baseline]) == 1
     assert "per-op record came back" in capsys.readouterr().err
+
+
+def test_held_completion_budget_catches_a_signaled_monitor_send(
+        tmp_path, gate, measured, monkeypatch, capsys):
+    """The monitor's SENDs land in CQs that nobody polls: posted
+    signaled, each leaves a work completion there for the life of the
+    cluster, which the zero ceiling catches with every event count
+    unchanged (the ack is an event either way)."""
+    from repro.core import monitor
+    from repro.rdma.verbs import WorkRequest
+
+    def signaled(*args, **kwargs):
+        kwargs["signaled"] = True
+        return WorkRequest(*args, **kwargs)
+
+    monkeypatch.setattr(monitor, "WorkRequest", signaled)
+    events, _completed, _records, held = perfgate._workload_counts()
+    assert events == measured["events"]
+    assert held > 0
+    payload = {"held_completions": 0}
+    monkeypatch.setattr(perfgate, "measure",
+                        lambda: dict(measured, held_completions=held))
+    baseline = _write(tmp_path / "perf_baseline.json", payload)
+    assert gate(["--baseline", baseline]) == 1
+    assert "completion nobody reads is kept again" in capsys.readouterr().err
 
 
 def test_fluid_call_budget_is_exact_and_gated(tmp_path, gate, measured,

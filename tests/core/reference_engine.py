@@ -36,6 +36,7 @@ same simulated times.
 
 from __future__ import annotations
 
+from collections import deque
 from unittest import mock
 
 from repro.common.errors import QPError
@@ -77,8 +78,13 @@ class EagerDecayEngine(EagerReportEngine):
 
 class PerOpBacklogEngine(QoSEngine):
     """``QoSEngine`` with one tuple per queued op (``_queue`` holds the
-    tuples; the inherited ``_backlog`` counter is left at zero, so the
-    engine reads the backlog through ``queue_depth``)."""
+    tuples, in a deque of its own; the inherited ``_backlog`` counter is
+    left at zero, so the engine reads the backlog through
+    ``queue_depth``)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._queue = deque()
 
     def submit(self, key, on_complete) -> None:
         if not self._queue:

@@ -1,6 +1,8 @@
 """Admission control (Definition 2)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import AdmissionError
 from repro.core.admission import AdmissionController, local_violation
@@ -136,3 +138,55 @@ def test_resize_validation():
         ac.resize(0, -1)
     ac.resize(0, 0)  # shrinking to zero keeps the client admitted
     assert ac.admitted[0] == 0
+
+
+def _summing_decision(admitted, op, client, reservation, capacity):
+    """The admission rules restated over a plain dict, the aggregate
+    summed afresh each time: the error text an operation must raise
+    (None when it succeeds)."""
+    if op != "admit" and client not in admitted:
+        return f"client {client} is not admitted"
+    if op == "release":
+        return None
+    if op == "admit" and client in admitted:
+        return f"client {client} is already admitted"
+    if reservation < 0:
+        return f"reservation must be >= 0, got {reservation}"
+    if reservation > 400_000:
+        return (f"local capacity violation: reservation {reservation} "
+                f"exceeds per-client capacity 400000")
+    others = sum(admitted.values()) - admitted.get(client, 0)
+    if others + reservation > capacity:
+        return (f"aggregate capacity violation: {others} + {reservation} "
+                f"exceeds {capacity}")
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["admit", "resize", "release"]),
+                          st.integers(0, 5),
+                          st.integers(-1, 420_000)),
+                max_size=40))
+def test_running_total_matches_the_summed_rules(ops):
+    """Any admit/resize/release sequence keeps ``total_reserved`` equal
+    to the sum of the admitted reservations and raises exactly where,
+    and with the text, the summed form would."""
+    ac = make()
+    admitted = {}
+    for op, client, reservation in ops:
+        expected = _summing_decision(admitted, op, client, reservation,
+                                     ac.global_capacity)
+        args = (client,) if op == "release" else (client, reservation)
+        if expected is None:
+            getattr(ac, op)(*args)
+            if op == "release":
+                del admitted[client]
+            else:
+                admitted[client] = reservation
+        else:
+            with pytest.raises(AdmissionError) as err:
+                getattr(ac, op)(*args)
+            assert str(err.value) == expected
+        assert ac.admitted == admitted
+        assert ac.total_reserved == sum(admitted.values())
+        assert ac.headroom == ac.global_capacity - ac.total_reserved

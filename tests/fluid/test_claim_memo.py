@@ -197,3 +197,39 @@ def test_connectivity_is_asked_only_under_an_overlapping_window(
     assert engine.period_records == want.period_records
     assert engine.flow_completions == want.flow_completions
     assert ledger_jsonl(ledger) == ledger_jsonl(want_ledger)
+
+
+def test_a_reused_claim_compares_only_the_columns_it_did_not_reuse(
+        monkeypatch):
+    """On the perf-gate cell, a period that reuses last period's claim
+    compares three arrays: the claim's ``requested`` column, then the
+    spent and residual columns.  Its ``requested`` and pool-grant
+    columns are last period's objects already, so they are not
+    compared again (that was five compares a period)."""
+    calls = []
+    equal = np.array_equal
+
+    def counted(a, b, *args, **kwargs):
+        calls.append(1)
+        return equal(a, b, *args, **kwargs)
+
+    hierarchy, engine, ledger, _capacity = build_fluid_scale(
+        num_clients=1_000_000, tenants=32, groups_per_tenant=16,
+        periods=60, seed=11,
+    )
+    monkeypatch.setattr(np, "array_equal", counted)
+    per_period = []
+    for _ in range(60):
+        before = len(calls)
+        engine.run(1)
+        per_period.append(len(calls) - before)
+    monkeypatch.undo()
+    changed = set(_claim_changes(ledger))
+    claimed = {block.period for block in ledger.blocks()
+               if block.granted_pool.sum() > 0}
+    reused = [p for p in range(2, 61) if p in claimed and p not in changed]
+    assert len(reused) > 30
+    assert {per_period[p - 1] for p in reused} == {3}
+    # A period that solves compares all four columns, after its claim
+    # when the spendable total alone did not tell it apart.
+    assert {per_period[p - 1] for p in changed if p > 1} <= {4, 5}

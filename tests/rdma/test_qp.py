@@ -335,3 +335,54 @@ class TestUnsignaled:
         qp.close()
         mini.sim.run(until=0.01)
         assert qp.outstanding == 0
+
+
+class TestUnsignaledSend:
+    """An unsignaled SEND that succeeds delivers its payload and retires
+    at its ack, as a signaled one does, but leaves no CQE — the data
+    node's SENDs land in CQs nobody polls, where a CQE is kept for the
+    life of the connection.  A failed one still completes."""
+
+    @staticmethod
+    def pair():
+        from repro.rdma import Fabric, Host, NICProfile
+        from repro.rdma.cpu import CPUProfile
+        from repro.sim import Simulator
+
+        sim = Simulator()
+        fabric = Fabric(sim)
+        a = fabric.add_host(Host(sim, "a", NICProfile.chameleon(), CPUProfile()))
+        b = fabric.add_host(Host(sim, "b", NICProfile.chameleon(), CPUProfile()))
+        delivered = []
+        b.set_rpc_handler(lambda payload, _qp: delivered.append(
+            (sim.now, payload)))
+        qp_ab, _qp_ba = fabric.connect(a, b)
+        return sim, qp_ab, delivered
+
+    def test_success_delivers_and_retires_at_the_ack_with_no_cqe(self):
+        sim, qp, delivered = self.pair()
+        qp.post_send(WorkRequest(opcode=OpType.SEND, size=64, payload="m"))
+        sim.run()
+        (wc,) = qp.cq.poll()
+        ack_at, events = wc.completed_at, sim._seq
+
+        sim, qp, silent_delivered = self.pair()
+        qp.post_send(WorkRequest(opcode=OpType.SEND, size=64, payload="m",
+                                 signaled=False))
+        sim.run(until=ack_at - 1e-12)
+        assert silent_delivered == delivered  # payload in, same instant
+        assert qp.outstanding == 1  # still awaiting its ack
+        sim.run(until=ack_at)
+        assert qp.outstanding == 0
+        assert len(qp.cq) == 0 and qp.cq._queue is None
+        sim.run()
+        assert sim._seq == events  # the ack is still an event
+
+    def test_closed_qp_still_flushes_with_an_error(self):
+        sim, qp, _delivered = self.pair()
+        qp.post_send(WorkRequest(opcode=OpType.SEND, size=64, payload="m",
+                                 signaled=False))
+        qp.close()
+        sim.run()
+        assert [wc.status for wc in qp.cq.poll()] == [WCStatus.FLUSH_ERROR]
+        assert qp.outstanding == 0
