@@ -197,6 +197,27 @@ def _qp_rates(cluster: Cluster) -> List[dict]:
     return sorted(rows, key=lambda r: r["client"])
 
 
+def mixed_verb_cell(seed: int, kind: str, cc_enabled: bool,
+                    num_clients: int, ops_per_client: int, window: int,
+                    sizes, horizon: float):
+    """Build and run one bare fan-in cell; ``(cluster, drivers)``."""
+    model = FabricModel.chameleon(cc_enabled=cc_enabled)
+    cluster = _bare_fabric_cluster(num_clients, model, seed)
+    atomic_region = cluster.server_host.memory.allocate_and_register(
+        4096, Permissions.all()
+    )
+    drivers = []
+    for ctx in cluster.clients:
+        driver = MixedVerbDriver(
+            cluster.sim, ctx.kv, ctx.name, ops_per_client, window,
+            atomic_region, mix=VERB_MIXES[kind], sizes=sizes, seed=seed,
+        )
+        drivers.append(driver)
+        driver.start()
+    cluster.sim.run(until=horizon)
+    return cluster, drivers
+
+
 def run_mixed_verb(seed: int, kind: str = "read-only",
                    cc_enabled: bool = True,
                    num_clients: int = INCAST_CLIENTS,
@@ -210,21 +231,10 @@ def run_mixed_verb(seed: int, kind: str = "read-only",
     distribution.  All clients target the single data node, so the
     destination port congests exactly like a switch incast hotspot.
     """
-    mix = VERB_MIXES[kind]
-    model = FabricModel.chameleon(cc_enabled=cc_enabled)
-    cluster = _bare_fabric_cluster(num_clients, model, seed)
-    atomic_region = cluster.server_host.memory.allocate_and_register(
-        4096, Permissions.all()
+    cluster, drivers = mixed_verb_cell(
+        seed, kind, cc_enabled, num_clients, ops_per_client, window, sizes,
+        horizon,
     )
-    drivers = []
-    for ctx in cluster.clients:
-        driver = MixedVerbDriver(
-            cluster.sim, ctx.kv, ctx.name, ops_per_client, window,
-            atomic_region, mix=mix, sizes=sizes, seed=seed,
-        )
-        drivers.append(driver)
-        driver.start()
-    cluster.sim.run(until=horizon)
     makespans = [d.finished_at for d in drivers]
     result = {
         "kind": kind,

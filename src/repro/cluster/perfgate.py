@@ -1,10 +1,13 @@
 """The CI exact-budget gate: catch work coming back, on any runner.
 
-The gate holds six counts that repeat exactly for a fixed seed, so
+The gate holds seven counts that repeat exactly for a fixed seed, so
 they are compared against committed ceilings with no tolerance and no
 clock: the scheduled-event count (``Simulator._seq``) of one Fig. 12
 cell and its events per completed op — a change that reintroduces a
 per-op or per-tick timer fails here however noisy the runner — the
+**fabric events** of a two-sender write-heavy cell through the fabric
+model (a fast one-sided op through a port costs its completion alone;
+an arrival event per op nearly doubles the count) — the
 **backlog records** the cell's engines hold at run end (one per run of
 queued ops; a container per queued op is what the cyclic collector
 walks, which no profiler attributes — a run costs one record plus 8 B
@@ -54,10 +57,18 @@ DEFAULT_BASELINE = "benchmarks/results/perf_baseline.json"
 _FLUID_CELL = dict(num_clients=1_000_000, tenants=32, groups_per_tenant=16,
                    periods=60, seed=11)
 
+#: The fabric cell: two senders of the write-heavy verb mix (atomics
+#: keep their arrival events) into one port, run to completion.
+_FABRIC_CELL = dict(seed=11, kind="write-heavy", cc_enabled=True,
+                    num_clients=2, ops_per_client=500, window=32,
+                    horizon=0.01)
+
 #: Exact-count budgets: baseline key -> what exceeding it means.
 _CEILINGS = {
     "events": "a timer or completion came back onto the heap?",
     "events_per_op": "a timer or completion came back onto the heap?",
+    "fabric_events": "an arrival came back onto the heap under the "
+                     "fabric model?",
     "backlog_records": "a per-op record came back into the engine "
                        "backlog?",
     "held_completions": "a completion nobody reads is kept again?",
@@ -91,6 +102,16 @@ def _workload_counts() -> tuple:
     return cluster.sim._seq, completed, records, held
 
 
+def _fabric_events() -> int:
+    """Events scheduled by the fabric cell (``Simulator._seq``)."""
+    from repro.cluster.fabric_scenarios import MIXED_SIZES, mixed_verb_cell
+
+    cluster, drivers = mixed_verb_cell(sizes=MIXED_SIZES, **_FABRIC_CELL)
+    if not all(d.finished_at is not None and d.failed == 0 for d in drivers):
+        raise RuntimeError("the fabric cell did not finish every op cleanly")
+    return cluster.sim._seq
+
+
 def _fluid_counts() -> tuple:
     """``(calls per period, columns held)`` for the fluid cell: Python-
     level calls into ``src/repro`` per period of its run phase (setup
@@ -120,12 +141,13 @@ def _fluid_counts() -> tuple:
 
 
 def measure() -> dict:
-    """The six gated counts, each exact for the seed."""
+    """The seven gated counts, each exact for the seed."""
     events, completed, records, held = _workload_counts()
     calls_per_period, columns_held = _fluid_counts()
     return {
         "events": events,
         "events_per_op": round(events / completed, 4),
+        "fabric_events": _fabric_events(),
         "backlog_records": records,
         "held_completions": held,
         "fluid_calls_per_period": round(calls_per_period, 4),

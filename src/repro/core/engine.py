@@ -115,6 +115,34 @@ class _KeyRun:
             self.head = 0
 
 
+class _SourceGate:
+    """An engine's control handlers as bound for one source: a message
+    from a source that is not the engine's active one is counted stale
+    and dropped (see :meth:`QoSEngine.bind_control_source`).  One per
+    binding, registered for every control message type."""
+
+    __slots__ = ("engine", "source")
+
+    def __init__(self, engine: "QoSEngine", source: int):
+        self.engine = engine
+        self.source = source
+
+    def __call__(self, msg, reply_qp) -> None:
+        engine = self.engine
+        if engine._active_source != self.source:
+            engine.stale_control_messages += 1
+            return
+        getattr(engine, _CONTROL_HANDLERS[type(msg)])(msg, reply_qp)
+
+
+#: Control message type -> the QoSEngine method that handles it.
+_CONTROL_HANDLERS = {
+    PeriodStart: "_on_period_start",
+    ReportRequest: "_on_report_request",
+    ReservationAlert: "_on_alert",
+}
+
+
 class QoSEngine:
     """QoS enforcement at one client.
 
@@ -269,23 +297,9 @@ class QoSEngine:
         already failed over — this is the client side of "deregister
         from the dead node's monitor epoch".
         """
-        dispatcher.register(
-            PeriodStart, self._from_source(source, self._on_period_start)
-        )
-        dispatcher.register(
-            ReportRequest, self._from_source(source, self._on_report_request)
-        )
-        dispatcher.register(
-            ReservationAlert, self._from_source(source, self._on_alert)
-        )
-
-    def _from_source(self, source: int, handler):
-        def wrapped(msg, reply_qp):
-            if self._active_source != source:
-                self.stale_control_messages += 1
-                return
-            handler(msg, reply_qp)
-        return wrapped
+        gate = _SourceGate(self, source)
+        for msg_type in _CONTROL_HANDLERS:
+            dispatcher.register(msg_type, gate)
 
     def suspend(self) -> None:
         """Freeze the engine while a failover is negotiated.

@@ -69,6 +69,16 @@ class FaultInjector:
         """Attach to ``fabric`` and schedule the plan's timed faults."""
         if fabric.injector is not None:
             raise ConfigError("fabric already has a fault injector")
+        # A port charges ops to their target ahead of arrival only while
+        # the fabric has no injector; an op so charged that has not yet
+        # arrived would miss a brownout or slowdown starting first.
+        busy = sorted(name for name, port in fabric.ports.items()
+                      if port.in_flight())
+        if busy:
+            raise ConfigError(
+                f"cannot install a fault injector while ops ordered by "
+                f"fabric ports {busy} are in flight"
+            )
         missing = self.plan.hosts_named() - set(fabric.hosts)
         if missing:
             raise ConfigError(

@@ -79,6 +79,7 @@ class KVClient:
             opcode=OpType.SEND,
             payload=protocol.ConnectRequest(client_name=self.name),
             size=protocol.GET_REQUEST_SIZE,
+            signaled=False,
         )
         self.qp.post_send(wr)
 
@@ -215,6 +216,10 @@ class KVClient:
     # ------------------------------------------------------------------
     # Two-sided path
     # ------------------------------------------------------------------
+    # Request SENDs (and the connect handshake's) are posted unsignaled:
+    # the response, or the deadline sweep, ends the op, so a successful
+    # SEND's completion would only reach the router as unclaimed.  A
+    # failed SEND still completes with an error.
     def get_twosided(self, key: int, on_complete: IOCallback,
                      span=None, sample: bool = True) -> int:
         """Fetch the record for ``key`` via a server-CPU RPC."""
@@ -229,6 +234,7 @@ class KVClient:
             payload=protocol.GetRequest(req_id=req_id, key=key, span=span),
             size=protocol.GET_REQUEST_SIZE,
             span=span,
+            signaled=False,
         )
         self.qp.post_send(wr)
         return req_id
@@ -262,6 +268,7 @@ class KVClient:
             ),
             size=protocol.PUT_REQUEST_HEADER_SIZE + len(payload),
             span=span,
+            signaled=False,
         )
         self.qp.post_send(wr)
         return req_id

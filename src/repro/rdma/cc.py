@@ -36,8 +36,10 @@ one deterministic arithmetic stage per op.
 from __future__ import annotations
 
 import dataclasses
+from collections import deque
 from typing import Optional
 
+from repro.common.errors import ConfigError
 from repro.common.rng import make_rng
 from repro.sim.resources import Pipeline
 
@@ -238,7 +240,9 @@ class DCQCNState:
 
     def pace(self, nbytes: float, at: float) -> float:
         """Earliest wire-entry time for ``nbytes`` posted at ``at``."""
-        self._advance(at)
+        if at - self.last_timer >= self.timer:
+            # _advance's own early return, tested before the call.
+            self._advance(at)
         start = at if at > self.next_free else self.next_free
         self.next_free = start + nbytes / self.rate
         self.bytes_paced += nbytes
@@ -257,20 +261,36 @@ class FabricPort:
     wire entry is held until the queue drains to the resume threshold
     — computable in closed form because the port drains at exactly the
     line rate.
+
+    The port also fixes the order in which ops reach the host behind
+    it: exit times strictly increase, so with one propagation delay
+    (``prop_delay``, the fabric's) ops arrive in admission order.
+    ``pending`` is the FIFO of admitted ops still to reach the target
+    behind one whose arrival is an event, as ``(qp, wr, posted_at,
+    arrive_at, fast)`` tuples, and ``charged_until`` the arrival instant
+    of the last op charged to the target ahead of its arrival (see
+    :mod:`repro.rdma.qp`).  ``prop_delay`` is None on a port that
+    orders nothing: one built outside a fabric, or one a QP with
+    another delay has used.
     """
 
     __slots__ = ("sim", "name", "model", "rate", "pipe", "_rng",
                  "paused_until", "ops_admitted", "bytes_admitted",
                  "ecn_marks", "pfc_pause_events", "pfc_pause_seconds",
-                 "pfc_delayed_ops")
+                 "pfc_delayed_ops", "prop_delay", "pending",
+                 "charged_until")
 
-    def __init__(self, sim, name: str, model: FabricModel, seed: int):
+    def __init__(self, sim, name: str, model: FabricModel, seed: int,
+                 prop_delay: Optional[float] = None):
         self.sim = sim
         self.name = name
         self.model = model
         self.rate = model.link_bytes_per_sec
         self.pipe = Pipeline(sim, f"{name}.port")
         self._rng = make_rng(seed, "fabric-ecn", name)
+        self.prop_delay = prop_delay
+        self.pending: deque = deque()
+        self.charged_until = 0.0
         self.paused_until = 0.0
         self.ops_admitted = 0
         self.bytes_admitted = 0
@@ -302,7 +322,13 @@ class FabricPort:
                 / (model.ecn_kmax_bytes - model.ecn_kmin_bytes)
             )
             marked = self._rng.random() < p
-        exit_time = self.pipe.submit_at(entry, nbytes / self.rate)
+        # Inlined Pipeline.submit_at (the cost is positive).
+        pipe = self.pipe
+        cost = nbytes / self.rate
+        free = pipe._free_at
+        exit_time = (free if free > entry else entry) + cost
+        pipe._free_at = exit_time
+        pipe._busy += cost
         self.ops_admitted += 1
         self.bytes_admitted += nbytes
         if marked:
@@ -319,6 +345,27 @@ class FabricPort:
                 self.pfc_pause_events += 1
                 self.pfc_pause_seconds += resume_at - entry
         return exit_time, marked
+
+    def in_flight(self) -> bool:
+        """Whether an op through this port is still to reach the target
+        after an op charged ahead of it or queued in ``pending``."""
+        return bool(self.pending) or self.charged_until > self.sim.now
+
+    def unorder(self) -> None:
+        """Stop ordering arrivals: a QP whose delay differs from the
+        port's launched through it, so arrivals need not follow
+        admission order any more and every op takes its arrival event.
+        Refused while ops charged ahead of their arrival are in flight:
+        one arriving after this op's arrival would have been charged
+        out of order."""
+        if self.prop_delay is None:
+            return
+        if self.in_flight():
+            raise ConfigError(
+                f"port {self.name}: a QP with another propagation delay "
+                f"launched while ops ordered by the port are in flight"
+            )
+        self.prop_delay = None
 
     @property
     def backlog_bytes(self) -> float:

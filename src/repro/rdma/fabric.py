@@ -58,7 +58,8 @@ class Fabric:
         if port is None:
             from repro.rdma.cc import FabricPort
 
-            port = FabricPort(self.sim, host_name, self.model, self.seed)
+            port = FabricPort(self.sim, host_name, self.model, self.seed,
+                              self.prop_delay)
             self.ports[host_name] = port
         return port
 

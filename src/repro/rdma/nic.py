@@ -28,6 +28,7 @@ factor so experiments can run at reduced rates with identical shape.
 from __future__ import annotations
 
 import dataclasses
+from typing import Optional
 
 from repro.common.types import OpType
 from repro.sim.resources import Pipeline
@@ -253,8 +254,16 @@ class RNIC:
         pipe._busy += cost
         return finish
 
-    def submit_target(self, wr: WorkRequest) -> float:
-        """Serialize an inbound WR; returns absolute processing-done time."""
+    def submit_target(self, wr: WorkRequest,
+                      at: Optional[float] = None) -> float:
+        """Serialize an inbound WR that arrives at ``at`` (default: now);
+        returns absolute processing-done time.
+
+        ``at`` after ``sim.now`` is a data WR charged ahead of its
+        arrival: the fabric port's FIFO does that at launch when no
+        earlier arrival can overtake it (see :mod:`repro.rdma.qp`), and
+        the result is the float this call returns at ``at`` with the
+        same charges before it."""
         op_index = wr.opcode.index
         self._handled_counts[op_index] += 1
         pair = self._target_flat[op_index * 2 + wr.is_response]
@@ -265,14 +274,15 @@ class RNIC:
         factor = self.capacity_factor
         if factor != 1.0:
             cost = cost / factor
+        if at is None:
+            at = self.sim.now
         if wr.control:
             self.control_target_cost_total += cost
-            return self.sim.now + cost
-        # Inlined Pipeline.submit (see submit_issue).
+            return at + cost
+        # Inlined Pipeline.submit_at (see submit_issue).
         pipe = self.target
-        now = self.sim.now
         free = pipe._free_at
-        start = free if free > now else now
+        start = free if free > at else at
         finish = start + cost
         pipe._free_at = finish
         pipe._busy += cost

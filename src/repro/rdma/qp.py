@@ -11,7 +11,24 @@ hosts.  Posting a work request drives the full simulated datapath:
 4. propagate the response/ack back and deliver a work completion.
 
 The datapath is callback-based (no process switches) so the hot path
-costs two heap events per one-sided operation.
+costs two heap events per one-sided operation: its arrival at the
+target and its completion.
+
+Under a fabric model a plain one-sided op costs one: every data WR to a
+host passes that host's :class:`~repro.rdma.cc.FabricPort` in admission
+order, the port's exit times strictly increase, and every QP of the
+fabric adds the same propagation delay, so arrivals at the target NIC
+come in launch order.  A READ or WRITE that moves no bytes, carries no
+span and names a registered rkey (a *fast* op) has nothing to do at its
+arrival but take its slot on the target pipeline; when no earlier op
+through the port is still to arrive, it takes that slot at launch, at
+its own arrival instant, and only its completion is scheduled.  Any
+other op (atomics, SENDs, memory-touching or span-carrying ops, ops
+with a bad rkey) keeps its arrival event and waits in the port's FIFO,
+and the fast ops launched behind it are charged, in order, when it has
+arrived.  The ordered path needs no fault injector on the fabric (no
+drop or delay verdict, no capacity change in flight) and the QP's delay
+equal to the port's; otherwise every op takes the arrival event.
 """
 
 from __future__ import annotations
@@ -174,9 +191,13 @@ class QueuePair:
         """Take a send-queue slot for ``wr``; False when the bounded SQ
         is full, in which case :meth:`_sq_granted` runs once a
         completion frees one."""
-        ev = fab.sq.acquire()
-        if ev.triggered:
+        sq = fab.sq
+        if sq._available > 0:
+            # Semaphore.acquire's free-slot branch, without the shared
+            # granted event's round trip (a free slot means no waiter).
+            sq._available -= 1
             return True
+        ev = sq.acquire()
         fab.sq_stall_events += 1
         ev.add_callback(lambda _ev: self._sq_granted(wr, posted_at))
         return False
@@ -215,8 +236,9 @@ class QueuePair:
         ``ready`` is when host posting made the WR visible to the NIC.
         Stages: [per-verb token bucket] -> issue pipeline (virtual time)
         -> injector verdict -> [DCQCN pacing -> congestible port
-        (ECN/PFC) -> CNP] -> propagation.  The bracketed stages exist
-        only under a fabric model, and never for control ops.
+        (ECN/PFC) -> CNP -> port FIFO] -> propagation.  The bracketed
+        stages exist only under a fabric model, and never for control
+        ops; the port FIFO only with no injector on the fabric.
         """
         fab = self.fab
         if fab is not None and wr.control:
@@ -233,8 +255,9 @@ class QueuePair:
         sim = self.sim
         extra_delay = 0.0
         fabric = self.fabric
-        if fabric is not None and fabric.injector is not None:
-            verdict = fabric.injector.on_post(self, wr)
+        injector = None if fabric is None else fabric.injector
+        if injector is not None:
+            verdict = injector.on_post(self, wr)
             if verdict.drop:
                 # The op vanishes on the wire (before reaching any
                 # congested port); the initiator NIC burns its transport
@@ -251,7 +274,8 @@ class QueuePair:
             cc = fab.cc
             if cc is not None:
                 wire = cc.pace(nbytes, wire)
-            wire, marked = fab.port.admit(nbytes, wire)
+            port = fab.port
+            wire, marked = port.admit(nbytes, wire)
             if marked and cc is not None:
                 # The destination reflects the ECN mark as a CNP one RTT
                 # later, rate-limited per QP (DCQCN's notification point).
@@ -260,14 +284,71 @@ class QueuePair:
                     fab.last_cnp_at = cnp_at
                     fab.cnps_sent += 1
                     sim.schedule_at(cnp_at, cc.on_cnp, cnp_at)
-        # Inlined sim.schedule_at: the datapath schedules two events per
-        # op, so the call overhead is measurable.  The target time is
-        # now + non-negative costs, so the past-check can't fire; the
-        # seq increment matches Simulator.schedule_at exactly (event
-        # ordering is pinned by the determinism guard).
+            if injector is None:
+                if port.prop_delay == self.prop_delay:
+                    self._port_ordered(port, wr, posted_at,
+                                       wire + self.prop_delay)
+                    return
+                port.unorder()
+        # Inlined sim.schedule_at: the datapath schedules an event or
+        # two per op, so the call overhead is measurable.  The target
+        # time is now + non-negative costs, so the past-check can't
+        # fire; the seq increment matches Simulator.schedule_at exactly
+        # (event ordering is pinned by the determinism guard).
         sim._seq += 1
         heappush(sim._heap, (wire + self.prop_delay + extra_delay,
                              sim._seq, self._arrive, (wr, posted_at)))
+
+    def _port_ordered(self, port, wr: WorkRequest, posted_at: float,
+                      arrive_at: float) -> None:
+        """Schedule ``wr``'s arrival through ``port``, whose FIFO fixes
+        the order in which ops reach the target (module docstring).
+
+        A fast op with no earlier op still due takes its target slot
+        now, at ``arrive_at``, and schedules only its completion; every
+        other op joins ``port.pending``, and only a non-fast one
+        schedules an arrival (:meth:`_arrive_ordered`).
+        """
+        pending = port.pending
+        op = wr.opcode
+        # Fast: nothing to do at the target but serialize.  The rkey
+        # test is memory.region's, without the exception it raises.
+        fast = ((op is OpType.READ or op is OpType.WRITE)
+                and not wr.touch_memory and wr.span is None
+                and wr.rkey in self.dst.memory._regions)
+        sim = self.sim
+        if fast and not pending:
+            port.charged_until = arrive_at
+            done = self.dst.nic.submit_target(wr, arrive_at)
+            sim._seq += 1
+            heappush(sim._heap, (done + self.prop_delay, sim._seq,
+                                 self._complete, (wr, posted_at, None)))
+            return
+        pending.append((self, wr, posted_at, arrive_at, fast))
+        if not fast:
+            sim._seq += 1
+            heappush(sim._heap, (arrive_at, sim._seq, self._arrive_ordered,
+                                 (wr, posted_at)))
+
+    def _arrive_ordered(self, wr: WorkRequest, posted_at: float) -> None:
+        """The arrival of a non-fast op at the head of its port's FIFO:
+        arrive as :meth:`_arrive` does, then charge the fast ops queued
+        behind it, each at its own arrival instant, up to the next
+        non-fast op (whose own arrival is still scheduled)."""
+        port = self.fab.port
+        pending = port.pending
+        head = pending.popleft()
+        assert head[1] is wr, "port arrivals out of launch order"
+        self._arrive(wr, posted_at)
+        sim = self.sim
+        heap = sim._heap
+        while pending and pending[0][4]:
+            qp, queued, queued_at, arrive_at, _fast = pending.popleft()
+            port.charged_until = arrive_at
+            done = qp.dst.nic.submit_target(queued, arrive_at)
+            sim._seq += 1
+            heappush(heap, (done + qp.prop_delay, sim._seq, qp._complete,
+                            (queued, queued_at, None)))
 
     # ------------------------------------------------------------------
     def _arrive(self, wr: WorkRequest, posted_at: float) -> None:

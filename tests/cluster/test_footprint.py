@@ -7,7 +7,8 @@ paid per client for the life of the cluster.  After a run:
 
 - no CQ holds a work completion: the data node posts its SENDs (period
   starts, report requests, RPC responses) unsignaled, because its CQs
-  have no reader;
+  have no reader, and a client its request SENDs, because the response
+  ends the op;
 - no CQ owns a buffer (a handler-backed CQ never builds one; a polled
   one builds it at its first completion) and no QP a flush backlog
   (it exists only while a closed QP flushes its send queue);
@@ -40,8 +41,7 @@ def test_a_qos_run_keeps_no_completion_and_no_idle_container():
 
 def test_a_two_sided_run_keeps_no_completion_per_response():
     """Every op is a request SEND answered by a response SEND; the
-    request's completion goes to the client's router (which counts it
-    unclaimed), the response's to nobody."""
+    response's completion would go to nobody."""
     cluster = bare_cluster(demands=[200_000] * 4, access=AccessMode.TWO_SIDED,
                            scale=TEST_SCALE)
     run_experiment(cluster, warmup_periods=1, measure_periods=1)
@@ -49,3 +49,15 @@ def test_a_two_sided_run_keeps_no_completion_per_response():
                     for m in cluster.metrics.clients.values())
     assert completed > 100
     _assert_holds_nothing_unread(cluster)
+
+
+def test_a_two_sided_request_leaves_no_unclaimed_completion():
+    """The client's request SENDs are unsignaled too: the response (or
+    the deadline sweep) ends the op, so a successful request builds no
+    completion for the client's router to count unclaimed."""
+    cluster = bare_cluster(demands=[200_000] * 4, access=AccessMode.TWO_SIDED,
+                           scale=TEST_SCALE)
+    run_experiment(cluster, warmup_periods=1, measure_periods=1)
+    assert sum(m.completed.total
+               for m in cluster.metrics.clients.values()) > 100
+    assert sum(ctx.kv.router.unclaimed for ctx in cluster.clients) == 0

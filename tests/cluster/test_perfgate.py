@@ -10,9 +10,10 @@ import pytest
 from repro.cluster import perfgate
 
 from tests.core.reference_engine import per_op_backlog_engines
+from tests.rdma.reference_qp import event_arrival_qps
 
-KEYS = {"events", "events_per_op", "backlog_records", "held_completions",
-        "fluid_calls_per_period", "fluid_columns_held"}
+KEYS = {"events", "events_per_op", "fabric_events", "backlog_records",
+        "held_completions", "fluid_calls_per_period", "fluid_columns_held"}
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +87,23 @@ def test_event_budget_is_exact_and_gated(tmp_path, gate, measured, capsys):
     payload["events"] -= 1
     assert gate(["--baseline", _write(baseline, payload)]) == 1
     assert "events" in capsys.readouterr().err
+
+
+def test_fabric_event_budget_catches_an_arrival_event_per_op(
+        tmp_path, gate, measured, monkeypatch, capsys):
+    """Through a fabric port a fast one-sided op schedules its
+    completion alone; the retired two-event datapath (kept as a test
+    oracle) schedules an arrival too, which the ceiling catches."""
+    assert perfgate._fabric_events() == measured["fabric_events"]
+    with event_arrival_qps():
+        events = perfgate._fabric_events()
+    assert events > 1.5 * measured["fabric_events"]
+    monkeypatch.setattr(perfgate, "measure",
+                        lambda: dict(measured, fabric_events=events))
+    payload = {"fabric_events": measured["fabric_events"]}
+    baseline = _write(tmp_path / "perf_baseline.json", payload)
+    assert gate(["--baseline", baseline]) == 1
+    assert "arrival came back onto the heap" in capsys.readouterr().err
 
 
 def test_backlog_record_budget_catches_a_per_op_backlog(tmp_path, gate,

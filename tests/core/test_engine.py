@@ -470,3 +470,31 @@ class TestOneDrain:
         assert engine.inflight_tokened == 0
         assert qp.outstanding == 0 and qp.fab.sq.in_use == 0
         drain(cluster, 1.0)  # report ticks pack a non-negative residual
+
+
+class TestControlSource:
+    def test_a_message_from_an_inactive_source_is_dropped_and_counted(self):
+        """A binding honours its source only while it is the active one:
+        the standby source's messages, and every source's while the
+        engine is suspended, are dropped and counted stale."""
+        from repro.core.protocol import ReservationAlert
+        from repro.rdma.dispatch import TypeDispatcher
+
+        cluster = make_qos_cluster([100_000])
+        ctx = cluster.clients[0]
+        engine = ctx.engine
+        standby = TypeDispatcher()
+        engine.bind_control_source(standby, 1)
+        alert = ReservationAlert(period_id=0, consecutive_underuse=3)
+
+        standby(alert, None)
+        assert (engine.alerts_received, engine.stale_control_messages) == (
+            0, 1)
+        ctx.dispatcher(alert, None)
+        assert (engine.alerts_received, engine.stale_control_messages) == (
+            1, 1)
+        engine.suspend()
+        ctx.dispatcher(alert, None)
+        standby(alert, None)
+        assert (engine.alerts_received, engine.stale_control_messages) == (
+            1, 3)
